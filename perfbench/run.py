@@ -29,6 +29,8 @@ import common
 MAIN_SHARE = 0.75
 #: fresh-interpreter set-ups per run; ``setup_s`` is their median
 SETUP_REPEATS = 5
+#: why operations failed, printed on standard error after the run
+PROBLEMS: List[str] = []
 
 
 class Tally:
@@ -54,12 +56,14 @@ class Tally:
         self.reference = reference
 
     def add(self, result, wall_s: float, scale: float) -> None:
+        expected = self.reference if self.first is None else self.first.digest
         if self.first is None:
             self.first = result
-            if self.reference is not None and result.digest != self.reference:
-                self.mismatches += 1
-        elif result.digest != self.first.digest:
+        if expected is not None and result.digest != expected:
             self.mismatches += 1
+            PROBLEMS.append(f"unit {self.units + 1}: digest {result.digest[:16]} "
+                            f"!= expected {expected[:16]}")
+        PROBLEMS.extend(f"unit {self.units + 1}: {line}" for line in result.problems)
         self.units += 1
         self.wall_s += wall_s
         self.attempted += result.attempted
@@ -181,6 +185,8 @@ def measure(name: str, seed: int, seconds: float) -> Dict[str, Any]:
     direct = paper_table2()
     rows = main.first.table2 or direct
     table2_failed = int(rows != direct)
+    if table2_failed:
+        PROBLEMS.append("campaign paper rows differ from a direct run_comparison")
     setups = [time_setup(name, seed) for _ in range(SETUP_REPEATS)]
 
     attempted = sum(t.attempted for t in tallies) + len(direct)
@@ -239,7 +245,10 @@ def trace(name: str, seed: int, seconds: float) -> Dict[str, Any]:
         tracer.remove()
     tallies.append(traced)
     # Pool, in-process and traced runs must all simulate the same results.
-    traced.mismatches += len({t.first.digest for t in tallies[1:]}) - 1
+    configurations_apart = len({t.first.digest for t in tallies[1:]}) - 1
+    traced.mismatches += configurations_apart
+    if configurations_apart:
+        PROBLEMS.append("pool, in-process and traced runs simulate different results")
 
     imports = import_breakdown(name, seed)
     units = traced.units
@@ -365,6 +374,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     print(json.dumps({"workload": args.workload, "seed": args.seed, **outcome["detail"]}),
           file=sys.stderr)
+    for line in PROBLEMS[:20]:
+        print(f"failed: {line}", file=sys.stderr)
     print(json.dumps({
         "correct": outcome["failed"] == 0,
         "attempted": int(outcome["attempted"]),

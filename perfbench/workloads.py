@@ -67,6 +67,8 @@ class UnitResult:
     times: Dict[str, float] = field(default_factory=dict)
     #: the Table-2 rows this unit reproduced, when it ran them
     table2: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    #: one line per failed operation, printed on standard error
+    problems: List[str] = field(default_factory=list)
 
 
 def table2_err_pp(rows: Dict[str, Dict[str, float]]) -> float:
@@ -181,6 +183,13 @@ class CampaignGrid:
         ok = [record for record in records if record.get("status") == "ok"]
         result = UnitResult(attempted=summary.total_jobs)
         result.failed = summary.total_jobs - len(ok)
+        result.problems = [
+            f"job {record.get('label')}: {record.get('status')}: "
+            f"{record.get('error', {}).get('message', '')}"
+            for record in records if record.get("status") != "ok"
+        ]
+        if len(records) != summary.total_jobs:
+            result.problems.append(f"{len(records)} of {summary.total_jobs} records read back")
         result.jobs = len(ok)
         kcycles = job_s = 0.0
         for record in ok:
@@ -416,6 +425,8 @@ class SocRun:
         result = UnitResult(attempted=1)
         result.failed = 0 if artifacts.all_tasks_completed else 1
         result.jobs = 1 - result.failed
+        if result.failed:
+            result.problems.append(f"{spec.name}: not every task completed")
         result.sim_rates.append(artifacts.cycles_simulated() / 1e3 / elapsed * scale)
         result.counts = soc_counts(soc, artifacts.end_time)
         result.digest = common.digest(soc_state(soc, artifacts.end_time))
@@ -468,6 +479,15 @@ def pin_fuzz_inputs() -> None:
     empty = Constants()
     providers._get_local_constants = lambda: empty
     providers.CONSTANTS_CACHE.cache.clear()
+
+
+def location_free(text: str) -> str:
+    """``text`` with the checkout's path replaced, so digests match in any checkout.
+
+    An oracle that skips says why, and the reason for the native backend's
+    absence quotes the path of the module it failed to import from.
+    """
+    return text.replace(str(common.ROOT), "<checkout>")
 
 
 def stratified_fuzz_seeds(seed: int, batches: int) -> List[int]:
@@ -559,8 +579,16 @@ class Verify:
         findings = sweep_findings[0]
         result.attempted = fuzz_runs + lint_specs
         result.failed = sum(1 for outcome in outcomes if not outcome.ok)
+        result.problems = [
+            f"fuzz spec {outcome.spec_hash}: "
+            + "; ".join(f"{v.oracle}: {v.detail}" for v in outcome.failures)
+            for outcome in outcomes if not outcome.ok
+        ]
         # a sweep that disagrees with the first counts its specs as failed
-        result.failed += sum(len(self.specs) for other in sweep_findings if other != findings)
+        disagreeing = sum(1 for other in sweep_findings if other != findings)
+        result.failed += disagreeing * len(self.specs)
+        if disagreeing:
+            result.problems.append(f"{disagreeing} lint sweeps disagree with the first")
         result.jobs = result.attempted - result.failed
         verdicts = [verdict for outcome in outcomes for verdict in outcome.verdicts]
         skips = sum(1 for verdict in verdicts if verdict.status == "skip")
@@ -572,7 +600,8 @@ class Verify:
         result.digest = common.digest({
             "runs": fuzz_runs,
             "results": [
-                [outcome.spec_hash, [[v.oracle, v.status, v.detail] for v in outcome.verdicts]]
+                [outcome.spec_hash,
+                 [[v.oracle, v.status, location_free(v.detail)] for v in outcome.verdicts]]
                 for outcome in outcomes
             ],
             "lint": findings,
