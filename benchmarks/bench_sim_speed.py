@@ -137,11 +137,11 @@ def test_simulation_speed_single_ip_traced(benchmark, tmp_path):
 
 
 def _bus_contention_platform(timing: str):
-    """Four IPs hammering one shared bus: the materialised-clock stress case.
+    """Four IPs hammering one shared bus: the posedge-arbitration stress case.
 
     The same platform runs in both timing modes, so the dashboard tracks the
-    cost of posedge arbitration (a real consumer of ``Clock.out``) against
-    the clock-free event-driven bus.
+    cost of posedge arbitration (edges computed analytically from the bus
+    clock, which stays virtual) against the clock-free event-driven bus.
     """
     builder = (
         PlatformBuilder(f"bench-bus-{timing}")
@@ -190,7 +190,7 @@ def test_simulation_speed_bus_event_driven(benchmark):
 
 @pytest.mark.benchmark(group="sim-speed")
 def test_simulation_speed_bus_cycle_accurate(benchmark):
-    """Bus contention with posedge arbitration on a materialised clock."""
+    """Bus contention with posedge arbitration on the virtual bus clock."""
     _bench_bus(benchmark, "cycle_accurate")
 
 

@@ -168,19 +168,25 @@ class Battery:
             The energy actually removed from the battery (delivered plus
             losses), in joules.
         """
+        return self.draw_energy_fs(energy_j, None if over is None else int(over))
+
+    def draw_energy_fs(self, energy_j: float, over_fs: Optional[int]) -> float:
+        """:meth:`draw_energy` over a raw femtosecond interval (no SimTime built)."""
         if energy_j < 0.0:
             raise BatteryError("cannot draw negative energy")
-        if self.config.on_ac_power:
+        config = self.config
+        if config.on_ac_power:
             # On mains power the battery is bypassed entirely.
             self._drawn_j += energy_j
             return energy_j
+        # over_fs / 10^15 is SimTime.seconds bit for bit.
         power = 0.0
-        if over is not None and not over.is_zero:
-            power = energy_j / over.seconds
+        if over_fs:
+            power = energy_j / (over_fs / 1_000_000_000_000_000)
         factor = self._rate_factor(power) if power > 0.0 else 1.0
         removed = energy_j * factor
-        if over is not None and self.config.self_discharge_w > 0.0:
-            leak = self.config.self_discharge_w * over.seconds
+        if over_fs is not None and config.self_discharge_w > 0.0:
+            leak = config.self_discharge_w * (over_fs / 1_000_000_000_000_000)
             removed += leak
         self._remaining_j = max(0.0, self._remaining_j - removed)
         self._drawn_j += energy_j

@@ -46,10 +46,10 @@ class BatteryMonitor(Module):
         self.level_signal = self.signal("level", battery.level)
         self.soc_signal = self.signal("state_of_charge", battery.state_of_charge)
         self._last_total_j = ledger.total_j
-        self._last_sample_time = kernel.now
+        self._last_sample_fs = kernel.now_fs
         self._history: List[Tuple[SimTime, float]] = []
         # ``autonomous=False`` suppresses the sampling thread: an external
-        # orchestrator (e.g. the SoC's shared sampler) calls sample_now()
+        # orchestrator (e.g. the SoC's shared sampler) calls sample_total()
         # on the same schedule, halving the per-sample process activations.
         if autonomous:
             self.add_thread(self._sample_loop, name="sampler")
@@ -74,18 +74,30 @@ class BatteryMonitor(Module):
             # Let lazily-integrated consumers (PSM background power, fan) post
             # their energy up to now, so the drain is smooth rather than lumpy.
             self.pre_sample()
-        total = self.ledger.total_j
-        delta = total - self._last_total_j
-        self._last_total_j = total
-        elapsed = self.kernel.now - self._last_sample_time
-        self._last_sample_time = self.kernel.now
+        self.sample_total(self.ledger.total_j)
+
+    def sample_total(self, total_j: float) -> None:
+        """Sample now, given the ledger total ``total_j`` read at this instant.
+
+        Drains the battery by the energy consumed since the previous sample
+        and publishes the level.  The SoC's shared sampler flushes the books
+        and reads the ledger once per window for both sensors.
+        """
+        delta = total_j - self._last_total_j
+        self._last_total_j = total_j
+        kernel = self.kernel
+        now_fs = kernel._now_fs
+        elapsed_fs = now_fs - self._last_sample_fs
+        self._last_sample_fs = now_fs
+        battery = self.battery
         if delta > 0.0:
             # Use the actual elapsed time to derive the discharge rate; when the
             # sample is forced with no time elapsed, fall back to nominal rate.
-            self.battery.draw_energy(delta, over=elapsed if not elapsed.is_zero else None)
-        self._history.append((self.kernel.now, self.battery.state_of_charge))
-        self.level_signal.write(self.battery.level)
-        self.soc_signal.write(self.battery.state_of_charge)
+            battery.draw_energy_fs(delta, elapsed_fs or None)
+        state_of_charge = battery.state_of_charge
+        self._history.append((kernel.now, state_of_charge))
+        self.level_signal.write(battery.level)
+        self.soc_signal.write(state_of_charge)
 
     def _sample_loop(self):
         while True:

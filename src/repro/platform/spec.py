@@ -737,9 +737,11 @@ class BusDef:
     """The shared on-chip bus: presence, bandwidth, arbitration and timing.
 
     ``timing`` selects the bus model: ``event_driven`` (immediate grants,
-    exact durations) or ``cycle_accurate`` (the bus owns a materialised
-    clock of ``words_per_second / words_per_cycle`` Hz, grants land only on
-    posedges and durations round up to whole bus cycles).
+    exact durations) or ``cycle_accurate`` (grants land only on the rising
+    edges of a ``words_per_second / words_per_cycle`` Hz bus clock and
+    durations round up to whole bus cycles).  The clock stays virtual: the
+    arbiter computes the next edge with ``Clock.next_posedge_fs`` and never
+    materialises ``Clock.out``.
     """
 
     enabled: bool = False

@@ -52,6 +52,8 @@ class EnergyAccount:
         self._total_cache = 0.0
         self._total_dirty = False
         self._recorder = None
+        #: the ledger aggregating this account, told about every deposit
+        self._ledger = None
 
     # -- recording -------------------------------------------------------
     def add_energy(
@@ -72,15 +74,23 @@ class EnergyAccount:
         self._by_category[category] += energy_j
         self._deposits += 1
         self._total_dirty = True
+        ledger = self._ledger
+        if ledger is not None:
+            ledger._dirty = True
         recorder = self._recorder
         if recorder is not None:
             recorder.record(energy_j, _span_fs, _end_fs)
 
     def add_power(self, power_w: float, duration: SimTime, category: str = EnergyCategory.IDLE) -> None:
         """Record ``power_w`` watts drawn for ``duration``."""
+        self.add_power_fs(power_w, int(duration), category)
+
+    def add_power_fs(self, power_w: float, span_fs: int, category: str = EnergyCategory.IDLE) -> None:
+        """:meth:`add_power` over a raw femtosecond span (no SimTime built)."""
         if power_w < 0.0:
             raise PowerModelError(f"cannot integrate negative power ({power_w} W) for {self.owner!r}")
-        self.add_energy(power_w * duration.seconds, category, _span_fs=int(duration))
+        # span_fs / 10^15 is SimTime.seconds bit for bit.
+        self.add_energy(power_w * (span_fs / 1_000_000_000_000_000), category, _span_fs=span_fs)
 
     # -- queries -------------------------------------------------------------
     @property
@@ -125,7 +135,8 @@ class EnergyLedger:
 
     def __init__(self) -> None:
         self._accounts: Dict[str, EnergyAccount] = {}
-        self._deposit_snapshot = -1
+        # Set by every deposit into (and every registration of) an account.
+        self._dirty = True
         self._total_cache = 0.0
         self._recorder = None
 
@@ -146,8 +157,9 @@ class EnergyLedger:
         if owner not in self._accounts:
             created = EnergyAccount(owner)
             created._recorder = self._recorder
+            created._ledger = self
             self._accounts[owner] = created
-            self._deposit_snapshot = -1
+            self._dirty = True
         return self._accounts[owner]
 
     def register(self, account: EnergyAccount) -> EnergyAccount:
@@ -155,8 +167,9 @@ class EnergyLedger:
         if account.owner in self._accounts and self._accounts[account.owner] is not account:
             raise PowerModelError(f"an account named {account.owner!r} already exists")
         account._recorder = self._recorder
+        account._ledger = self
         self._accounts[account.owner] = account
-        self._deposit_snapshot = -1
+        self._dirty = True
         return account
 
     @property
@@ -168,14 +181,13 @@ class EnergyLedger:
     def total_j(self) -> float:
         """SoC-wide total energy in joules.
 
-        Cached against the combined deposit count of the accounts; the
-        recomputation runs the identical ``sum`` in the identical account
-        order, so the cached figure is bit-identical to an eager one.
+        Cached until the next deposit into any account; the recomputation
+        runs the identical ``sum`` in the identical account order, so the
+        cached figure is bit-identical to an eager one.
         """
-        deposits = sum(account._deposits for account in self._accounts.values())
-        if deposits != self._deposit_snapshot:
-            self._total_cache = sum(account.total_j for account in self._accounts.values())
-            self._deposit_snapshot = deposits
+        if self._dirty:
+            self._total_cache = sum([account.total_j for account in self._accounts.values()])
+            self._dirty = False
         return self._total_cache
 
     def total_excluding(self, owner: str) -> float:

@@ -9,8 +9,9 @@ It takes care of the boring but important lifecycle steps:
    ``end_of_elaboration`` hooks,
 3. :meth:`run` for a duration (repeatable),
 4. collect kernel statistics and wall-clock throughput
-   (:class:`SimulationReport`), which is what the simulation-speed figure in
-   the paper is reproduced from.
+   (:class:`SimulationReport`) of one :meth:`Simulator.run` call.  The SoC
+   runner drives the kernel directly and reports its speed on
+   :class:`~repro.experiments.runner.RunArtifacts` instead.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ class Simulator:
         self._top_modules: List[Module] = []
         self.trace: Optional[TraceRecorder] = TraceRecorder() if trace else None
         self._elaborated = False
-        self._last_report = SimulationReport()
 
     @property
     def backend(self) -> str:
@@ -146,14 +146,13 @@ class Simulator:
         cycles = 0.0
         if clock_period is not None and not clock_period.is_zero:
             cycles = simulated / clock_period
-        self._last_report = SimulationReport(
+        return SimulationReport(
             simulated_time=simulated,
             wall_clock_seconds=wall_elapsed,
             kernel_stats=self.kernel.stats.as_dict(),
             cycles_simulated=cycles,
             backend=self.kernel.backend,
         )
-        return self._last_report
 
     def stop(self) -> None:
         """Request the kernel to stop."""
@@ -164,11 +163,6 @@ class Simulator:
     def now(self) -> SimTime:
         """Current simulated time."""
         return self.kernel.now
-
-    @property
-    def last_report(self) -> SimulationReport:
-        """Report of the most recent :meth:`run` call."""
-        return self._last_report
 
     def design_tree(self) -> str:
         """Printable tree of the whole design."""

@@ -122,8 +122,9 @@ class SoC(Module):
         # Both sensors sample on the same schedule, so the SoC drives them
         # from one shared thread (monitor first, sensor second — the same
         # order in which their autonomous loops would have been activated):
-        # one process activation per sample instead of two, with an
-        # observable behaviour identical to independent samplers.
+        # one process activation, one books flush and one ledger read per
+        # sample instead of two, with an observable behaviour identical to
+        # independent samplers.
         self.battery_monitor = BatteryMonitor(
             simulator.kernel,
             "battery_monitor",
@@ -239,30 +240,35 @@ class SoC(Module):
         if max_time.is_zero:
             raise ConfigurationError("max_time must be positive")
         self.simulator.elaborate()
-        # Fast mode drives the kernel directly: the per-chunk wall-clock
-        # bookkeeping and statistics snapshots of Simulator.run are pure
-        # overhead here, and the chunked end-time semantics are identical.
-        run_chunk = (
-            self.simulator.run if self.fast_engine is None else self.simulator.kernel.run
-        )
-        while not self.all_done and self.simulator.now < max_time:
-            remaining = max_time - self.simulator.now
-            chunk = check_interval if check_interval < remaining else remaining
-            run_chunk(chunk)
+        # Drive the kernel directly: the wall-clock bookkeeping and statistics
+        # snapshot of Simulator.run would be pure overhead on every chunk.
+        kernel = self.simulator.kernel
+        ips = self.ips
+        end_fs = int(max_time)
+        step_fs = int(check_interval)
+        while kernel._now_fs < end_fs and not all(ip.done for ip in ips):
+            remaining_fs = end_fs - kernel._now_fs
+            kernel.run(check_interval if step_fs < remaining_fs else SimTime(remaining_fs))
         self.flush()
-        return self.simulator.now
+        return kernel.now
 
     def _shared_sample_loop(self):
         """One periodic process sampling battery and temperature in order."""
         interval = self.config.sample_interval
-        monitor_sample = self.battery_monitor.sample_now
-        sensor_sample = self.temperature_sensor.sample_now
+        sample_window = self._sample_window
         while True:
             yield interval
-            monitor_sample()
-            sensor_sample()
-            if self._tracer is not None:
-                self._trace_sample()
+            sample_window()
+
+    def _sample_window(self) -> None:
+        """One exact sample: post the books once, read the ledger once, then
+        drain the battery and step the thermal model on that reading."""
+        self.flush_power_books()
+        total = self.ledger.total_j
+        self.battery_monitor.sample_total(total)
+        self.temperature_sensor.sample_total(total)
+        if self._tracer is not None:
+            self._trace_sample()
 
     def _trace_sample(self) -> None:
         """Emit one ``sample.window`` event plus any level crossings."""
@@ -299,11 +305,7 @@ class SoC(Module):
         if self.fast_engine is not None:
             self.fast_engine.final_flush()
             return
-        self.flush_power_books()
-        self.battery_monitor.sample_now()
-        self.temperature_sensor.sample_now()
-        if self._tracer is not None:
-            self._trace_sample()
+        self._sample_window()
 
 
 def build_soc(

@@ -15,7 +15,7 @@ from repro.errors import ThermalError
 from repro.power.energy import EnergyAccount, EnergyCategory
 from repro.sim.kernel import Kernel
 from repro.sim.module import Module
-from repro.sim.simtime import SimTime, ZERO_TIME
+from repro.sim.simtime import SimTime
 from repro.thermal.model import ThermalModel
 
 __all__ = ["Fan"]
@@ -41,8 +41,10 @@ class Fan(Module):
         self.power_w = power_w
         self.state_signal = self.signal("on", False)
         self._switch_history: List[Tuple[SimTime, bool]] = []
-        self._last_change: SimTime = ZERO_TIME
-        self._on_time: SimTime = ZERO_TIME
+        # Accounting marker and running time in raw femtoseconds: the SoC
+        # flushes the fan once per sample window.
+        self._last_change_fs = 0
+        self._on_time_fs = 0
 
     @property
     def is_on(self) -> bool:
@@ -57,7 +59,7 @@ class Fan(Module):
     @property
     def total_on_time(self) -> SimTime:
         """Accumulated running time (up to the last switch or flush)."""
-        return self._on_time
+        return SimTime(self._on_time_fs)
 
     def set_on(self, on: bool) -> None:
         """Switch the fan; charges the energy used since the last switch."""
@@ -73,12 +75,12 @@ class Fan(Module):
         self._account()
 
     def _account(self) -> None:
-        now = self.kernel.now
-        if now == self._last_change:
+        now_fs = self.kernel._now_fs
+        elapsed_fs = now_fs - self._last_change_fs
+        if not elapsed_fs:
             return
-        elapsed = now - self._last_change
-        self._last_change = now
-        if self.is_on and not elapsed.is_zero:
-            self._on_time = self._on_time + elapsed
+        self._last_change_fs = now_fs
+        if self.is_on:
+            self._on_time_fs += elapsed_fs
             if self.power_w > 0.0:
-                self.energy_account.add_power(self.power_w, elapsed, EnergyCategory.OVERHEAD)
+                self.energy_account.add_power_fs(self.power_w, elapsed_fs, EnergyCategory.OVERHEAD)

@@ -142,24 +142,32 @@ class ThermalModel:
 
         Returns the new temperature in Celsius.
         """
+        return self.step_fs(power_w, int(dt))
+
+    def step_fs(self, power_w: float, dt_fs: int) -> float:
+        """:meth:`step` over a raw femtosecond interval (no SimTime built)."""
         if power_w < 0.0:
             raise ThermalError("dissipated power must be non-negative")
-        dt_s = dt.seconds
+        # dt_fs / 10^15 is SimTime.seconds bit for bit.
+        dt_s = dt_fs / 1_000_000_000_000_000
         if dt_s < 0.0:  # pragma: no cover - SimTime cannot be negative
             raise ThermalError("time step must be non-negative")
         if dt_s == 0.0:
             return self._temperature_c
+        config = self.config
         resistance = self.effective_resistance()
-        tau = resistance * self.config.thermal_capacitance_j_per_c
-        steady = self.config.ambient_c + power_w * resistance
+        tau = resistance * config.thermal_capacitance_j_per_c
+        steady = config.ambient_c + power_w * resistance
         decay = self._decay(dt_s, tau)
         previous = self._temperature_c
-        self._temperature_c = steady + (previous - steady) * decay
-        self._peak_c = max(self._peak_c, self._temperature_c)
+        current = steady + (previous - steady) * decay
+        self._temperature_c = current
+        if current > self._peak_c:
+            self._peak_c = current
         # Trapezoidal accumulation of the average temperature.
-        self._integral_c_s += 0.5 * (previous + self._temperature_c) * dt_s
+        self._integral_c_s += 0.5 * (previous + current) * dt_s
         self._integrated_time_s += dt_s
-        return self._temperature_c
+        return current
 
     def _decay(self, dt_s: float, tau: float) -> float:
         """Cached ``exp(-dt/tau)``, bounded so varying-duration estimates

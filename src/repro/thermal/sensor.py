@@ -47,7 +47,7 @@ class TemperatureSensor(Module):
         self._last_total_j = ledger.total_j
         self._history: List[Tuple[SimTime, float]] = []
         # ``autonomous=False`` suppresses the sampling thread: an external
-        # orchestrator (e.g. the SoC's shared sampler) calls sample_now()
+        # orchestrator (e.g. the SoC's shared sampler) calls sample_total()
         # on the same schedule, halving the per-sample process activations.
         if autonomous:
             self.add_thread(self._sample_loop, name="sampler")
@@ -77,14 +77,24 @@ class TemperatureSensor(Module):
             # Let lazily-integrated consumers (PSM background power, fan) post
             # their energy up to now, so the measured power is smooth.
             self.pre_sample()
-        total = self.ledger.total_j
-        delta = max(0.0, total - self._last_total_j)
-        self._last_total_j = total
-        power = delta / self.sample_interval.seconds
-        self.model.step(power, self.sample_interval)
-        self._history.append((self.kernel.now, self.model.temperature_c))
-        self.temperature_signal.write(self.model.temperature_c)
-        self.level_signal.write(self.model.level)
+        self.sample_total(self.ledger.total_j)
+
+    def sample_total(self, total_j: float) -> None:
+        """Sample now, given the ledger total ``total_j`` read at this instant.
+
+        Steps the thermal model by one sample interval at the average power
+        since the previous sample and publishes the temperature.
+        """
+        delta = max(0.0, total_j - self._last_total_j)
+        self._last_total_j = total_j
+        interval_fs = int(self.sample_interval)
+        model = self.model
+        # interval_fs / 10^15 is SimTime.seconds bit for bit.
+        model.step_fs(delta / (interval_fs / 1_000_000_000_000_000), interval_fs)
+        temperature = model.temperature_c
+        self._history.append((self.kernel.now, temperature))
+        self.temperature_signal.write(temperature)
+        self.level_signal.write(model.level)
 
     def _sample_loop(self):
         while True:

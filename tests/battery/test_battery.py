@@ -146,6 +146,16 @@ class TestBatteryModel:
             assert 0.0 <= battery.state_of_charge <= 1.0
 
 
+    def test_draw_energy_matches_its_femtosecond_core(self):
+        config = BatteryConfig(self_discharge_w=0.01)
+        by_time, by_fs = Battery(config), Battery(config)
+        for energy, over in ((0.003, ms(2)), (0.0004, ms(3)), (0.002, None)):
+            removed = by_time.draw_energy(energy, over=over)
+            assert by_fs.draw_energy_fs(energy, None if over is None else int(over)) == removed
+        assert by_time.remaining_j.hex() == by_fs.remaining_j.hex()
+        assert by_time.wasted_j.hex() == by_fs.wasted_j.hex()
+
+
 class TestBatteryMonitor:
     def test_monitor_drains_battery_from_ledger(self):
         sim = Simulator()

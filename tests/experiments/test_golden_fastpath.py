@@ -108,8 +108,8 @@ def test_default_scenarios_never_materialise_a_clock(scenario_name):
     """Virtual-clock regression: the fast path must stay clock-free.
 
     No default scenario may construct — let alone materialise — a Clock;
-    the only sanctioned consumer of materialised clocks is the
-    cycle-accurate bus, which no paper scenario fits.
+    only the cycle-accurate bus owns one (kept virtual), and no paper
+    scenario has a bus.
     """
     scenario = scenario_by_name(scenario_name)
     config = scenario.build_config()

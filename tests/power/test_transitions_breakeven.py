@@ -226,6 +226,26 @@ class TestEnergyAccounting:
         with pytest.raises(PowerModelError):
             ledger.register(EnergyAccount("ip0"))
 
+    def test_ledger_total_tracks_every_deposit_after_a_read(self):
+        ledger = EnergyLedger()
+        first = ledger.account("ip0")
+        first.add_energy(1.0)
+        assert ledger.total_j == 1.0
+        ledger.account("ip1").add_energy(0.25)
+        assert ledger.total_j == 1.25
+        first.add_power_fs(2.0, 10**15)
+        registered = ledger.register(EnergyAccount("fan"))
+        assert ledger.total_j == 3.25
+        registered.add_energy(0.5)
+        assert ledger.total_j == 3.75
+
+    def test_add_power_matches_its_femtosecond_core(self):
+        by_time = EnergyAccount("a")
+        by_fs = EnergyAccount("b")
+        by_time.add_power(0.37, us(1234))
+        by_fs.add_power_fs(0.37, int(us(1234)))
+        assert by_time.total_j.hex() == by_fs.total_j.hex()
+
     def test_ledger_average_power(self):
         ledger = EnergyLedger()
         ledger.account("ip0").add_energy(3.0)

@@ -131,6 +131,14 @@ class TestThermalModel:
             assert model.temperature_c <= steady + 1e-6
 
 
+    def test_step_matches_its_femtosecond_core(self):
+        by_time, by_fs = ThermalModel(), ThermalModel()
+        for power in (0.2, 0.0, 0.05):
+            assert by_time.step(power, ms(2)).hex() == by_fs.step_fs(power, int(ms(2))).hex()
+        assert by_time.average_c.hex() == by_fs.average_c.hex()
+        assert by_time.peak_c == by_fs.peak_c
+
+
 class TestSensorAndFan:
     def test_sensor_heats_up_with_consumption(self):
         sim = Simulator()
