@@ -39,8 +39,8 @@ def _warm_backend(backend: str) -> None:
 
 def _bench_scenario(benchmark, name: str, accuracy: str, paper_kcps: float,
                     backend: str = "python"):
-    """One measured scenario run; results land in ``extra_info`` for the
-    longitudinal dashboard (``benchmarks/bench_dashboard.py``)."""
+    """One measured scenario run; results land in ``extra_info`` of the
+    pytest-benchmark JSON."""
     if backend == "native" and not _native_available():
         pytest.skip(f"native backend unavailable: {_native_unavailable_reason()}")
     _warm_backend(backend)
@@ -110,8 +110,8 @@ def test_simulation_speed_single_ip_fast_native(benchmark):
 def test_simulation_speed_single_ip_traced(benchmark, tmp_path):
     """A1 with jsonl event tracing enabled.
 
-    Tracked against ``test_simulation_speed_single_ip`` in the dashboard:
-    the gap between the two is the live cost of the instrumentation hooks
+    Compare with ``test_simulation_speed_single_ip``: the gap between the
+    two is the live cost of the instrumentation hooks
     (which must stay small — the disabled-hook cost is bounded separately
     by the goldens staying bit-identical).
     """
@@ -139,9 +139,9 @@ def test_simulation_speed_single_ip_traced(benchmark, tmp_path):
 def _bus_contention_platform(timing: str):
     """Four IPs hammering one shared bus: the posedge-arbitration stress case.
 
-    The same platform runs in both timing modes, so the dashboard tracks the
-    cost of posedge arbitration (edges computed analytically from the bus
-    clock, which stays virtual) against the clock-free event-driven bus.
+    The same platform runs in both timing modes, so the pair shows the cost
+    of posedge arbitration (edges computed analytically from the bus clock)
+    against the clock-free event-driven bus.
     """
     builder = (
         PlatformBuilder(f"bench-bus-{timing}")
@@ -190,7 +190,7 @@ def test_simulation_speed_bus_event_driven(benchmark):
 
 @pytest.mark.benchmark(group="sim-speed")
 def test_simulation_speed_bus_cycle_accurate(benchmark):
-    """Bus contention with posedge arbitration on the virtual bus clock."""
+    """Bus contention with posedge arbitration on the analytic bus clock."""
     _bench_bus(benchmark, "cycle_accurate")
 
 

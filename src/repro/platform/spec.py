@@ -117,9 +117,10 @@ _WORKLOAD_KIND_FIELDS: Dict[str, frozenset] = {
 }
 _WORKLOAD_COMMON_FIELDS = frozenset({"kind", "name", "idle_scale", "force_priority"})
 
-_EXPLICIT_ITEM_KEYS = frozenset(
-    {"task", "cycles", "priority", "instruction_class", "idle_after_fs", "idle_after_us"}
-)
+_EXPLICIT_ITEM_KEYS = ("task", "cycles", "priority", "instruction_class", "idle_after_fs")
+
+#: The flat bus keys of an earlier format, rejected with what replaced them.
+_FLAT_BUS_KEYS = ("with_bus", "bus_words_per_second")
 
 
 # ----------------------------------------------------------------------
@@ -545,11 +546,11 @@ class WorkloadDef:
                 _fail(f"{path}.items", "an explicit workload needs at least one item")
             for index, item in enumerate(self.items):
                 item_path = f"{path}.items[{index}]"
-                unknown = set(item) - _EXPLICIT_ITEM_KEYS
-                if unknown:
-                    _fail(item_path,
-                          f"unknown item field(s) {_choices(sorted(unknown))} "
-                          f"(allowed: {_choices(sorted(_EXPLICIT_ITEM_KEYS))})")
+                for key in item:
+                    if key.startswith("idle_after_") and key != "idle_after_fs":
+                        _fail(f"{item_path}.{key}", f"{key!r} is not read; the idle gap "
+                              "is 'idle_after_fs' (integer femtoseconds)")
+                _check_keys(item, item_path, _EXPLICIT_ITEM_KEYS)
                 for required in ("task", "cycles"):
                     if required not in item:
                         _fail(item_path, f"missing required item field {required!r}")
@@ -739,9 +740,8 @@ class BusDef:
     ``timing`` selects the bus model: ``event_driven`` (immediate grants,
     exact durations) or ``cycle_accurate`` (grants land only on the rising
     edges of a ``words_per_second / words_per_cycle`` Hz bus clock and
-    durations round up to whole bus cycles).  The clock stays virtual: the
-    arbiter computes the next edge with ``Clock.next_posedge_fs`` and never
-    materialises ``Clock.out``.
+    durations round up to whole bus cycles).  The arbiter computes the next
+    edge with ``Clock.next_posedge_fs``; no toggling process runs.
     """
 
     enabled: bool = False
@@ -1171,12 +1171,9 @@ class PlatformSpec:
     with_fan: bool = True
     fan_power_w: float = 0.05
 
-    #: legacy (pre-BusDef) top-level spellings, still accepted on read
-    _LEGACY_BUS_KEYS = ("with_bus", "bus_words_per_second")
-
     _TOP_FIELDS = ("format", "name", "description", "ips", "battery", "thermal",
                    "gem", "bus", "trace", "policy", "max_time_ms",
-                   "sample_interval_us", "with_fan", "fan_power_w") + _LEGACY_BUS_KEYS
+                   "sample_interval_us", "with_fan", "fan_power_w")
 
     # -- (de)serialisation ---------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -1207,6 +1204,10 @@ class PlatformSpec:
     def from_dict(cls, value: Any, path: str = "platform") -> "PlatformSpec":
         """Build and validate a spec from a plain dictionary (parsed JSON/TOML)."""
         mapping = _as_mapping(value, path)
+        for key in _FLAT_BUS_KEYS:
+            if key in mapping:
+                _fail(f"{path}.{key}", f"{key!r} is no longer read; declare the bus as "
+                      "a 'bus' section: bus: {enabled: true, words_per_second: ...}")
         _check_keys(mapping, path, cls._TOP_FIELDS)
         fmt = _get_str(mapping, "format", path, default=SPEC_FORMAT)
         if fmt != SPEC_FORMAT:
@@ -1235,7 +1236,10 @@ class PlatformSpec:
                 GemDef() if "gem" not in mapping
                 else GemDef.from_dict(mapping["gem"], f"{path}.gem")
             ),
-            bus=cls._bus_from_mapping(mapping, path),
+            bus=(
+                BusDef() if "bus" not in mapping
+                else BusDef.from_dict(mapping["bus"], f"{path}.bus")
+            ),
             trace=(
                 TraceDef() if "trace" not in mapping
                 else TraceDef.from_dict(mapping["trace"], f"{path}.trace")
@@ -1252,31 +1256,6 @@ class PlatformSpec:
         )
         spec.validate()
         return spec
-
-    @classmethod
-    def _bus_from_mapping(cls, mapping: Mapping[str, Any], path: str) -> BusDef:
-        """Read the ``bus`` section, honouring the legacy flat spellings."""
-        legacy = [key for key in cls._LEGACY_BUS_KEYS if key in mapping]
-        if "bus" in mapping:
-            if legacy:
-                _fail(path,
-                      f"'bus' cannot be combined with the legacy key(s) "
-                      f"{_choices(legacy)}")
-            return BusDef.from_dict(mapping["bus"], f"{path}.bus")
-        if not legacy:
-            return BusDef()
-        if not _get_bool(mapping, "with_bus", path, default=False):
-            # In the legacy format a bandwidth without 'with_bus' was inert;
-            # keep such archived specs loading (and equal to bus-less ones),
-            # but still reject values the old validation refused.
-            inert = _get_float(mapping, "bus_words_per_second", path)
-            _check_positive(inert, f"{path}.bus_words_per_second", "bus throughput")
-            return BusDef()
-        return BusDef(
-            enabled=True,
-            words_per_second=_get_float(mapping, "bus_words_per_second", path,
-                                        default=50e6),
-        )
 
     # -- validation -----------------------------------------------------
     def validate(self) -> "PlatformSpec":

@@ -1,9 +1,10 @@
 """SystemC-like discrete-event simulation kernel.
 
 This subpackage is the substrate the paper's SystemC 2.0 models run on:
-modules, ports, signals with delta-cycle semantics, thread and method
-processes, events, a clock generator, tracing and a high-level
-:class:`~repro.sim.simulator.Simulator` facade.
+modules, signals with delta-cycle semantics, thread and method processes
+(a thread waits on a duration, an event, or any of several events with
+:class:`AnyOf`), events, an analytic clock edge schedule, tracing and a
+:class:`~repro.sim.simulator.Simulator` facade that owns the kernel.
 """
 
 from repro.sim.accuracy import AccuracyMode
@@ -12,8 +13,7 @@ from repro.sim.event import Event
 from repro.sim.kernel import Kernel, KernelStatistics
 from repro.sim.module import Module
 from repro.sim.native import BackendResolution, resolve_backend
-from repro.sim.port import InOutPort, InPort, OutPort, Port
-from repro.sim.process import AllOf, AnyOf, MethodProcess, Process, ThreadProcess
+from repro.sim.process import AnyOf, MethodProcess, Process, ThreadProcess
 from repro.sim.signal import Signal
 from repro.sim.simtime import (
     SimTime,
@@ -26,27 +26,21 @@ from repro.sim.simtime import (
     sec,
     us,
 )
-from repro.sim.simulator import SimulationReport, Simulator
+from repro.sim.simulator import Simulator
 from repro.sim.trace import TraceRecorder
 
 __all__ = [
     "AccuracyMode",
-    "AllOf",
     "AnyOf",
     "BackendResolution",
     "Clock",
     "Event",
-    "InOutPort",
-    "InPort",
     "Kernel",
     "KernelStatistics",
     "MethodProcess",
     "Module",
-    "OutPort",
-    "Port",
     "Process",
     "SimTime",
-    "SimulationReport",
     "Simulator",
     "Signal",
     "ThreadProcess",

@@ -1,40 +1,27 @@
-"""Clock generator module with a *virtual* (event-free) fast path.
+"""Clock: the analytic edge schedule of a fixed-period clock.
 
-A :class:`Clock` models a fixed-period, fixed-duty-cycle clock.  In this
-library most power-management components advance time with explicit timed
-waits (task durations, idle periods), so a clock is mainly used to
-
-* provide the "cycle" notion used when reporting simulation speed in
-  kilo-cycles per wall-clock second (the paper quotes 35 Kcycle/s), and
-* drive cycle-accurate components such as the bus arbiter when the user
-  wants that level of detail.
-
-By default the clock is **virtual**: no toggling process runs and no signal
-edges are scheduled.  :attr:`cycle_count` and :meth:`cycles_elapsed` are
-computed analytically from the kernel's current time and the period, so a
-model with no cycle-sensitive process pays *zero* kernel work per simulated
-cycle.  The moment a consumer actually needs edges — by reading
-:attr:`Clock.out` (or its ``posedge_event``/``negedge_event``), or by
-constructing the clock with ``cycle_accurate=True`` — the output signal and
-the toggling thread are materialised and behave exactly like the classic
-SystemC clock generator.
+A :class:`Clock` models a fixed-period, fixed-duty-cycle clock without a
+toggling process or output signal: its rising edges are computed from the
+creation time, the period and the duty cycle.  The cycle-accurate bus
+arbiter is the consumer — it calls :meth:`Clock.next_posedge_fs` to jump
+straight to the next edge it must act on, so a clocked model pays no kernel
+work per simulated cycle.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.sim.kernel import Kernel
 from repro.sim.module import Module
-from repro.sim.signal import Signal
 from repro.sim.simtime import SimTime
 
 __all__ = ["Clock"]
 
 
 class Clock(Module):
-    """A clock with a boolean output signal, materialised only on demand.
+    """A clock whose rising edges are computed, not simulated.
 
     Parameters
     ----------
@@ -48,11 +35,6 @@ class Clock(Module):
         Fraction of the period spent high, in (0, 1).  Defaults to 0.5.
     start_high:
         Whether the first phase is the high phase.
-    cycle_accurate:
-        Materialise the output signal and toggling thread immediately
-        instead of on first use of :attr:`out`.  Use this to force
-        cycle-accurate edges even when no process subscribes before the
-        simulation starts.
     parent:
         Optional parent module.
     """
@@ -64,7 +46,6 @@ class Clock(Module):
         period: SimTime,
         duty_cycle: float = 0.5,
         start_high: bool = True,
-        cycle_accurate: bool = False,
         parent: Optional[Module] = None,
     ) -> None:
         super().__init__(kernel, name, parent)
@@ -76,117 +57,30 @@ class Clock(Module):
         self.duty_cycle = duty_cycle
         self.start_high = start_high
         # The high phase rounds to the femtosecond grid; the low phase is
-        # derived invariantly so high + low == period holds *exactly* and the
-        # edge schedule can never drift against the analytic cycle count.
+        # derived invariantly so high + low == period holds *exactly* and
+        # the edges never drift off the period grid.
         self._period_fs = int(period)
         self._high_time = period * duty_cycle
         self._low_time = period - self._high_time
         self._start_fs = kernel.now_fs
-        self._cycles = 0
-        self._out: Optional[Signal[bool]] = None
-        if cycle_accurate:
-            self.materialize()
 
-    # ------------------------------------------------------------------
-    # Virtual (analytic) cycle accounting
-    # ------------------------------------------------------------------
     @property
     def frequency_hz(self) -> float:
         """Clock frequency in hertz."""
         return 1.0 / self.period.seconds
 
-    @property
-    def cycle_count(self) -> int:
-        """Number of full periods elapsed since the clock was created.
-
-        Computed analytically from the kernel time — identical for virtual
-        and materialised clocks, and free of per-cycle simulation work.
-        """
-        return (self.kernel.now_fs - self._start_fs) // self._period_fs
-
-    def cycles_elapsed(self, duration: SimTime) -> float:
-        """Number of clock periods contained in ``duration``."""
-        return duration / self.period
-
     def next_posedge_fs(self, now_fs: int) -> int:
         """Absolute time (fs) of the first rising edge at or after ``now_fs``.
 
-        Pure arithmetic on the analytic edge schedule — valid for virtual
-        and materialised clocks alike, and exactly the instants at which a
-        materialised clock's output would rise: ``start + k*period`` for
-        ``k >= 1`` when the clock starts high, ``start + low + k*period``
-        for ``k >= 0`` otherwise.  Cycle-accurate consumers (the bus
-        arbiter) use this to jump straight to the next interesting edge
-        instead of waking on every cycle.
+        The rising edges are ``start + k*period`` for ``k >= 1`` when the
+        clock starts high and ``start + low + k*period`` for ``k >= 0``
+        otherwise — the instants at which a toggling clock generator's
+        output would rise.  Cycle-accurate consumers (the bus arbiter) use
+        this to jump straight to the next interesting edge instead of
+        waking on every cycle.
         """
         period = self._period_fs
         base = self._start_fs + (period if self.start_high else int(self._low_time))
         if now_fs <= base:
             return base
         return base + -(-(now_fs - base) // period) * period
-
-    @property
-    def is_materialized(self) -> bool:
-        """True once the output signal and toggle thread exist."""
-        return self._out is not None
-
-    # ------------------------------------------------------------------
-    # Materialised (cycle-accurate) mode
-    # ------------------------------------------------------------------
-    @property
-    def out(self) -> Signal[bool]:
-        """The boolean output signal; materialises the clock on first use."""
-        if self._out is None:
-            self.materialize()
-        return self._out
-
-    @property
-    def posedge_event(self):
-        """Rising-edge event of :attr:`out`; materialises the clock."""
-        return self.out.posedge_event
-
-    @property
-    def negedge_event(self):
-        """Falling-edge event of :attr:`out`; materialises the clock."""
-        return self.out.negedge_event
-
-    def materialize(self) -> Signal[bool]:
-        """Create the output signal and toggling thread (idempotent).
-
-        Must happen while the kernel still sits at the clock's creation time
-        (normally: before the simulation starts); materialising later would
-        silently skip the edges of the elapsed cycles, so it is rejected.
-        """
-        if self._out is None:
-            if self.kernel.now_fs != self._start_fs:
-                raise SimulationError(
-                    f"clock {self.name!r} must be materialised at its creation time; "
-                    "construct it with cycle_accurate=True to force edges from the start"
-                )
-            self._out = self.signal("out", bool(self.start_high))
-            self.add_thread(self._toggle, name="toggle")
-        return self._out
-
-    def _toggle(self):
-        high_first = self.start_high
-        out = self._out
-        high_time = self._high_time
-        low_time = self._low_time
-        while True:
-            if high_first:
-                yield high_time
-                out.write(False)
-                yield low_time
-                out.write(True)
-            else:
-                yield low_time
-                out.write(True)
-                yield high_time
-                out.write(False)
-            self._cycles += 1
-            # Drift guard: the edge schedule must agree with the analytic
-            # cycle count (high + low == period exactly, by construction).
-            assert self._cycles == (self.kernel.now_fs - self._start_fs) // self._period_fs, (
-                f"clock {self.name!r} drifted: {self._cycles} toggled cycles vs "
-                f"{(self.kernel.now_fs - self._start_fs) // self._period_fs} analytic"
-            )

@@ -92,10 +92,7 @@ class Kernel:
         self.backend: str = resolution.backend
         self._now_fs: int = 0
         self._now: SimTime = ZERO_TIME  # cached SimTime view of _now_fs
-        # Runnable entries are either a bare Process (timed wake, the common
-        # case) or a (Process, Event) tuple when an event wake must carry its
-        # trigger for AllOf bookkeeping.
-        self._runnable: Deque = deque()
+        self._runnable: Deque[Process] = deque()
         # The delta/update queues preserve insertion order (lists) but use
         # side sets for O(1) dedup — membership scans dominated the hot path.
         self._delta_events: List[Event] = []
@@ -183,9 +180,7 @@ class Kernel:
     def schedule_immediate(self, event: Event) -> None:
         """Immediate notification: wake waiters within the current phase."""
         self.stats.immediate_notifications += 1
-        runnable = self._runnable
-        for process in event.fire():
-            runnable.append((process, event))
+        self._runnable.extend(event.fire())
 
     def schedule_delta(self, event: Event) -> None:
         """Delta notification: fire the event in the next delta cycle."""
@@ -299,17 +294,13 @@ class Kernel:
         runnable = self._runnable
         append = runnable.append
         for payload in self._timed.pop_due(next_fs):
-            cls = payload.__class__
-            if cls is ThreadProcess:
-                # Pure timed wake (the dominant case): drop the consumed
-                # handle so the process resume skips all wait bookkeeping.
+            if payload.__class__ is Event:
+                runnable.extend(payload.fire())
+            else:
+                # Pure timed wake of a process (the dominant case): drop the
+                # consumed handle so the wake skips all wait bookkeeping.
                 payload._pending_timeout = None
                 append(payload)
-            elif cls is Event or isinstance(payload, Event):
-                for process in payload.fire():
-                    append((process, payload))
-            else:
-                append((payload, None))
 
     def _delta_loop(self) -> None:
         """Run evaluate/update/delta cycles until no process is runnable."""
@@ -323,18 +314,15 @@ class Kernel:
             while (runnable or self._delta_events or self._update_queue) and not self._stop_requested:
                 # Evaluate phase.
                 while runnable:
-                    entry = runnable.popleft()
-                    if entry.__class__ is tuple:
-                        process, trigger = entry
-                        if process.terminated:
-                            continue
-                        process.resume(trigger)
-                    else:
-                        # Bare entries are ThreadProcess timeout wakes whose
-                        # handle was already cleared: advance them directly.
-                        if entry.terminated:
-                            continue
-                        entry._advance()
+                    process = runnable.popleft()
+                    if process.terminated:
+                        continue
+                    if process._waiting_events or process._pending_timeout is not None:
+                        # An event wake: withdraw the rest of the wait (the
+                        # other events of an AnyOf).  A timed wake arrives
+                        # with its handle already cleared and skips this.
+                        process._clear_waits()
+                    process._advance()
                     activations += 1
                 # Update phase.
                 if self._update_queue:
@@ -348,8 +336,7 @@ class Kernel:
                     delta_events, self._delta_events = self._delta_events, []
                     self._delta_scheduled.clear()
                     for event in delta_events:
-                        for process in event.fire():
-                            runnable.append((process, event))
+                        runnable.extend(event.fire())
                 delta_cycles += 1
                 if callbacks:
                     for callback in callbacks:

@@ -1,7 +1,7 @@
 """Hierarchical modules: the structural building blocks of a model.
 
-A :class:`Module` groups processes, signals and ports under a hierarchical
-name, exactly like a SystemC ``sc_module``.  Subclasses describe behaviour
+A :class:`Module` groups processes and signals under a hierarchical name,
+like a SystemC ``sc_module``.  Subclasses describe behaviour
 by registering processes in their constructor::
 
     class Blinker(Module):
@@ -15,9 +15,8 @@ by registering processes in their constructor::
                 self.led.write(not self.led.read())
                 yield ns(10)
 
-Modules track their children so the :class:`~repro.sim.simulator.Simulator`
-can walk the hierarchy during elaboration (resolving ports, calling
-``end_of_elaboration`` hooks) and when printing the design tree.
+Modules track their children so a design can be searched by path and
+printed as a tree.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 from repro.errors import ElaborationError
 from repro.sim.event import Event
 from repro.sim.kernel import Kernel
-from repro.sim.port import Port
 from repro.sim.process import MethodProcess, Process, ThreadProcess
 from repro.sim.signal import Signal
 
@@ -62,9 +60,7 @@ class Module:
         self._full_name = name if parent is None else f"{parent.name}.{name}"
         self._children: Dict[str, "Module"] = {}
         self._signals: List[Signal] = []
-        self._ports: List[Port] = []
         self._processes: List[Process] = []
-        self._elaborated = False
         if parent is not None:
             parent._add_child(self)
 
@@ -117,12 +113,6 @@ class Module:
         """Create an event named relative to this module."""
         return self.kernel.event(f"{self.name}.{name}")
 
-    def register_port(self, port: Port) -> Port:
-        """Track a port so elaboration can verify it is bound."""
-        port.name = f"{self.name}.{port.name}"
-        self._ports.append(port)
-        return port
-
     def add_thread(self, func: Callable, name: Optional[str] = None) -> ThreadProcess:
         """Register a generator function as a thread process."""
         process_name = f"{self.name}.{name or func.__name__}"
@@ -144,23 +134,6 @@ class Module:
         )
         self._processes.append(process)
         return process
-
-    # -- elaboration hooks -----------------------------------------------------
-    def before_end_of_elaboration(self) -> None:
-        """Hook called on every module before ports are resolved."""
-
-    def end_of_elaboration(self) -> None:
-        """Hook called on every module after ports are resolved."""
-
-    def elaborate(self) -> None:
-        """Resolve this module's ports (called by the simulator)."""
-        if self._elaborated:
-            return
-        self.before_end_of_elaboration()
-        for port in self._ports:
-            port.resolve()
-        self._elaborated = True
-        self.end_of_elaboration()
 
     # -- reporting ---------------------------------------------------------------
     def design_tree(self, indent: int = 0) -> str:

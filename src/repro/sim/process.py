@@ -8,7 +8,7 @@ Two kinds of processes exist, mirroring SystemC:
 
   - a :class:`~repro.sim.simtime.SimTime` duration,
   - an :class:`~repro.sim.event.Event`,
-  - an :class:`AnyOf` / :class:`AllOf` combinator over events,
+  - an :class:`AnyOf` combinator over events,
   - ``None`` (wait on the process' static sensitivity, if any).
 
 * **Method processes** (:class:`MethodProcess`) wrap a plain callable that is
@@ -16,9 +16,8 @@ Two kinds of processes exist, mirroring SystemC:
   is notified.  Method processes never suspend.
 
 The dominant wait in this library is ``yield SimTime`` (a pure timed wait):
-both :meth:`ThreadProcess.resume` and the arming logic special-case it so a
-timed resume touches no waiter lists, no cancellation and no ``AllOf``
-bookkeeping.
+the arming logic and the kernel's wake path special-case it so a timed
+wake touches no waiter lists and no cancellation.
 
 Users normally do not instantiate these classes directly; they call
 :meth:`repro.sim.module.Module.add_thread` and
@@ -36,7 +35,7 @@ from repro.sim.simtime import SimTime
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Kernel
 
-__all__ = ["AnyOf", "AllOf", "Process", "ThreadProcess", "MethodProcess", "WaitSpec"]
+__all__ = ["AnyOf", "Process", "ThreadProcess", "MethodProcess", "WaitSpec"]
 
 
 class AnyOf:
@@ -53,21 +52,7 @@ class AnyOf:
         return f"AnyOf({[e.name for e in self.events]})"
 
 
-class AllOf:
-    """Wait specification: resume when *all* of the given events have fired."""
-
-    __slots__ = ("events",)
-
-    def __init__(self, events: Iterable[Event]) -> None:
-        self.events: List[Event] = list(events)
-        if not self.events:
-            raise SchedulingError("AllOf requires at least one event")
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"AllOf({[e.name for e in self.events]})"
-
-
-WaitSpec = Union[SimTime, Event, AnyOf, AllOf, None]
+WaitSpec = Union[SimTime, Event, AnyOf, None]
 
 
 class Process:
@@ -80,7 +65,6 @@ class Process:
         "terminated",
         "_pending_timeout",
         "_waiting_events",
-        "_remaining_all_of",
     )
 
     def __init__(self, kernel: "Kernel", name: str) -> None:
@@ -90,7 +74,6 @@ class Process:
         self.terminated = False
         self._pending_timeout = None  # TimedEntry handle for a pending timed wait
         self._waiting_events: List[Event] = []
-        self._remaining_all_of: set = set()
 
     # -- wiring -----------------------------------------------------------
     def set_sensitivity(self, events: Sequence[Event]) -> None:
@@ -102,8 +85,13 @@ class Process:
         """Called once at the start of simulation."""
         raise NotImplementedError
 
-    def resume(self, trigger: Optional[Event] = None) -> None:
-        """Called by the kernel when a wait of this process matures."""
+    def _advance(self) -> None:
+        """Run the process up to its next wait; called by the kernel on a wake.
+
+        A process woken by an event still waits on the rest of that wait
+        (the other events of an :class:`AnyOf`); the kernel withdraws them
+        with :meth:`_clear_waits` first.
+        """
         raise NotImplementedError
 
     def kill(self) -> None:
@@ -126,8 +114,6 @@ class Process:
         if self._pending_timeout is not None:
             self.kernel.cancel_timed(self._pending_timeout)
             self._pending_timeout = None
-        if self._remaining_all_of:
-            self._remaining_all_of = set()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = type(self).__name__
@@ -185,24 +171,6 @@ class ThreadProcess(Process):
         self._generator = None
         generator.close()
 
-    def resume(self, trigger: Optional[Event] = None) -> None:
-        """Resume after a wait; honours AllOf bookkeeping."""
-        if self.terminated:
-            return
-        if self._remaining_all_of:
-            if trigger is not None:
-                self._remaining_all_of.discard(trigger)
-                trigger.remove_waiter(self)
-            if self._remaining_all_of:
-                # Still waiting for the remaining events; re-arm on the trigger
-                # is not needed because other events keep us registered.
-                return
-        # Fast path: a matured pure timed wait (the kernel clears the handle
-        # before resuming) leaves nothing to unregister.
-        if self._waiting_events or self._pending_timeout is not None or self._remaining_all_of:
-            self._clear_waits()
-        self._advance()
-
     # -- internals ----------------------------------------------------------
     def _advance(self) -> None:
         generator = self._generator
@@ -249,12 +217,6 @@ class ThreadProcess(Process):
                 event.add_waiter(self)
                 self._waiting_events.append(event)
             return
-        if isinstance(spec, AllOf):
-            self._remaining_all_of = set(spec.events)
-            for event in spec.events:
-                event.add_waiter(self)
-                self._waiting_events.append(event)
-            return
         raise SchedulingError(
             f"process {self.name!r} yielded an invalid wait specification: {spec!r}"
         )
@@ -284,9 +246,7 @@ class MethodProcess(Process):
         if not self.dont_initialize:
             self._func()
 
-    def resume(self, trigger: Optional[Event] = None) -> None:
-        if self.terminated:
-            return
+    def _advance(self) -> None:
         self._rearm()
         self._func()
 

@@ -2,61 +2,23 @@
 
 The :class:`Simulator` owns a :class:`~repro.sim.kernel.Kernel`, the
 top-level modules and an optional :class:`~repro.sim.trace.TraceRecorder`.
-It takes care of the boring but important lifecycle steps:
-
-1. construct modules (user code),
-2. :meth:`elaborate` — resolve every port in the hierarchy and run the
-   ``end_of_elaboration`` hooks,
-3. :meth:`run` for a duration (repeatable),
-4. collect kernel statistics and wall-clock throughput
-   (:class:`SimulationReport`) of one :meth:`Simulator.run` call.  The SoC
-   runner drives the kernel directly and reports its speed on
-   :class:`~repro.experiments.runner.RunArtifacts` instead.
+Models are built as modules on :attr:`Simulator.kernel` and run with
+``simulator.kernel.run(duration)``; the SoC runner reports the speed of a
+run on :class:`~repro.experiments.runner.RunArtifacts`.
 """
 
 from __future__ import annotations
 
-import time as _wallclock
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.errors import ElaborationError
 from repro.sim.accuracy import AccuracyMode
 from repro.sim.kernel import Kernel
 from repro.sim.module import Module
-from repro.sim.simtime import SimTime, ZERO_TIME
+from repro.sim.simtime import SimTime
 from repro.sim.trace import TraceRecorder
 
-__all__ = ["Simulator", "SimulationReport"]
-
-
-@dataclass
-class SimulationReport:
-    """Summary of one :meth:`Simulator.run` call."""
-
-    simulated_time: SimTime = ZERO_TIME
-    wall_clock_seconds: float = 0.0
-    kernel_stats: Dict[str, int] = field(default_factory=dict)
-    cycles_simulated: float = 0.0
-    backend: str = "python"
-
-    @property
-    def kilocycles_per_second(self) -> float:
-        """Simulation speed in kilo clock-cycles per wall-clock second."""
-        if self.wall_clock_seconds <= 0.0 or self.cycles_simulated <= 0.0:
-            return 0.0
-        return self.cycles_simulated / self.wall_clock_seconds / 1e3
-
-    def as_dict(self) -> dict:
-        """Plain-dictionary view, convenient for report rendering."""
-        return {
-            "simulated_time_s": self.simulated_time.seconds,
-            "wall_clock_s": self.wall_clock_seconds,
-            "cycles_simulated": self.cycles_simulated,
-            "kilocycles_per_second": self.kilocycles_per_second,
-            "backend": self.backend,
-            **self.kernel_stats,
-        }
+__all__ = ["Simulator"]
 
 
 class Simulator:
@@ -74,7 +36,6 @@ class Simulator:
         self.kernel = Kernel(backend=backend)
         self._top_modules: List[Module] = []
         self.trace: Optional[TraceRecorder] = TraceRecorder() if trace else None
-        self._elaborated = False
 
     @property
     def backend(self) -> str:
@@ -112,48 +73,6 @@ class Simulator:
         raise ElaborationError(f"no top-level module named {head!r}")
 
     # -- lifecycle ------------------------------------------------------------
-    def elaborate(self) -> None:
-        """Resolve every port in the hierarchy; idempotent.
-
-        A simulator without modules is allowed: models built from bare kernel
-        processes (no structural hierarchy) simply have nothing to elaborate.
-        """
-        if self._elaborated:
-            return
-        for top in self._top_modules:
-            for module in top.walk():
-                module.elaborate()
-        self._elaborated = True
-
-    def run(self, duration: Optional[SimTime] = None, clock_period: Optional[SimTime] = None) -> SimulationReport:
-        """Elaborate if needed, run the kernel and return a report.
-
-        Parameters
-        ----------
-        duration:
-            Maximum additional simulated time; ``None`` runs to quiescence.
-        clock_period:
-            Reference clock period used to convert simulated time into
-            "cycles" for throughput reporting.  When omitted, the report's
-            cycle-based fields are zero.
-        """
-        self.elaborate()
-        start_time = self.kernel.now
-        wall_start = _wallclock.perf_counter()  # repro-lint: allow[DET-WALLCLOCK]
-        end_sim_time = self.kernel.run(duration)
-        wall_elapsed = _wallclock.perf_counter() - wall_start  # repro-lint: allow[DET-WALLCLOCK]
-        simulated = end_sim_time - start_time
-        cycles = 0.0
-        if clock_period is not None and not clock_period.is_zero:
-            cycles = simulated / clock_period
-        return SimulationReport(
-            simulated_time=simulated,
-            wall_clock_seconds=wall_elapsed,
-            kernel_stats=self.kernel.stats.as_dict(),
-            cycles_simulated=cycles,
-            backend=self.kernel.backend,
-        )
-
     def stop(self) -> None:
         """Request the kernel to stop."""
         self.kernel.stop()

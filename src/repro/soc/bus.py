@@ -12,21 +12,20 @@ Two timing modes are supported:
 
 ``event_driven`` (default)
     Grants happen immediately whenever the bus frees up and transfer
-    durations are exact (``words / words_per_second``).  No clock exists; a
-    bus-bearing model stays on the kernel's virtual-clock fast path.
+    durations are exact (``words / words_per_second``).  No clock exists.
 
 ``cycle_accurate``
     The bus owns a :class:`~repro.sim.clock.Clock` and arbitrates on its
     rising edges: requests queue at any time, but grants land only on
     posedges and transfer durations are quantised to whole bus cycles
     (``ceil(words / words_per_cycle)``).  Arbitration is *batched*: instead
-    of materialising the clock and waking twice per cycle, the bus computes
-    the next **interesting** edge analytically (pending request while free,
-    in-flight release, owner cancellation) and jumps to it with one timed
-    event, reproducing the classic posedge pipeline's delta ordering —
-    edge, then arbiter in the following evaluate phase — so grant instants
-    are identical to a per-cycle arbiter on a materialised clock, at
-    event-driven cost.  The clock itself stays virtual.
+    of waking twice per cycle on a toggling clock, the bus computes the next
+    **interesting** edge analytically (pending request while free, in-flight
+    release, owner cancellation) and jumps to it with one timed event,
+    reproducing the classic posedge pipeline's delta ordering — edge, then
+    arbiter in the following evaluate phase — so grant instants are
+    identical to a per-cycle arbiter on a toggling clock, at event-driven
+    cost.  The clock has no process or signal: it only computes edges.
 
 The bus is cancellation-safe: a master that is killed (or otherwise stops
 waiting) while queued can no longer wedge the arbiter — dead requests are
@@ -271,9 +270,8 @@ class Bus(Module):
         self._busy_log: Deque[Tuple[int, int]] = deque()
         self.clock: Optional[Clock] = None
         if timing == "cycle_accurate":
-            # One word batch per rising edge.  The clock stays *virtual*:
-            # grant instants come from its analytic edge schedule
-            # (Clock.next_posedge_fs), so no toggle thread ever runs.
+            # One word batch per rising edge; grant instants come from the
+            # clock's analytic edge schedule (Clock.next_posedge_fs).
             self.clock = Clock(
                 kernel,
                 "clk",
@@ -284,7 +282,7 @@ class Bus(Module):
             # interesting posedge; its callback re-notifies through a delta
             # event so the arbiter method runs one evaluate phase *after*
             # the edge instant begins — exactly where a method statically
-            # sensitive to a materialised clock's posedge would run (toggle
+            # sensitive to a toggling clock's posedge would run (toggle
             # write, update, posedge delta, arbiter evaluate).
             self._arb_scheduled_fs: Optional[int] = None
             self._arb_timer = self.event("arb_edge")

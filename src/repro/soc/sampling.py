@@ -45,18 +45,9 @@ from repro.sim.kernel import Kernel
 from repro.sim.process import AnyOf
 from repro.sim.simtime import SimTime
 
-try:  # vectorised window bucketing (optional; pure-Python fallback below)
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is normally present
-    _np = None
-
 __all__ = ["FastSampleEngine"]
 
 _INF = float("inf")
-
-#: Window count below which the scalar replay path wins (numpy call overhead
-#: exceeds the loop cost on tiny replays).
-_VECTOR_MIN_WINDOWS = 64
 
 #: Upper bound on guard strides (windows): even with no possible level
 #: crossing the guard wakes this often, keeping histories loosely populated
@@ -126,7 +117,7 @@ class FastSampleEngine:
         # Install the observation hooks.
         battery._sync_hook = self.sync
         thermal._sync_hook = self.sync
-        thermal._fan_listener = self._on_fan_toggle
+        thermal._fan_listener = self._on_fan_switch
         ledger.attach_recorder(self)
 
     # ------------------------------------------------------------------
@@ -164,7 +155,7 @@ class FastSampleEngine:
                     self._reguard_sent = True
                     self._reguard_event.notify()
 
-    def _on_fan_toggle(self, on: bool) -> None:
+    def _on_fan_switch(self, on: bool) -> None:
         self._fan_marks.append((self._kernel.now_fs, on))
 
     # ------------------------------------------------------------------
@@ -194,12 +185,7 @@ class FastSampleEngine:
             interval = self._interval_fs
             boundary = self._boundary_fs
             count = (target_fs - boundary) // interval
-            # Vectorised bucketing: per-element IEEE operations (single adds
-            # per slot) are identical to the scalar loop, so the numpy path
-            # changes nothing but the interpreter overhead.  Reductions that
-            # would reassociate (numpy's pairwise sum) are NOT used.
-            vector = _np is not None and count >= _VECTOR_MIN_WINDOWS
-            deltas = _np.zeros(count) if vector else [0.0] * count
+            deltas = [0.0] * count
             keep: List[Tuple[int, int, float]] = []
             for entry in self._entries:
                 start, end, energy = entry
@@ -238,18 +224,14 @@ class FastSampleEngine:
                 else:
                     deltas[first] += power * (boundary + (first + 1) * interval - lo)
                     per_window = power * interval
-                    if vector:
-                        if last > first + 1:
-                            deltas[first + 1:last] += per_window
-                    else:
-                        for index in range(first + 1, last):
-                            deltas[index] += per_window
+                    for index in range(first + 1, last):
+                        deltas[index] += per_window
                     deltas[last] += power * (hi - (boundary + last * interval))
             self._entries = keep
             self._apply_windows(deltas, boundary, target_fs)
-            # Sequential left-to-right sum in both paths: numpy's pairwise
-            # reduction would reassociate and drift off the exact trajectory.
-            self._total_at_boundary += float(sum(deltas))
+            # Sequential left-to-right sum: a pairwise reduction would
+            # reassociate and drift off the exact trajectory.
+            self._total_at_boundary += sum(deltas)
             self._boundary_fs = target_fs
         finally:
             self._replaying = False
@@ -272,7 +254,7 @@ class FastSampleEngine:
             state = self._fan_at_boundary
             mark_index = 0
             for index in range(len(deltas)):
-                delta = float(deltas[index])
+                delta = deltas[index]
                 window_end = boundary + (index + 1) * interval
                 while mark_index < len(pending) and pending[mark_index][0] < window_end:
                     state = pending[mark_index][1]
@@ -287,21 +269,6 @@ class FastSampleEngine:
             thermal._fan_on = current_fan
             return
         count = len(deltas)
-        if _np is not None and isinstance(deltas, _np.ndarray):
-            # Vectorised run detection: one diff finds the boundaries of
-            # equal-value runs, then the per-run closed-form updates are the
-            # same calls, in the same order, with the same (exact) float
-            # values as the scalar scan below.
-            starts = [0]
-            starts.extend(int(i) + 1 for i in _np.flatnonzero(_np.diff(deltas)))
-            starts.append(count)
-            for position in range(len(starts) - 1):
-                index = starts[position]
-                run = starts[position + 1] - index
-                delta = float(deltas[index])
-                battery.drain_windows(delta, interval_st, run)
-                thermal.advance_windows(delta / interval_s, interval_st, run)
-            return
         index = 0
         while index < count:
             delta = deltas[index]

@@ -239,9 +239,6 @@ class SoC(Module):
         """
         if max_time.is_zero:
             raise ConfigurationError("max_time must be positive")
-        self.simulator.elaborate()
-        # Drive the kernel directly: the wall-clock bookkeeping and statistics
-        # snapshot of Simulator.run would be pure overhead on every chunk.
         kernel = self.simulator.kernel
         ips = self.ips
         end_fs = int(max_time)

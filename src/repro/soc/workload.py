@@ -22,7 +22,6 @@ All random generators take an explicit seed so simulations are reproducible.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
@@ -40,6 +39,9 @@ __all__ = [
     "low_activity_workload",
     "bursty_workload",
 ]
+
+#: The fields of one :meth:`Workload.as_dicts` entry.
+_ITEM_FIELDS = frozenset({"task", "cycles", "priority", "instruction_class", "idle_after_fs"})
 
 
 @dataclass(frozen=True)
@@ -132,9 +134,7 @@ class Workload:
 
         Idle gaps are stored as an exact femtosecond integer
         (``idle_after_fs``) so a round trip is lossless — campaign job hashes
-        and platform-spec hashes depend on it.  The float ``idle_after_us``
-        key of the legacy format is no longer emitted (it is deprecated and
-        read-only, see :meth:`from_dicts`).
+        and platform-spec hashes depend on it.
         """
         return [
             {
@@ -151,35 +151,26 @@ class Workload:
     def from_dicts(entries: Iterable[dict], name: str = "workload") -> "Workload":
         """Rebuild a workload from :meth:`as_dicts` output.
 
-        Prefers the lossless ``idle_after_fs`` key.  Entries written by the
-        pre-PR-1 format carry only the float ``idle_after_us``; they are
-        still read, with a :class:`DeprecationWarning` — re-serialize such
-        workloads to upgrade them (only ``idle_after_fs`` is emitted).
+        An entry without ``idle_after_fs`` has no idle gap; an unknown field
+        (such as a float idle gap of an earlier format) is an error.
         """
         items = []
-        legacy_keys = 0
         for entry in entries:
+            unknown = entry.keys() - _ITEM_FIELDS
+            if unknown:
+                raise WorkloadError(
+                    f"workload {name!r}: unknown item field(s) {sorted(unknown)}; an item "
+                    "has task, cycles, priority, instruction_class and idle_after_fs "
+                    "(the idle gap in integer femtoseconds)"
+                )
             task = Task(
                 name=entry["task"],
                 cycles=int(entry["cycles"]),
                 priority=TaskPriority(entry.get("priority", "medium")),
                 instruction_class=InstructionClass(entry.get("instruction_class", "alu")),
             )
-            if "idle_after_fs" in entry:
-                idle = SimTime(int(entry["idle_after_fs"]))
-            else:
-                if "idle_after_us" in entry:
-                    legacy_keys += 1
-                idle = us(float(entry.get("idle_after_us", 0.0)))
+            idle = SimTime(int(entry.get("idle_after_fs", 0)))
             items.append(WorkloadItem(task, idle))
-        if legacy_keys:
-            warnings.warn(
-                f"workload {name!r}: {legacy_keys} item(s) use the deprecated "
-                "'idle_after_us' float key; re-serialize with as_dicts() to the "
-                "lossless 'idle_after_fs' format",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         return Workload(items=items, name=name)
 
 

@@ -117,7 +117,7 @@ class TestTraceAnalysis:
             yield ms(4)
 
         sim.kernel.create_thread(driver, "driver")
-        sim.run(ms(20))
+        sim.kernel.run(ms(20))
         psm.flush_energy()
         residency = psm_residency(psm)
         assert residency.total.femtoseconds > 0
@@ -137,7 +137,7 @@ class TestTraceAnalysis:
             yield from psm.wait_for_state(PowerState.ON1)
 
         sim.kernel.create_thread(driver, "driver")
-        sim.run(ms(5))
+        sim.kernel.run(ms(5))
         summary = transition_summary([psm])
         assert summary["ON1->ON3"] == 1
         assert summary["ON3->ON1"] == 1

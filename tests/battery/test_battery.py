@@ -170,7 +170,7 @@ class TestBatteryMonitor:
                 ledger.account("ip0").add_energy(0.05)
 
         sim.kernel.create_thread(consumer, "consumer")
-        sim.run(ms(100))
+        sim.kernel.run(ms(100))
         assert battery.state_of_charge < 1.0
         assert monitor.level is battery.level
         assert len(monitor.history) >= 99
@@ -188,7 +188,7 @@ class TestBatteryMonitor:
                 ledger.account("ip0").add_energy(0.02)
 
         sim.kernel.create_thread(consumer, "consumer")
-        sim.run(ms(60))
+        sim.kernel.run(ms(60))
         assert monitor.level in (BatteryLevel.EMPTY, BatteryLevel.LOW)
 
     def test_sample_now_forces_update(self):

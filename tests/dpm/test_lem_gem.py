@@ -98,7 +98,6 @@ class TestLemTaskServing:
     def test_single_outstanding_request_enforced(self):
         workload = periodic_workload(task_count=1, cycles=1000)
         soc = build_single_ip_soc(workload)
-        soc.simulator.elaborate()
         lem = soc.instance("ip0").lem
         lem.submit_task_request(Task("extra", 1000))
         with pytest.raises(ConfigurationError):
@@ -199,8 +198,7 @@ class TestGem:
 
     def test_low_battery_restricts_low_priority(self):
         soc = self.make_multi_ip_soc(battery_soc=0.20)
-        soc.simulator.elaborate()
-        soc.simulator.run(ms(1))
+        soc.simulator.kernel.run(ms(1))
         enabled = soc.gem.enabled_map
         assert enabled["ip1"] and enabled["ip2"]
         # ip3/ip4 may be temporarily disabled while higher-priority requests wait.
@@ -210,7 +208,6 @@ class TestGem:
 
     def test_pending_energy_bookkeeping(self):
         soc = self.make_multi_ip_soc(battery_soc=0.95)
-        soc.simulator.elaborate()
         gem = soc.gem
         gem.register_request("ip1", 0.5)
         gem.register_request("ip2", 0.25)
@@ -323,7 +320,7 @@ class TestBusAwareResourceView:
         soc = self.make_bus_soc(timing="cycle_accurate")
         soc.run_until_done(max_time=sec(1))
         assert soc.all_done
-        # Batched arbitration: the CA bus owns a clock but never
-        # materialises it — edges are computed analytically.
-        assert soc.bus.clock is not None and not soc.bus.clock.is_materialized
+        # Batched arbitration: the CA bus owns a clock but runs no
+        # process for it — edges are computed analytically.
+        assert soc.bus.clock is not None and not soc.bus.clock.processes
         assert soc.bus.stats.transfer_count == 6

@@ -146,3 +146,24 @@ def test_fast_mode_works_for_baseline_setup():
     assert _rel(
         exact.soc.battery.state_of_charge, fast.soc.battery.state_of_charge
     ) <= TEMPERATURE_RTOL
+
+
+def test_fast_mode_never_imports_numpy():
+    """Fast-mode window replay is plain Python: a fast A1 run must not
+    import NumPy (in a subprocess, so this test process' own imports
+    cannot contaminate sys.modules)."""
+    import subprocess
+    import sys
+
+    code = (
+        "import sys\n"
+        "from repro.experiments.runner import run_scenario\n"
+        "run_scenario('A1', accuracy='fast')\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        "print('clean')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=False
+    )
+    assert result.returncode == 0, result.stderr
+    assert "clean" in result.stdout

@@ -283,7 +283,9 @@ class TestBusPlatforms:
         assert loaded.bus.timing == "cycle_accurate"
         assert loaded.ips[1].bus_priority == 0
 
-    def test_legacy_flat_bus_keys_still_load(self):
+    def test_legacy_flat_bus_keys_are_rejected(self):
+        from repro.errors import PlatformError
+
         data = {
             "name": "legacy",
             "ips": [{"name": "ip0",
@@ -292,36 +294,21 @@ class TestBusPlatforms:
             "with_bus": True,
             "bus_words_per_second": 1e6,
         }
-        spec = PlatformSpec.from_dict(data)
-        assert spec.bus.enabled
-        assert spec.bus.words_per_second == 1e6
-        # The canonical encoding uses the BusDef section.
-        assert spec.to_dict()["bus"] == {"enabled": True, "words_per_second": 1e6}
+        with pytest.raises(PlatformError, match=r"'with_bus'.*bus: \{enabled"):
+            PlatformSpec.from_dict(data)
 
-    def test_legacy_inert_bandwidth_without_with_bus_still_loads(self):
-        # The old to_dict emitted 'bus_words_per_second' whenever it
-        # differed from the default, even with the bus disabled; such
-        # archived specs must keep loading (as bus-less platforms).
+    def test_legacy_inert_bandwidth_is_rejected(self):
+        # The old to_dict emitted 'bus_words_per_second' even with the bus
+        # disabled; such a spec now fails and names the 'bus' section.
+        from repro.errors import PlatformError
+
         data = {
             "name": "legacy-inert",
             "ips": [{"name": "ip0",
                      "workload": {"kind": "periodic", "task_count": 1}}],
             "bus_words_per_second": 30e6,
         }
-        spec = PlatformSpec.from_dict(data)
-        assert not spec.bus.enabled
-        assert "bus" not in spec.to_dict()
-
-    def test_legacy_inert_bandwidth_must_still_be_positive(self):
-        from repro.errors import PlatformError
-
-        data = {
-            "name": "legacy-bad",
-            "ips": [{"name": "ip0",
-                     "workload": {"kind": "periodic", "task_count": 1}}],
-            "bus_words_per_second": -5.0,
-        }
-        with pytest.raises(PlatformError, match="bus throughput"):
+        with pytest.raises(PlatformError, match=r"platform\.bus_words_per_second.*'bus' section"):
             PlatformSpec.from_dict(data)
 
     def test_non_integer_words_per_cycle_fails_spec_validation(self):
@@ -344,16 +331,16 @@ class TestBusPlatforms:
             "with_bus": True,
             "bus": {"enabled": True},
         }
-        with pytest.raises(PlatformError, match="legacy"):
+        with pytest.raises(PlatformError, match=r"platform\.with_bus.*'bus' section"):
             PlatformSpec.from_dict(data)
 
     def test_cycle_accurate_platform_grants_only_on_posedges(self):
         scenario = to_scenario(bus_platform())
         artifacts = run_scenario(scenario)
         bus = artifacts.soc.bus
-        # Batched arbitration: the clock stays virtual; grants still land
+        # Batched arbitration: the clock runs no process; grants still land
         # on its analytic posedge grid (checked via busy_time below).
-        assert bus.clock is not None and not bus.clock.is_materialized
+        assert bus.clock is not None and not bus.clock.processes
         assert bus.stats.transfer_count == 8
         # Reconstruct the grant instants: every completed task performed one
         # transfer, and in cycle-accurate mode both the grant and the

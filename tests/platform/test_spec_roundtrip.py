@@ -272,3 +272,12 @@ class TestValidationErrors:
         }
         with pytest.raises(PlatformError, match=r"items\[0\].*idle_after_ms"):
             PlatformSpec.from_dict(data)
+
+    def test_legacy_idle_after_us_item_key_names_its_replacement(self):
+        data = self.base()
+        data["ips"][0]["workload"] = {
+            "kind": "explicit",
+            "items": [{"task": "t", "cycles": 10, "idle_after_us": 2.5}],
+        }
+        with pytest.raises(PlatformError, match=r"items\[0\]\.idle_after_us.*'idle_after_fs'"):
+            PlatformSpec.from_dict(data)

@@ -49,7 +49,7 @@ class TestTransitions:
             observed.append((sim.now.seconds, psm.state))
 
         sim.kernel.create_thread(driver, "driver")
-        sim.run(ms(10))
+        sim.kernel.run(ms(10))
         expected_latency = default_transition_table().latency(PowerState.ON1, PowerState.SL1)
         assert observed[0][1] is PowerState.SL1
         assert observed[0][0] == pytest.approx(expected_latency.seconds, rel=1e-6)
@@ -64,7 +64,7 @@ class TestTransitions:
             yield from psm.wait_for_state(PowerState.ON4)
 
         sim.kernel.create_thread(driver, "driver")
-        sim.run(ms(10))
+        sim.kernel.run(ms(10))
         expected = default_transition_table().energy_j(PowerState.ON1, PowerState.ON4)
         assert account.category_j(EnergyCategory.TRANSITION) == pytest.approx(expected)
 
@@ -76,7 +76,7 @@ class TestTransitions:
             yield us(100)
 
         sim.kernel.create_thread(driver, "driver")
-        sim.run(ms(1))
+        sim.kernel.run(ms(1))
         assert psm.transition_count == 0
         assert psm.state is PowerState.ON1
 
@@ -96,7 +96,7 @@ class TestTransitions:
                 visited.append(psm.state)
 
         sim.kernel.create_thread(driver, "driver")
-        sim.run(ms(50))
+        sim.kernel.run(ms(50))
         assert visited == [PowerState.ON3, PowerState.SL2, PowerState.ON2]
         assert psm.transition_count == 3
 
@@ -109,7 +109,7 @@ class TestTransitions:
 class TestEnergyIntegration:
     def test_idle_energy_integrated_over_time(self):
         sim, psm, account = build_psm()
-        sim.run(ms(10))
+        sim.kernel.run(ms(10))
         psm.flush_energy()
         char = default_characterization()
         expected = char.idle_power_w(PowerState.ON1) * 0.010
@@ -123,7 +123,7 @@ class TestEnergyIntegration:
             yield from psm.wait_for_state(PowerState.SL4)
 
         sim.kernel.create_thread(driver, "driver")
-        sim.run(ms(20))
+        sim.kernel.run(ms(20))
         psm.flush_energy()
         assert account.category_j(EnergyCategory.SLEEP) > 0.0
 
@@ -136,7 +136,7 @@ class TestEnergyIntegration:
             psm.set_busy(False)
 
         sim.kernel.create_thread(driver, "driver")
-        sim.run(ms(10))
+        sim.kernel.run(ms(10))
         psm.flush_energy()
         assert account.category_j(EnergyCategory.IDLE) == pytest.approx(0.0, abs=1e-15)
 
@@ -149,7 +149,7 @@ class TestEnergyIntegration:
             yield us(1)
 
         sim.kernel.create_thread(driver, "driver")
-        sim.run(ms(1))
+        sim.kernel.run(ms(1))
 
     def test_residency_accumulates(self):
         sim, psm, _ = build_psm()
@@ -161,7 +161,7 @@ class TestEnergyIntegration:
             yield ms(5)
 
         sim.kernel.create_thread(driver, "driver")
-        sim.run(ms(30))
+        sim.kernel.run(ms(30))
         psm.flush_energy()
         residency = psm.residency()
         assert residency[PowerState.ON1].seconds > 0.004

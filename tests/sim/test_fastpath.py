@@ -1,14 +1,13 @@
-"""Tests for the event-driven fast path: virtual clocks, the integer-
-femtosecond timed queue (lazy-cancellation compaction), and determinism of
+"""Tests for the event-driven fast path: clocks without a toggling process,
+the integer-femtosecond timed queue (lazy-cancellation compaction), and determinism of
 simultaneous timed notifications."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ConfigurationError, SimulationError
-from repro.sim import Clock, Kernel, Simulator, fs, ns, us
+from repro.errors import ConfigurationError
+from repro.sim import Clock, Kernel, fs, ns, us
 from repro.sim.event import TimedQueue
-from repro.sim.simtime import SimTime
 
 
 class TestTimedQueueCompaction:
@@ -137,42 +136,12 @@ class TestVirtualClock:
         kernel = Kernel()
         clock = Clock(kernel, "clk", period=ns(10))
         kernel.initialize()
-        assert not clock.is_materialized
+        assert not clock.processes and not clock.signals
         assert not kernel.pending_activity
-        # Time advances purely analytically.
+        # Edges are computed, never simulated.
         kernel.run(us(1))
-        assert clock.cycle_count == 100
+        assert clock.next_posedge_fs(kernel.now_fs) == int(us(1))
         assert kernel.stats.process_activations == 0
-
-    def test_cycle_count_matches_toggled_clock(self):
-        sim_a = Simulator()
-        virtual = sim_a.add_module(Clock(sim_a.kernel, "clk", period=ns(10)))
-        sim_a.run(ns(245))
-
-        sim_b = Simulator()
-        accurate = sim_b.add_module(
-            Clock(sim_b.kernel, "clk", period=ns(10), cycle_accurate=True)
-        )
-        sim_b.run(ns(245))
-        assert accurate.is_materialized
-        assert virtual.cycle_count == accurate.cycle_count == 24
-        assert accurate.out.change_count > 0
-
-    def test_out_access_materializes_before_run(self):
-        sim = Simulator()
-        clock = sim.add_module(Clock(sim.kernel, "clk", period=ns(10)))
-        edges = []
-        clock.out.add_observer(lambda when, value: edges.append((when.nanoseconds, value)))
-        assert clock.is_materialized
-        sim.run(ns(24))
-        assert edges == [(5.0, False), (10.0, True), (15.0, False), (20.0, True)]
-
-    def test_materialize_after_time_advanced_is_rejected(self):
-        sim = Simulator()
-        clock = sim.add_module(Clock(sim.kernel, "clk", period=ns(10)))
-        sim.run(ns(25))
-        with pytest.raises(SimulationError):
-            _ = clock.out
 
     def test_duty_cycle_phases_sum_to_period_exactly(self):
         kernel = Kernel()
@@ -181,17 +150,6 @@ class TestVirtualClock:
         period = fs(10_000_019)
         clock = Clock(kernel, "clk", period=period, duty_cycle=1.0 / 3.0)
         assert clock._high_time + clock._low_time == period
-
-    def test_toggled_clock_does_not_drift_from_analytic_count(self):
-        sim = Simulator()
-        period = fs(10_000_019)
-        clock = sim.add_module(
-            Clock(sim.kernel, "clk", period=period, duty_cycle=1.0 / 3.0, cycle_accurate=True)
-        )
-        # Runs the toggle thread through ~1000 full periods; the thread
-        # asserts its own cycle count against the analytic one every period.
-        sim.run(SimTime(10_000_019 * 1000))
-        assert clock.cycle_count == 1000
 
     def test_invalid_parameters_rejected(self):
         kernel = Kernel()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim import AllOf, AnyOf, Kernel, ns, us, ZERO_TIME
+from repro.sim import AnyOf, Kernel, ns, us, ZERO_TIME
 
 
 @pytest.fixture
@@ -172,25 +172,29 @@ class TestEvents:
         kernel.run()
         assert log == [3.0]
 
-    def test_all_of_waits_for_every_event(self, kernel):
-        first = kernel.event("first")
-        second = kernel.event("second")
+    def test_any_of_withdraws_the_other_events(self, kernel):
+        early = kernel.event("early")
+        late = kernel.event("late")
         log = []
 
         def waiter():
-            yield AllOf([first, second])
+            yield AnyOf([early, late])
+            log.append(kernel.now.nanoseconds)
+            assert late.waiter_count == 0
+            # The late event fires mid-delay and must not cut it short.
+            yield ns(20)
             log.append(kernel.now.nanoseconds)
 
         def notifier():
-            first.notify_after(ns(3))
-            second.notify_after(ns(9))
+            early.notify_after(ns(3))
+            late.notify_after(ns(9))
             return
             yield  # pragma: no cover
 
         kernel.create_thread(waiter, "waiter")
         kernel.create_thread(notifier, "notifier")
         kernel.run()
-        assert log == [9.0]
+        assert log == [3.0, 23.0]
 
     def test_event_wait_is_one_shot(self, kernel):
         event = kernel.event("go")
@@ -215,8 +219,6 @@ class TestEvents:
     def test_anyof_requires_events(self, kernel):
         with pytest.raises(SchedulingError):
             AnyOf([])
-        with pytest.raises(SchedulingError):
-            AllOf([])
 
 
 class TestMethodProcesses:

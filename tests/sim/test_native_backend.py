@@ -176,9 +176,9 @@ class TestKernelBackend:
 
     def test_simulator_report_carries_the_backend(self):
         simulator = Simulator(backend="python")
-        report = simulator.run(us(1))
-        assert report.backend == "python"
-        assert report.as_dict()["backend"] == "python"
+        simulator.kernel.run(us(1))
+        assert simulator.backend == "python"
+        assert simulator.backend_resolution.requested == "python"
 
     def test_unknown_backend_raises_at_construction(self):
         with pytest.raises(ConfigurationError):

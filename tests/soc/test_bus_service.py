@@ -57,7 +57,7 @@ class TestBus:
             log.append(sim.now.seconds)
 
         sim.kernel.create_thread(master, "m0")
-        sim.run(ms(10))
+        sim.kernel.run(ms(10))
         assert log == [pytest.approx(5e-4)]
         assert bus.stats.transfer_count == 1
         assert bus.stats.words_transferred == 500
@@ -76,7 +76,7 @@ class TestBus:
 
         sim.kernel.create_thread(master("m0"), "m0")
         sim.kernel.create_thread(master("m1"), "m1")
-        sim.run(ms(10))
+        sim.kernel.run(ms(10))
         assert [name for name, _ in completions] == ["m0", "m1"]
         assert completions[0][1] == pytest.approx(1e-3)
         assert completions[1][1] == pytest.approx(2e-3)
@@ -103,7 +103,7 @@ class TestBus:
         sim.kernel.create_thread(holder, "holder")
         sim.kernel.create_thread(low_priority, "low")
         sim.kernel.create_thread(high_priority, "high")
-        sim.run(ms(10))
+        sim.kernel.run(ms(10))
         # While the holder owns the bus both others queue; the high-priority
         # master (lower number) wins the next grant despite arriving later.
         assert completions == ["holder", "high", "low"]
@@ -119,7 +119,7 @@ class TestBus:
 
         sim.kernel.create_thread(master("m0", us(0)), "m0")
         sim.kernel.create_thread(master("m1", us(10)), "m1")
-        sim.run(ms(10))
+        sim.kernel.run(ms(10))
         assert 0.0 < bus.occupancy() <= 1.0
         assert bus.stats.average_wait().seconds > 0.0
         assert bus.stats.occupancy(ms(4)) == pytest.approx(1.0)
@@ -139,7 +139,7 @@ class TestBus:
         sim.kernel.create_thread(master("m0", us(0), 9), "m0")
         sim.kernel.create_thread(master("m1", us(10), 1), "m1")
         sim.kernel.create_thread(master("m2", us(20), 0), "m2")
-        sim.run(ms(10))
+        sim.kernel.run(ms(10))
         assert completions == ["m0", "m1", "m2"]
 
     def test_priority_contention_is_unfair_by_design(self):
@@ -156,7 +156,7 @@ class TestBus:
         sim.kernel.create_thread(master("m0", us(0), 9), "m0")
         sim.kernel.create_thread(master("m1", us(10), 1), "m1")
         sim.kernel.create_thread(master("m2", us(20), 0), "m2")
-        sim.run(ms(10))
+        sim.kernel.run(ms(10))
         # Same arrival pattern as the FIFO test, opposite outcome: the best
         # priority number wins every re-arbitration.
         assert completions == ["m0", "m2", "m1"]
@@ -178,13 +178,13 @@ class TestBusStatisticsMidRun:
             yield from bus.transfer("m0", 1000)  # 1 ms at 1e6 words/s
 
         sim.kernel.create_thread(master, "m0")
-        sim.run(us(500))
+        sim.kernel.run(us(500))
         # Half the transfer elapsed and the bus was busy the whole time; the
         # stats have credited nothing yet (release has not happened).
         assert bus.stats.busy_time.is_zero
         assert bus.occupancy() == pytest.approx(1.0)
         assert bus.busy_time_so_far().seconds == pytest.approx(500e-6)
-        sim.run(ms(10))
+        sim.kernel.run(ms(10))
         assert bus.occupancy() < 1.0
         assert bus.stats.busy_time.seconds == pytest.approx(1e-3)
 
@@ -199,7 +199,7 @@ class TestBusStatisticsMidRun:
 
         sim.kernel.create_thread(master("m0", us(0)), "m0")
         sim.kernel.create_thread(master("m1", us(100)), "m1")
-        sim.run(us(1500))
+        sim.kernel.run(us(1500))
         # m0 waited 0 and completed; m1 waited 900 us, was granted at 1 ms
         # and is still transferring.  Release-based counting would divide
         # m1's wait by m0's lone completed transfer (900 us); the grant-based
@@ -225,7 +225,7 @@ class TestBusStatisticsMidRun:
 
         sim.kernel.create_thread(master("m0", us(0)), "m0")
         sim.kernel.create_thread(master("m1", us(100)), "m1")
-        sim.run(ms(5))
+        sim.kernel.run(ms(5))
         assert handles[0].wait_time.is_zero
         assert handles[1].wait_time.seconds == pytest.approx(900e-6)
 
@@ -253,10 +253,10 @@ class TestBusCancellation:
         self._spawn_transfer(sim, bus, "holder", us(0), log=log)
         victim = self._spawn_transfer(sim, bus, "victim", us(10), log=log)
         self._spawn_transfer(sim, bus, "late", us(20), log=log)
-        sim.run(us(500))  # victim and late are both queued behind the holder
+        sim.kernel.run(us(500))  # victim and late are both queued behind the holder
         assert bus.queue_length == 2
         victim.kill()
-        sim.run(ms(10))
+        sim.kernel.run(ms(10))
         # Pre-fix behaviour: the grant went to the dead victim, the bus was
         # never released and "late" starved forever.
         assert [name for name, _ in log] == ["holder", "late"]
@@ -270,9 +270,9 @@ class TestBusCancellation:
         log = []
         owner = self._spawn_transfer(sim, bus, "owner", us(0), log=log)
         self._spawn_transfer(sim, bus, "next", us(10), log=log)
-        sim.run(us(400))  # owner is mid-transfer (1 ms long)
+        sim.kernel.run(us(400))  # owner is mid-transfer (1 ms long)
         owner.kill()
-        sim.run(ms(10))
+        sim.kernel.run(ms(10))
         assert [name for name, _ in log] == ["next"]
         # The aborted portion of the owner's occupation is still busy time.
         assert bus.stats.busy_time.seconds == pytest.approx(400e-6 + 1e-3)
@@ -311,7 +311,7 @@ class TestBusCancellation:
         sim.kernel.create_thread(holder, "holder")
         sim.kernel.create_thread(impatient, "impatient")
         sim.kernel.create_thread(patient, "patient")
-        sim.run(ms(10))
+        sim.kernel.run(ms(10))
         assert outcomes == ["gave-up", "holder", "patient"]
         assert bus.stats.cancelled_count == 1
         assert not bus.is_busy
@@ -331,7 +331,7 @@ class TestBusCancellation:
 
         sim.kernel.create_thread(holder, "holder")
         sim.kernel.create_thread(fickle, "fickle")
-        sim.run(ms(10))
+        sim.kernel.run(ms(10))
         assert results == {"first_cancel": True, "second_cancel": False}
         assert bus.queue_length == 0
         assert bus.stats.cancelled_count == 1
@@ -362,7 +362,7 @@ class TestBusCancellation:
         sim.kernel.create_thread(holder, "holder")
         victim_process = sim.kernel.create_thread(victim, "victim")
         sim.kernel.create_thread(supervisor, "supervisor")
-        sim.run(ms(10))
+        sim.kernel.run(ms(10))
         # The victim woke at cancel time, saw the cancellation, skipped the
         # transfer and continued immediately instead of sleeping forever.
         assert [entry[0] for entry in log] == ["cancelled", "victim", "holder"]
@@ -384,7 +384,7 @@ class TestBusCancellation:
             bus.complete(handle)
 
         sim.kernel.create_thread(master, "m0")
-        sim.run(ms(10))
+        sim.kernel.run(ms(10))
         assert handles[0].completed
         assert bus.cancel(handles[0]) is False
         assert bus.stats.cancelled_count == 0
@@ -414,13 +414,13 @@ class TestBusCancellation:
         sim.kernel.create_thread(holder, "holder")
         sim.kernel.create_thread(urgent, "urgent")
         sim.kernel.create_thread(background, "background")
-        sim.run(ms(10))
+        sim.kernel.run(ms(10))
         assert log == ["holder", "background"]
         assert not cancelled_handle["urgent"].granted
 
 
 class TestCycleAccurateBus:
-    """The tentpole: posedge-arbitrated grants driven from Clock.out."""
+    """Posedge-arbitrated grants on the bus clock's analytic edge schedule."""
 
     def make_bus(self, words_per_cycle=4, words_per_second=1e6, **kwargs):
         sim = Simulator()
@@ -453,12 +453,12 @@ class TestCycleAccurateBus:
 
     def test_cycle_accurate_bus_keeps_its_clock_virtual(self):
         # Batched arbitration computes grant edges analytically from the
-        # clock's schedule (Clock.next_posedge_fs), so the clock must stay
-        # on the virtual fast path: no toggle thread, no per-cycle wakes.
+        # clock's schedule (Clock.next_posedge_fs): the clock runs no
+        # process, so there are no per-cycle wakes.
         _, bus = self.make_bus()
         assert bus.is_cycle_accurate
         assert bus.clock is not None
-        assert not bus.clock.is_materialized
+        assert not bus.clock.processes
         # words_per_second / words_per_cycle = 250 kHz -> 4 us period
         assert bus.clock.period == us(4)
 
@@ -467,12 +467,11 @@ class TestCycleAccurateBus:
         # running 1000 bus periods with no traffic performs no time advances
         # beyond the run horizon itself.
         sim, bus = self.make_bus()
-        sim.elaborate()
         sim.kernel.initialize()
         before = sim.kernel.stats.time_advances
         sim.kernel.run(ms(4))  # 1000 idle bus cycles at 4 us
         assert sim.kernel.stats.time_advances == before
-        assert not bus.clock.is_materialized
+        assert not bus.clock.processes
 
     def test_durations_quantised_to_whole_cycles(self):
         _, bus = self.make_bus(words_per_cycle=4)
@@ -505,7 +504,7 @@ class TestCycleAccurateBus:
         sim.kernel.create_thread(master("m0", us(3), 7), "m0")
         sim.kernel.create_thread(master("m1", us(5), 4), "m1")
         sim.kernel.create_thread(master("m2", us(11), 2), "m2")
-        sim.run(ms(10))
+        sim.kernel.run(ms(10))
         assert len(grants) == 3
         for name, instant in grants:
             assert instant > 0 and instant % period_fs == 0, (name, instant)
@@ -528,7 +527,7 @@ class TestCycleAccurateBus:
 
         sim.kernel.create_thread(master("m0", us(1), 6), "m0")
         sim.kernel.create_thread(master("m1", us(2), 3), "m1")
-        sim.run(ms(10))
+        sim.kernel.run(ms(10))
         assert edges, "the busy signal never toggled"
         for instant, value in edges:
             if value:  # rising edge == a grant
@@ -565,7 +564,7 @@ class TestCycleAccurateBus:
 
             for name, delay_us, words in pattern:
                 sim.kernel.create_thread(master(name, delay_us, words), name)
-            sim.run(ms(10))
+            sim.kernel.run(ms(10))
             return bus, completions
 
         event_bus, event_times = run("event_driven")
@@ -591,9 +590,9 @@ class TestCycleAccurateBus:
         sim.kernel.create_thread(master("holder", us(0), 40), "holder")
         victim = sim.kernel.create_thread(master("victim", us(5), 8), "victim")
         sim.kernel.create_thread(master("late", us(6), 8), "late")
-        sim.run(us(20))  # holder owns the bus; victim and late are queued
+        sim.kernel.run(us(20))  # holder owns the bus; victim and late are queued
         victim.kill()
-        sim.run(ms(10))
+        sim.kernel.run(ms(10))
         assert log == ["holder", "late"]
         assert not bus.is_busy
         assert bus.stats.cancelled_count == 1
@@ -626,10 +625,10 @@ class TestBusLevel:
 
         sim.kernel.create_thread(master, "m0")
         assert bus.occupancy_level() is BusLevel.LOW
-        sim.run(us(800))
+        sim.kernel.run(us(800))
         # 0.8 ms elapsed, all of it busy (in-flight credit): occupancy 1.0.
         assert bus.occupancy_level() is BusLevel.HIGH
-        sim.run(ms(10))  # 10.8 ms elapsed in total, 1 ms of it busy
+        sim.kernel.run(ms(10))  # 10.8 ms elapsed in total, 1 ms of it busy
         assert bus.occupancy() == pytest.approx(1.0 / 10.8, rel=1e-3)
         # The level decays once the busy interval ages out of the window.
         assert bus.occupancy_level() is BusLevel.LOW
@@ -648,13 +647,13 @@ class TestBusLevel:
                 yield from bus.transfer("m0", 2000)  # 8 ms saturated burst
 
         sim.kernel.create_thread(master, "m0")
-        sim.run(ms(99))
+        sim.kernel.run(ms(99))
         assert bus.occupancy_level() is BusLevel.LOW
-        sim.run(ms(9))  # 108 ms: deep inside the burst
+        sim.kernel.run(ms(9))  # 108 ms: deep inside the burst
         assert bus.occupancy() < 0.1  # lifetime average is diluted...
         assert bus.recent_occupancy() > 0.9  # ...the window is not
         assert bus.occupancy_level() is BusLevel.HIGH
-        sim.run(ms(30))  # burst over, idle for multiple windows
+        sim.kernel.run(ms(30))  # burst over, idle for multiple windows
         assert bus.occupancy_level() is BusLevel.LOW
 
     def test_custom_window_reads_are_non_destructive(self):
@@ -666,7 +665,7 @@ class TestBusLevel:
             yield from bus.transfer("m0", 5000)  # busy 0..5 ms
 
         sim.kernel.create_thread(master, "m0")
-        sim.run(ms(10))
+        sim.kernel.run(ms(10))
         before = bus.recent_occupancy()
         assert before == pytest.approx((5 - (10 - 8.192)) / 8.192, rel=1e-6)
         # A narrower diagnostic read must not discard history the default
@@ -687,14 +686,14 @@ class TestBusLevel:
             yield from bus.transfer("m0", 2000)
 
         sim.kernel.create_thread(master, "m0")
-        sim.run(us(100))
+        sim.kernel.run(us(100))
         # Nobody observes the signal: the mirror stays at its initial value
         # even though the windowed occupancy is saturated.
         assert bus.level_signal.read() is BusLevel.LOW
         assert bus.recent_occupancy() == pytest.approx(1.0)
         observed = []
         bus.level_signal.add_observer(lambda when, value: observed.append(value))
-        sim.run(ms(10))
+        sim.kernel.run(ms(10))
         # With an observer attached, the release refreshed the mirror with
         # the level *as of that transaction* (the documented semantics);
         # the on-demand level has decayed since.
@@ -747,7 +746,7 @@ class TestServiceChannel:
 
         sim.kernel.create_thread(consumer, "consumer")
         sim.kernel.create_thread(producer, "producer")
-        sim.run(ms(10))
+        sim.kernel.run(ms(10))
         assert [name for name, _ in consumed] == ["a", "b"]
         assert consumed[0][1] == pytest.approx(1e-3)
 
@@ -757,7 +756,7 @@ class TestServiceChannel:
         workload = periodic_workload(task_count=5, cycles=1000, idle=ms(1))
         generator = ServiceRequestGenerator(sim.kernel, "generator", workload, channel)
         sim.add_module(generator)
-        sim.run(ms(20))
+        sim.kernel.run(ms(20))
         assert generator.issued == 5
         assert channel.pushed_count == 5
         assert channel.is_closed

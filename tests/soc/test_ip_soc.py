@@ -111,7 +111,7 @@ class TestFunctionalIP:
     def test_executes_workload_and_records(self):
         workload = periodic_workload(task_count=4, cycles=100_000, idle=ms(1))
         sim, ip, stub, account = build_ip(workload=workload)
-        sim.run(sec(1))
+        sim.kernel.run(sec(1))
         assert ip.done
         assert ip.tasks_executed == 4
         assert len(ip.executions) == 4
@@ -127,7 +127,7 @@ class TestFunctionalIP:
     def test_idle_hint_passed_to_lem(self):
         workload = periodic_workload(task_count=2, cycles=1000, idle=ms(3))
         sim, ip, stub, _ = build_ip(workload=workload)
-        sim.run(sec(1))
+        sim.kernel.run(sec(1))
         assert stub.completions[0][1] == ms(3)
 
     def test_cannot_run_without_lem(self):
@@ -148,7 +148,7 @@ class TestFunctionalIP:
         )
         sim.add_module(ip)
         with pytest.raises(ConfigurationError):
-            sim.run(ms(1))
+            sim.kernel.run(ms(1))
 
     def test_double_lem_rejected(self):
         sim, ip, stub, _ = build_ip(workload=periodic_workload(1))
@@ -178,7 +178,7 @@ class TestFunctionalIP:
             sim.kernel, "gen", periodic_workload(task_count=3, cycles=50_000, idle=ms(1)), channel
         )
         sim.add_module(generator)
-        sim.run(sec(1))
+        sim.kernel.run(sec(1))
         assert ip.done
         assert ip.tasks_executed == 3
 

@@ -139,14 +139,13 @@ class TestWorkloadContainer:
         # is what keeps campaign job hashes reproducible).
         assert rebuilt.as_dicts() == workload.as_dicts()
 
-    def test_serialisation_accepts_legacy_microsecond_key_with_warning(self):
+    def test_serialisation_rejects_legacy_microsecond_key(self):
         entries = [
             {"task": "t0", "cycles": 1000, "priority": "medium",
              "instruction_class": "alu", "idle_after_us": 2.5}
         ]
-        with pytest.warns(DeprecationWarning, match="idle_after_us"):
-            workload = Workload.from_dicts(entries)
-        assert workload[0].idle_after == us(2.5)
+        with pytest.raises(WorkloadError, match="'idle_after_us'.*idle_after_fs"):
+            Workload.from_dicts(entries)
 
     def test_serialisation_emits_only_the_lossless_key(self):
         workload = random_workload(task_count=3, seed=9)

@@ -153,7 +153,7 @@ class TestSensorAndFan:
                 ledger.account("ip0").add_energy(0.0005)  # 0.5 W average
 
         sim.kernel.create_thread(heater, "heater")
-        sim.run(sec(2))
+        sim.kernel.run(sec(2))
         assert sensor.temperature_c > 40.0
         assert sensor.level in (TemperatureLevel.MEDIUM, TemperatureLevel.HIGH)
         assert len(sensor.history) > 100
@@ -185,7 +185,7 @@ class TestSensorAndFan:
             yield sec(1)
 
         sim.kernel.create_thread(controller, "controller")
-        sim.run(sec(3))
+        sim.kernel.run(sec(3))
         fan.flush_energy()
         assert account.total_j == pytest.approx(0.1, rel=1e-6)
         assert fan.total_on_time.seconds == pytest.approx(1.0, rel=1e-6)
