@@ -77,20 +77,31 @@ class _JobTimeout(Exception):
 
 
 def _run_with_timeout(func: Callable[[], Any], timeout_s: Optional[float]) -> Any:
-    """Run ``func`` under a SIGALRM-based timeout (no-op where unsupported)."""
+    """Run ``func`` under a SIGALRM-based timeout (no-op where unsupported).
+
+    The handler raises wherever the interpreter happens to be; when that is
+    a context that swallows exceptions (a GC callback, a ``__del__``), the
+    job runs on to completion, so a fired alarm is re-raised afterwards.
+    """
     if not timeout_s or not hasattr(signal, "SIGALRM"):
         return func()
+    fired = False
 
     def _alarm(_signum, _frame):
+        nonlocal fired
+        fired = True
         raise _JobTimeout()
 
     previous = signal.signal(signal.SIGALRM, _alarm)
     signal.setitimer(signal.ITIMER_REAL, timeout_s)
     try:
-        return func()
+        result = func()
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+    if fired:
+        raise _JobTimeout()
+    return result
 
 
 def execute_baseline(job_dict: Mapping[str, Any], timeout_s: Optional[float] = None) -> Dict[str, Any]:

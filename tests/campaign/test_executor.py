@@ -147,6 +147,25 @@ class TestRunCampaign:
         assert record["status"] == "timeout"
         assert "timeout" in record["error"]["message"]
 
+    def test_alarm_swallowed_by_the_job_still_times_out(self):
+        # The alarm can fire inside a context that swallows the exception
+        # (a GC callback, a __del__); the job then finishes, but it still
+        # overran its budget.
+        import time
+
+        from repro.campaign.executor import _JobTimeout, _run_with_timeout
+
+        def job():
+            try:
+                time.sleep(0.05)
+            except _JobTimeout:
+                pass
+            return "finished"
+
+        with pytest.raises(_JobTimeout):
+            _run_with_timeout(job, 0.005)
+        assert _run_with_timeout(job, 5.0) == "finished"
+
     def test_invalid_worker_count_rejected(self, tmp_path):
         with pytest.raises(CampaignError):
             run_campaign(small_spec(), tmp_path, workers=0)

@@ -311,6 +311,20 @@ class TestBusPlatforms:
         with pytest.raises(PlatformError, match=r"platform\.bus_words_per_second.*'bus' section"):
             PlatformSpec.from_dict(data)
 
+    def test_legacy_nonpositive_inert_bandwidth_is_rejected(self):
+        # A non-positive legacy bandwidth is rejected by the same key check,
+        # before any throughput validation could run.
+        from repro.errors import PlatformError
+
+        data = {
+            "name": "legacy-bad",
+            "ips": [{"name": "ip0",
+                     "workload": {"kind": "periodic", "task_count": 1}}],
+            "bus_words_per_second": -5.0,
+        }
+        with pytest.raises(PlatformError, match=r"platform\.bus_words_per_second.*'bus' section"):
+            PlatformSpec.from_dict(data)
+
     def test_non_integer_words_per_cycle_fails_spec_validation(self):
         from repro.errors import PlatformError
 

@@ -56,3 +56,26 @@ def test_next_posedge_lands_on_recorded_rising_edges(
             assert clock.next_posedge_fs(edge + 1) == rises[index + 1]
     # Consecutive rises are exactly one period apart: no drift.
     assert {later - earlier for earlier, later in zip(rises, rises[1:])} == {int(period)}
+
+
+def _rising_edges_until(clock, from_fs, until_fs):
+    edges = []
+    edge = clock.next_posedge_fs(from_fs)
+    while edge <= until_fs:
+        edges.append(edge)
+        edge = clock.next_posedge_fs(edge + 1)
+    return edges
+
+
+def test_rising_edge_count_matches_toggled_clock():
+    # A 10 ns clock starting high, toggled for 245 ns, rose 24 times.
+    clock = _clock_created_at(0, ns(10), 0.5, True)
+    assert len(_rising_edges_until(clock, 0, int(ns(245)))) == 24
+
+
+def test_prime_period_edges_do_not_drift_over_a_thousand_periods():
+    # Toggled through 1000 periods, the prime-period 1/3-duty clock rose once
+    # per period, each rise landing exactly on a multiple of the period.
+    clock = _clock_created_at(0, PRIME_PERIOD, 1.0 / 3.0, True)
+    edges = _rising_edges_until(clock, 0, 10_000_019 * 1000)
+    assert edges == [10_000_019 * k for k in range(1, 1001)]
