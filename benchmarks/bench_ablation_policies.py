@@ -16,7 +16,8 @@ from __future__ import annotations
 import pytest
 
 from repro.dpm import DpmSetup
-from repro.experiments import run_comparison, single_ip_scenario
+from repro.experiments import run_comparison
+from repro.platform import single_ip_platform
 from repro.sim import ms
 
 
@@ -31,8 +32,8 @@ def make_setups():
 
 
 def run_ablation(battery: str):
-    scenario = single_ip_scenario(f"ablation-{battery}", battery, "low", task_count=24)
-    return {setup.name: run_comparison(scenario, dpm=setup) for setup in make_setups()}
+    spec = single_ip_platform(f"ablation-{battery}", battery, "low", task_count=24)
+    return {setup.name: run_comparison(spec, dpm=setup) for setup in make_setups()}
 
 
 @pytest.mark.benchmark(group="ablation-policies")

@@ -13,39 +13,24 @@ import pytest
 
 from repro.dpm import DpmSetup
 from repro.experiments import run_comparison
-from repro.experiments.scenarios import Scenario, battery_condition, thermal_condition
-from repro.sim import sec
-from repro.soc import IpSpec, SocConfig, bursty_workload
+from repro.platform import PlatformSpec, WorkloadDef, single_ip_platform
 
 PREDICTOR_KINDS = ("fixed", "last-value", "ewma", "adaptive")
 
 
-def bursty_scenario() -> Scenario:
-    def specs():
-        return [IpSpec(name="ip1", workload=bursty_workload(burst_count=6, tasks_per_burst=6))]
-
-    def config():
-        return SocConfig(
-            name="soc_bursty",
-            battery=battery_condition("full"),
-            thermal=thermal_condition("low"),
-        )
-
-    return Scenario(
-        name="bursty",
-        description="bursty traffic for predictor ablation",
-        ip_specs_factory=specs,
-        soc_config_factory=config,
-        max_time=sec(5),
-    )
+def bursty_platform() -> PlatformSpec:
+    """The A1 conditions with the scenario-A sequence swapped for bursts."""
+    spec = single_ip_platform("bursty", "full", "low")
+    spec.ips[0].workload = WorkloadDef(kind="bursty", burst_count=6, tasks_per_burst=6)
+    return spec
 
 
 def run_ablation():
-    scenario = bursty_scenario()
+    spec = bursty_platform()
     results = {}
     for kind in PREDICTOR_KINDS:
-        results[kind] = run_comparison(scenario, dpm=DpmSetup.with_predictor(kind))
-    results["oracle"] = run_comparison(scenario, dpm=DpmSetup.oracle())
+        results[kind] = run_comparison(spec, dpm=DpmSetup.with_predictor(kind))
+    results["oracle"] = run_comparison(spec, dpm=DpmSetup.oracle())
     return results
 
 

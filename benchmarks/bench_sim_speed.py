@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.dpm import DpmSetup
-from repro.experiments import run_scenario, scenario_by_name
+from repro.experiments import run_scenario
 from repro.platform import PlatformBuilder
 from repro.sim import Kernel, ns, us
 from repro.sim.native import available as _native_available
@@ -34,7 +34,7 @@ def _warm_backend(backend: str) -> None:
     if backend in _WARMED:
         return
     _WARMED.add(backend)
-    run_scenario(scenario_by_name("A1"), DpmSetup.paper(), accuracy="fast", backend=backend)
+    run_scenario("A1", DpmSetup.paper(), accuracy="fast", backend=backend)
 
 
 def _bench_scenario(benchmark, name: str, accuracy: str, paper_kcps: float,
@@ -46,7 +46,7 @@ def _bench_scenario(benchmark, name: str, accuracy: str, paper_kcps: float,
     _warm_backend(backend)
 
     def run():
-        return run_scenario(scenario_by_name(name), DpmSetup.paper(),
+        return run_scenario(name, DpmSetup.paper(),
                             accuracy=accuracy, backend=backend)
 
     artefacts = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -121,7 +121,7 @@ def test_simulation_speed_single_ip_traced(benchmark, tmp_path):
 
     def run():
         return run_scenario(
-            scenario_by_name("A1"), DpmSetup.paper(), accuracy="exact",
+            "A1", DpmSetup.paper(), accuracy="exact",
             trace=request,
         )
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 import pytest
 
 from conftest import attach_row
-from repro.experiments import run_comparison, scenario_by_name
+from repro.experiments import run_comparison
 
 
 def run_row(name):
-    return run_comparison(scenario_by_name(name))
+    return run_comparison(name)
 
 
 @pytest.mark.benchmark(group="table2-multi-ip")

@@ -27,7 +27,6 @@ from repro.platform import (
     PlatformBuilder,
     load_platform,
     save_platform,
-    to_scenario,
 )
 
 SPEC_PATH = os.path.join(os.path.dirname(__file__), "specs", "custom_platform.json")
@@ -49,7 +48,7 @@ def main() -> None:
     spec = load_platform(SPEC_PATH)
     print(f"loaded platform {spec.name!r}: {len(spec.ips)} IPs, "
           f"GEM {'on' if spec.gem.enabled else 'off'}\n")
-    metrics = run_comparison(to_scenario(spec))
+    metrics = run_comparison(spec)
     print_metrics(f"{spec.name} (from {os.path.basename(SPEC_PATH)})", metrics)
 
     # 2. The same idea built fluently and registered by name.

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from repro.analysis import format_table
 from repro.dpm import DpmSetup
-from repro.experiments import policy_ablation, predictor_ablation, single_ip_scenario
+from repro.experiments import policy_ablation, predictor_ablation
+from repro.platform import single_ip_platform
 from repro.sim import ms
 
 
@@ -49,7 +50,7 @@ def print_results(title: str, results: dict) -> None:
 
 def main() -> None:
     print("Policy ablation under A1 conditions (battery Full, temperature Low)\n")
-    scenario = single_ip_scenario("ablation-full", "full", "low", task_count=24)
+    scenario = single_ip_platform("ablation-full", "full", "low", task_count=24)
     setups = [
         DpmSetup.always_on(),
         DpmSetup.fixed_timeout(ms(2)),
@@ -60,7 +61,7 @@ def main() -> None:
     print_results("Policies, battery Full", policy_ablation(scenario, setups))
 
     print("Policy ablation under A2 conditions (battery Low, temperature Low)\n")
-    scenario_low = single_ip_scenario("ablation-low", "low", "low", task_count=24)
+    scenario_low = single_ip_platform("ablation-low", "low", "low", task_count=24)
     print_results("Policies, battery Low", policy_ablation(scenario_low, setups))
 
     print("Idle-time predictor ablation (paper policy, battery Full)\n")

@@ -16,21 +16,16 @@ from __future__ import annotations
 import sys
 
 from repro.analysis.report import render_comparison
-from repro.experiments import (
-    paper_scenarios,
-    reproduce_table2,
-    scenario_by_name,
-    simulation_speed,
-    simulation_speed_report,
-)
+from repro.experiments import reproduce_table2, simulation_speed, simulation_speed_report
+from repro.platform import paper_platforms, platform_by_name
 
 
 def main(argv=None) -> None:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv:
-        scenarios = [scenario_by_name(name) for name in argv]
+        scenarios = [platform_by_name(name) for name in argv]
     else:
-        scenarios = paper_scenarios()
+        scenarios = paper_platforms()
 
     print(f"Running {len(scenarios)} scenario(s): {', '.join(s.name for s in scenarios)}")
     print("Each scenario is simulated twice (paper DPM + always-on baseline).\n")

@@ -18,8 +18,8 @@ The package is organised in layers:
   predictors and baseline policies.
 * :mod:`repro.analysis` — metrics (energy saving, temperature reduction,
   delay overhead) and report rendering.
-* :mod:`repro.experiments` — the scenario catalogue (A1–A4, B, C) and the
-  runners that regenerate the paper's Table 2 and simulation-speed figure.
+* :mod:`repro.experiments` — the runners that regenerate the paper's
+  Table 2 and simulation-speed figure from platform specs, plus sweeps.
 * :mod:`repro.platform` — declarative platform specifications: user-defined
   SoCs (IPs, workloads, operating points, PSMs, battery/thermal, GEM,
   policy) as validated, JSON/TOML-serializable :class:`PlatformSpec` trees,

@@ -3,8 +3,8 @@
 A *campaign* is a grid of experiments: scenarios x DPM setups x seeds x
 parameter overrides.  The grid is described by a :class:`CampaignSpec`, which
 can be built in Python or loaded from a JSON/TOML file, so new evaluation
-grids (including *new scenarios*) can be defined without touching
-:mod:`repro.experiments.scenarios`::
+grids (including *new scenarios*) can be defined without touching the
+platform registry::
 
     {
       "name": "paper-grid",
@@ -25,6 +25,11 @@ a :class:`~repro.platform.spec.PlatformSpec` (inline under ``"spec"`` or via
 a ``"file"`` path).  Platform entries are normalized to the *canonical
 inline spec*, so their job hashes depend only on the platform's content —
 moving or reformatting the spec file does not invalidate stored results.
+Every entry runs as a :class:`~repro.platform.spec.PlatformSpec`:
+``single_ip``/``multi_ip`` entries are built by
+:func:`~repro.platform.registry.single_ip_platform` and
+:func:`~repro.platform.registry.multi_ip_platform`, the builders of the
+paper rows, and their fields are checked when the campaign is loaded.
 
 :meth:`CampaignSpec.jobs` expands the grid into :class:`JobSpec` objects.
 Every job is a *pure data* description (plain dictionaries), picklable for
@@ -43,11 +48,8 @@ from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro.dpm.controller import DpmSetup
 from repro.errors import CampaignError
-from repro.experiments.scenarios import (
-    Scenario,
-    multi_ip_scenario,
-    single_ip_scenario,
-)
+from repro.platform.registry import multi_ip_platform, single_ip_platform
+from repro.platform.spec import BATTERY_CONDITIONS, THERMAL_CONDITIONS, PlatformSpec
 from repro.sim.simtime import ms
 
 __all__ = [
@@ -168,7 +170,41 @@ def normalize_scenario(value: Union[str, Mapping[str, Any]]) -> Dict[str, Any]:
         )
     if "high_activity_ips" in scenario:
         scenario["high_activity_ips"] = sorted(int(i) for i in scenario["high_activity_ips"])
+    _check_values(scenario)
     return scenario
+
+
+def _check_values(scenario: Mapping[str, Any]) -> None:
+    """Reject a ``single_ip``/``multi_ip`` field no run could use."""
+    name = scenario["name"]
+
+    def check(field_name: str, ok: bool, expected: str) -> None:
+        if field_name in scenario and not ok:
+            raise CampaignError(
+                f"scenario {name!r}: {field_name} must be {expected}, "
+                f"got {scenario[field_name]!r}"
+            )
+
+    def is_int(value: Any) -> bool:
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    battery, temperature = scenario["battery"], scenario["temperature"]
+    check("battery", str(battery).lower() in BATTERY_CONDITIONS,
+          f"one of {', '.join(BATTERY_CONDITIONS)}")
+    check("temperature", str(temperature).lower() in THERMAL_CONDITIONS,
+          f"one of {', '.join(THERMAL_CONDITIONS)}")
+    # The scenario-A sequence splits into a busy and an idle-heavy half.
+    least = 2 if scenario["kind"] == "single_ip" else 1
+    count = scenario.get("task_count")
+    check("task_count", is_int(count) and count >= least, f"an integer >= {least}")
+    for seed_field in ("workload_seed", "seed"):
+        check(seed_field, is_int(scenario.get(seed_field)), "an integer")
+    budget = scenario.get("max_time_ms")
+    check("max_time_ms", isinstance(budget, (int, float)) and budget > 0,
+          "a positive number")
+    ips = scenario.get("high_activity_ips")
+    check("high_activity_ips", bool(ips) and set(ips) <= {1, 2, 3, 4},
+          "a non-empty list of IP indices 1-4")
 
 
 def _anchor_platform_file(entry: Any, base_dir: str) -> Any:
@@ -219,44 +255,41 @@ def _normalize_platform_scenario(scenario: Dict[str, Any]) -> Dict[str, Any]:
     return {"kind": "platform", "name": spec.name, "spec": spec.to_dict()}
 
 
-def build_scenario(scenario: Mapping[str, Any], seed: Optional[int] = None) -> Scenario:
-    """Instantiate a :class:`Scenario` from its declarative description.
+def build_scenario(scenario: Mapping[str, Any], seed: Optional[int] = None) -> PlatformSpec:
+    """The :class:`PlatformSpec` of a scenario description.
 
     ``seed``, when given, replaces the workload seed of the description so a
-    campaign can sweep seeds without editing the scenario entry.
+    campaign can sweep seeds without editing the scenario entry.  On a
+    ``platform`` entry, every IP whose workload kind takes a seed draws from
+    ``seed + ip_index``, so the IPs stay decorrelated.
     """
-    from repro.analysis.report import PAPER_TABLE2
-
     description = normalize_scenario(scenario)
     kind = description["kind"]
     if kind == "platform":
-        from repro.platform.build import to_scenario
-        from repro.platform.spec import PlatformSpec
-
-        return to_scenario(PlatformSpec.from_dict(description["spec"]), seed=seed)
-    paper_row = PAPER_TABLE2.get(description["name"])
+        spec = PlatformSpec.from_dict(description["spec"])
+        if seed is not None:
+            for index, ip in enumerate(spec.ips):
+                if ip.workload.kind not in ("explicit", "periodic"):
+                    ip.workload.seed = seed + index
+        return spec
+    name = description["name"]
+    battery = description["battery"].lower()
+    temperature = description["temperature"].lower()
     if kind == "single_ip":
-        built = single_ip_scenario(
-            name=description["name"],
-            battery=description["battery"],
-            temperature=description["temperature"],
-            workload_seed=seed if seed is not None else description.get("workload_seed", 11),
+        spec = single_ip_platform(
+            name, battery, temperature,
             task_count=description.get("task_count", 40),
-            paper_row=paper_row,
+            seed=seed if seed is not None else description.get("workload_seed", 11),
         )
     else:
-        built = multi_ip_scenario(
-            name=description["name"],
-            battery=description["battery"],
-            temperature=description["temperature"],
-            high_activity_ips=tuple(description["high_activity_ips"]),
-            seed=seed if seed is not None else description.get("seed", 21),
+        spec = multi_ip_platform(
+            name, battery, temperature, description["high_activity_ips"],
             task_count=description.get("task_count", 24),
-            paper_row=paper_row,
+            seed=seed if seed is not None else description.get("seed", 21),
         )
     if "max_time_ms" in description:
-        built.max_time = ms(float(description["max_time_ms"]))
-    return built
+        spec.max_time_ms = float(description["max_time_ms"])
+    return spec
 
 
 # ----------------------------------------------------------------------
@@ -383,6 +416,26 @@ class JobSpec:
 # ----------------------------------------------------------------------
 # The campaign specification
 # ----------------------------------------------------------------------
+def _apply_override(scenario: Mapping[str, Any], override: Mapping[str, Any]) -> Dict[str, Any]:
+    """The normalized scenario of one (scenario, override) grid cell."""
+    merged = dict(scenario)
+    # Platform scenarios are self-contained specs: only the time budget can
+    # be overridden from the grid, other scenario fields (task_count, ...)
+    # silently skip them so mixed grids can still share one override list.
+    if scenario.get("kind") == "platform":
+        applicable = {"max_time_ms"}
+    else:
+        applicable = None
+    merged.update(
+        {
+            key: value
+            for key, value in override.items()
+            if key != "kind" and (applicable is None or key in applicable)
+        }
+    )
+    return normalize_scenario(merged)
+
+
 @dataclass
 class CampaignSpec:
     """Declarative description of a grid of experiments."""
@@ -421,6 +474,9 @@ class CampaignSpec:
                 ):
                     continue
                 raise CampaignError(f"override key {key!r} is not a scenario field")
+        for scenario in self.scenarios:
+            for override in self.overrides:
+                _apply_override(scenario, override)  # rejects bad values now
         if self.job_timeout_s is not None and self.job_timeout_s <= 0:
             raise CampaignError("job_timeout_s must be positive")
 
@@ -431,23 +487,7 @@ class CampaignSpec:
         seen: set = set()
         for scenario in self.scenarios:
             for override in self.overrides:
-                merged = dict(scenario)
-                # Platform scenarios are self-contained specs: only the time
-                # budget can be overridden from the grid, other scenario
-                # fields (task_count, ...) silently skip them so mixed grids
-                # can still share one override list.
-                if scenario.get("kind") == "platform":
-                    applicable = {"max_time_ms"}
-                else:
-                    applicable = None
-                merged.update(
-                    {
-                        key: value
-                        for key, value in override.items()
-                        if key != "kind" and (applicable is None or key in applicable)
-                    }
-                )
-                merged = normalize_scenario(merged)
+                merged = _apply_override(scenario, override)
                 for setup in self.setups:
                     for seed in self.seeds:
                         job = JobSpec(

@@ -402,54 +402,53 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_table2(args) -> int:
-    from repro.experiments.scenarios import paper_scenarios, scenario_by_name
     from repro.experiments.table2 import reproduce_table2
 
-    if args.scenarios:
-        scenarios = [scenario_by_name(name) for name in args.scenarios]
-    else:
-        scenarios = paper_scenarios()
-    results = reproduce_table2(scenarios, dpm=_SETUPS[args.setup](), accuracy=args.accuracy)
+    results = reproduce_table2(
+        args.scenarios or None, dpm=_SETUPS[args.setup](), accuracy=args.accuracy
+    )
     print(render_comparison(results))
     return 0
 
 
 def _cmd_scenario(args) -> int:
-    from repro.experiments.runner import run_comparison
-    from repro.experiments.scenarios import scenario_by_name
+    from repro.experiments.runner import _as_scenario
 
-    scenario = scenario_by_name(args.name)
-    # None defers to the platform's own policy (when the scenario is
-    # platform-backed and declares one), exactly like `platform run`.
+    return _run_platform(args, _as_scenario(args.name))
+
+
+def _run_platform(args, spec) -> int:
+    """Body of ``scenario NAME`` and ``platform run``: one detailed comparison."""
+    from repro.experiments.runner import run_comparison
+
+    # None defers to the platform's own policy (when it declares one).
     setup = None if args.setup is None else _SETUPS[args.setup]()
-    request = _trace_request(args, scenario)
+    request = _trace_request(args, spec)
     metrics = run_comparison(
-        scenario, dpm=setup, accuracy=args.accuracy,
+        spec, dpm=setup, accuracy=args.accuracy,
         trace=request if request is not None else False,
         backend=args.backend,
     )
-    setup_name = args.setup or _default_setup_name(scenario)
-    _print_comparison(scenario, setup_name, args.accuracy, metrics,
+    setup_name = args.setup or _default_setup_name(spec)
+    _print_comparison(spec, setup_name, args.accuracy, metrics,
                       backend_note=_backend_note(args.backend))
     if request is not None:
-        print(f"\ntrace written to {request.resolve_path(scenario.name)}")
+        print(f"\ntrace written to {request.resolve_path(spec.name)}")
     return 0
 
 
-def _trace_request(args, scenario):
+def _trace_request(args, spec):
     """The effective trace request of one CLI run (None when untraced).
 
     Explicit ``--trace``/``--trace-format`` flags win; without them the
-    platform spec's ``trace:`` section applies (when the scenario came
-    from one).
+    platform spec's ``trace:`` section applies.
     """
     from repro.obs import TraceRequest
 
     fmt = getattr(args, "trace_format", None) or getattr(args, "trace", None)
     if fmt is not None:
         return TraceRequest(format=fmt, path=getattr(args, "trace_out", None))
-    spec = getattr(scenario, "spec", None)
-    request = TraceRequest.from_trace_def(getattr(spec, "trace", None))
+    request = TraceRequest.from_trace_def(spec.trace)
     out = getattr(args, "trace_out", None)
     if request is not None and out is not None:
         request = TraceRequest(format=request.format, path=out,
@@ -457,11 +456,8 @@ def _trace_request(args, scenario):
     return request
 
 
-def _default_setup_name(scenario) -> str:
-    spec = getattr(scenario, "spec", None)
-    if spec is not None and spec.policy is not None:
-        return spec.policy.name
-    return "paper"
+def _default_setup_name(spec) -> str:
+    return spec.policy.name if spec.policy is not None else "paper"
 
 
 def _backend_note(requested) -> str:
@@ -472,9 +468,13 @@ def _backend_note(requested) -> str:
     return resolve_backend(requested).describe()
 
 
-def _print_comparison(scenario, setup_name: str, accuracy: str, metrics,
+def _print_comparison(spec, setup_name: str, accuracy: str, metrics,
                       backend_note: str = "python") -> None:
-    print(f"Scenario {scenario.name}: {scenario.description}")
+    description = spec.description or (
+        f"platform {spec.name!r} ({len(spec.ips)} IPs"
+        f"{', GEM' if spec.gem.enabled else ''})"
+    )
+    print(f"Scenario {spec.name}: {description}")
     print(f"DPM setup: {setup_name} (accuracy: {accuracy}, backend: {backend_note})\n")
     rows = [
         ["energy saving (%)", f"{metrics.energy_saving_pct:.1f}"],
@@ -687,13 +687,9 @@ def _cmd_breakeven(_args) -> int:
 
 def _cmd_report(args) -> int:
     from repro.analysis.export import markdown_report
-    from repro.experiments.scenarios import paper_scenarios, scenario_by_name
     from repro.experiments.table2 import reproduce_table2, simulation_speed
 
-    if args.scenarios:
-        scenarios = [scenario_by_name(name) for name in args.scenarios]
-    else:
-        scenarios = paper_scenarios()
+    scenarios = args.scenarios or None
     results = reproduce_table2(scenarios)
     speeds = simulation_speed(scenarios) if args.with_speed else None
     text = markdown_report(results, speeds=speeds)
@@ -848,24 +844,7 @@ def _cmd_platform_inner(args) -> int:
         else:
             _print_platform_summary(spec)
         return 0
-    # run
-    from repro.experiments.runner import run_comparison
-    from repro.platform import to_scenario
-
-    scenario = to_scenario(spec)
-    setup = None if args.setup is None else _SETUPS[args.setup]()
-    request = _trace_request(args, scenario)
-    metrics = run_comparison(
-        scenario, dpm=setup, accuracy=args.accuracy,
-        trace=request if request is not None else False,
-        backend=args.backend,
-    )
-    setup_name = args.setup or _default_setup_name(scenario)
-    _print_comparison(scenario, setup_name, args.accuracy, metrics,
-                      backend_note=_backend_note(args.backend))
-    if request is not None:
-        print(f"\ntrace written to {request.resolve_path(scenario.name)}")
-    return 0
+    return _run_platform(args, spec)
 
 
 def _load_spec_or_name(value):

@@ -1,4 +1,4 @@
-"""Experiment catalogue and runners reproducing the paper's evaluation."""
+"""Runners reproducing the paper's evaluation from platform specs."""
 
 from repro.experiments.differential import (
     ALL_ORACLES,
@@ -19,16 +19,6 @@ from repro.experiments.runner import (
     run_comparison,
     run_scenario,
 )
-from repro.experiments.scenarios import (
-    Scenario,
-    battery_condition,
-    multi_ip_scenario,
-    paper_scenarios,
-    scenario_a_workload,
-    scenario_by_name,
-    single_ip_scenario,
-    thermal_condition,
-)
 from repro.experiments.sweep import condition_sweep, policy_ablation, predictor_ablation
 from repro.experiments.table2 import (
     reproduce_table2,
@@ -44,14 +34,10 @@ __all__ = [
     "DifferentialResult",
     "OracleVerdict",
     "RunArtifacts",
-    "Scenario",
-    "battery_condition",
     "condition_sweep",
     "crosscheck_paper_platforms",
     "crosscheck_scenario",
     "decision_contexts",
-    "multi_ip_scenario",
-    "paper_scenarios",
     "policy_ablation",
     "predictor_ablation",
     "reproduce_table2",
@@ -59,11 +45,7 @@ __all__ = [
     "run_comparison",
     "run_differential",
     "run_scenario",
-    "scenario_a_workload",
-    "scenario_by_name",
     "simulation_speed",
     "simulation_speed_report",
-    "single_ip_scenario",
     "table2_report",
-    "thermal_condition",
 ]

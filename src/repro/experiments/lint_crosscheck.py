@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.battery.status import BatteryLevel
 from repro.dpm.levels import RuleContext
-from repro.dpm.rules import RuleTable, paper_rule_table
+from repro.dpm.rules import RuleTable
 from repro.errors import ExperimentError
 from repro.soc.bus import BusLevel
 from repro.soc.task import TaskPriority
@@ -130,20 +130,6 @@ def _replay(table: RuleTable, contexts: Sequence[RuleContext]) -> Dict[int, int]
     return counts
 
 
-def _resolve_spec(scenario, name: str):
-    """The :class:`PlatformSpec` behind ``scenario``, if one exists."""
-    from repro.platform.registry import has_platform, platform_by_name
-    from repro.platform.spec import PlatformSpec
-
-    if isinstance(scenario, PlatformSpec):
-        return scenario
-    if isinstance(scenario, str) and has_platform(scenario):
-        return platform_by_name(scenario)
-    if has_platform(name):
-        return platform_by_name(name)
-    return None
-
-
 def crosscheck_scenario(
     scenario,
     table: Optional[RuleTable] = None,
@@ -154,50 +140,41 @@ def crosscheck_scenario(
     unreachability analysis.
 
     ``scenario`` is anything :func:`~repro.experiments.runner.run_scenario`
-    accepts (a name, a :class:`~repro.experiments.scenarios.Scenario` or a
-    :class:`~repro.platform.spec.PlatformSpec`).  ``table`` defaults to the
-    spec's own rule table when the scenario is a platform spec with custom
-    ``policy.rules``, and to the paper's Table 1 otherwise — i.e. the table
-    the run actually consulted.  ``trace_dir`` holds the throwaway JSONL
-    trace (default: the current directory).
+    accepts (a :class:`~repro.platform.spec.PlatformSpec` or a registered
+    name).  ``table`` defaults to the table the run actually consults,
+    :func:`repro.lint.spec_rule_table` of the spec: its custom
+    ``policy.rules`` when it has them, the paper's Table 1 otherwise; a
+    platform with a non-rule-based policy raises :class:`ExperimentError`.
+    ``trace_dir`` holds the throwaway JSONL trace (default: the current
+    directory).
 
-    With ``reach=True`` (the default) and a resolvable platform spec, the
-    trajectory envelope (:func:`repro.lint.reach.compute_reach`) is also
-    validated: every observed decision context must be contained in the
-    static reachable set, and trajectory-dead rules must not have fired.
-    Either disagreement is a violation — the soundness contract is hard.
+    With ``reach=True`` (the default), the trajectory envelope
+    (:func:`repro.lint.reach.compute_reach`) is also validated: every
+    observed decision context must be contained in the static reachable
+    set, and trajectory-dead rules must not have fired.  Either
+    disagreement is a violation — the soundness contract is hard.
     """
-    from repro.experiments.runner import run_scenario
+    from repro.experiments.runner import _as_scenario, run_scenario
+    from repro.lint import build_model, spec_rule_table
+    from repro.lint.reach import compute_reach
     from repro.obs.session import TraceRequest
-    from repro.platform.spec import PlatformSpec
 
+    spec = _as_scenario(scenario)
+    name = spec.name
     if table is None:
-        if isinstance(scenario, PlatformSpec):
-            from repro.lint import spec_rule_table
-
-            table = spec_rule_table(scenario)
-            if table is None:
-                raise ExperimentError(
-                    f"platform {scenario.name!r} uses a non-rule-based policy; "
-                    "there is no rule table to cross-check"
-                )
-        else:
-            table = paper_rule_table()
-    name = getattr(scenario, "name", str(scenario))
-    reach_result = None
-    if reach:
-        spec = _resolve_spec(scenario, name)
-        if spec is not None:
-            from repro.lint import build_model
-            from repro.lint.reach import compute_reach
-
-            reach_result = compute_reach(build_model(spec))
+        table = spec_rule_table(spec)
+        if table is None:
+            raise ExperimentError(
+                f"platform {name!r} uses a non-rule-based policy; "
+                "there is no rule table to cross-check"
+            )
+    reach_result = compute_reach(build_model(spec)) if reach else None
     directory = Path(trace_dir) if trace_dir is not None else Path(".")
     trace_path = directory / f"{name}_crosscheck_trace.jsonl"
     request = TraceRequest(
         format="jsonl", path=str(trace_path), events=("lem.decision",)
     )
-    artifacts = run_scenario(scenario, trace=request)
+    artifacts = run_scenario(spec, trace=request)
     try:
         contexts = decision_contexts(artifacts.trace_path or trace_path)
     finally:

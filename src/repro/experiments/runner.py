@@ -1,15 +1,14 @@
 """Experiment runner.
 
-:func:`run_scenario` builds and simulates one scenario with one DPM setup and
+:func:`run_scenario` builds and simulates one platform with one DPM setup and
 returns the raw artefacts (SoC, executions, wall-clock figures).
-:func:`run_comparison` runs the scenario twice — once with the DPM under
+:func:`run_comparison` runs the platform twice — once with the DPM under
 study and once with the paper's reference configuration (maximum frequency,
 never sleep) — and reduces the two runs to the Table-2 metrics.
 
-Every runner accepts, in place of a :class:`Scenario`, a
-:class:`~repro.platform.spec.PlatformSpec` (built on the fly) or a scenario
-name (resolved through the named platform registry).  For platform-backed
-scenarios a ``None`` setup defers to the spec's own
+Every runner takes a :class:`~repro.platform.spec.PlatformSpec` or the name
+of a registered platform (a paper row such as ``"A1"``, a library platform
+or a user-registered one).  A ``None`` DPM setup defers to the spec's own
 :class:`~repro.platform.spec.PolicyDef` (when present) and the spec's GEM
 tunables are applied to whichever setup runs.
 """
@@ -24,10 +23,12 @@ from typing import Dict, List, Optional
 from repro.analysis.metrics import ScenarioMetrics, compare_runs
 from repro.dpm.controller import DpmSetup
 from repro.errors import ExperimentError
-from repro.experiments.scenarios import Scenario
+from repro.platform import registry
+from repro.platform.build import build_ip_spec, build_soc_config, platform_setup
+from repro.platform.spec import PlatformSpec
 from repro.power.states import PowerState
 from repro.sim.accuracy import AccuracyMode
-from repro.sim.simtime import SimTime
+from repro.sim.simtime import SimTime, ms
 from repro.soc.soc import SoC, build_soc
 from repro.soc.task import TaskExecution
 
@@ -163,44 +164,41 @@ class RunArtifacts:
         return summary
 
 
-def _as_scenario(scenario) -> Scenario:
-    """Accept a :class:`Scenario`, a platform spec, or a scenario name."""
-    if isinstance(scenario, Scenario):
-        return scenario
-    from repro.platform.build import to_scenario
-    from repro.platform.spec import PlatformSpec
-
+def _as_scenario(scenario) -> PlatformSpec:
+    """The validated spec of ``scenario``: a spec, or a registered name."""
     if isinstance(scenario, PlatformSpec):
-        return to_scenario(scenario)
+        return scenario.validate()
     if isinstance(scenario, str):
-        from repro.experiments.scenarios import scenario_by_name
-
-        return scenario_by_name(scenario)
+        if registry.has_platform(scenario):
+            return registry.platform_by_name(scenario)
+        raise ExperimentError(
+            f"unknown scenario {scenario!r}; valid names: "
+            f"{', '.join(registry.platform_names())}. Custom platforms can be "
+            "registered with repro.platform.register_platform or loaded from a "
+            "spec file with repro.platform.load_platform."
+        )
     raise ExperimentError(
-        f"cannot run {scenario!r}: expected a Scenario, a PlatformSpec or a "
-        "scenario/platform name"
+        f"cannot run {scenario!r}: expected a PlatformSpec or a registered "
+        "platform name"
     )
 
 
-def _resolve_trace_request(scenario: Scenario, trace):
+def _resolve_trace_request(spec: PlatformSpec, trace):
     """Turn run_scenario's ``trace`` argument into a TraceRequest or None.
 
-    ``None`` defers to the scenario's platform spec (the ``trace:`` section
-    of a :class:`~repro.platform.spec.PlatformSpec`); ``False`` disables
-    tracing regardless of the spec; a
+    ``None`` defers to the ``trace:`` section of ``spec``; ``False``
+    disables tracing regardless of the spec; a
     :class:`~repro.obs.session.TraceRequest` is used as-is.
     """
     if trace is False:
         return None
     if trace is None:
-        spec = getattr(scenario, "spec", None)
-        trace_def = getattr(spec, "trace", None)
-        if trace_def is None or not trace_def.enabled:
+        if not spec.trace.enabled:
             # The common case: repro.obs stays entirely unimported.
             return None
         from repro.obs.session import TraceRequest
 
-        return TraceRequest.from_trace_def(trace_def)
+        return TraceRequest.from_trace_def(spec.trace)
     from repro.obs.session import TraceRequest
 
     if isinstance(trace, TraceRequest):
@@ -211,17 +209,17 @@ def _resolve_trace_request(scenario: Scenario, trace):
 
 
 def run_scenario(
-    scenario: "Scenario | str",
+    scenario: "PlatformSpec | str",
     setup: Optional[DpmSetup] = None,
     accuracy: "AccuracyMode | str | None" = None,
     trace=None,
     backend: Optional[str] = None,
 ) -> RunArtifacts:
-    """Build and simulate ``scenario`` once under ``setup`` (default: paper DPM).
+    """Build and simulate ``scenario`` once under ``setup``.
 
+    ``setup`` defaults to the spec's own policy, else the paper DPM.
     ``trace`` controls event tracing: ``None`` (default) follows the
-    platform spec's ``trace:`` section when the scenario came from one,
-    ``False`` forces tracing off, and a
+    platform spec's ``trace:`` section, ``False`` forces tracing off, and a
     :class:`~repro.obs.session.TraceRequest` traces the run explicitly.
 
     ``backend`` selects the kernel backend (``"python"``, ``"native"`` or
@@ -229,23 +227,25 @@ def run_scenario(
     backend — and the fallback reason, when a native request could not be
     honoured — is recorded on the returned :class:`RunArtifacts`.
     """
-    from repro.platform.build import platform_setup
-
-    scenario = _as_scenario(scenario)
-    setup = platform_setup(scenario, setup, DpmSetup.paper, use_policy=True)
+    spec = _as_scenario(scenario)
+    setup = platform_setup(spec, setup, DpmSetup.paper, use_policy=True)
     mode = AccuracyMode.from_name(accuracy)
-    request = _resolve_trace_request(scenario, trace)
-    specs = scenario.build_specs()
-    config = scenario.build_config()
-    soc = build_soc(specs, config, setup, accuracy=mode, backend=backend)
+    request = _resolve_trace_request(spec, trace)
+    soc = build_soc(
+        [build_ip_spec(ipdef) for ipdef in spec.ips],
+        build_soc_config(spec),
+        setup,
+        accuracy=mode,
+        backend=backend,
+    )
     session = None
     if request is not None:
         from repro.obs.session import TraceSession
 
-        session = TraceSession(request, stem=scenario.name)
+        session = TraceSession(request, stem=spec.name)
         session.attach(soc)
     wall_start = _wallclock.perf_counter()  # repro-lint: allow[DET-WALLCLOCK]
-    end_time = soc.run_until_done(max_time=scenario.max_time)
+    end_time = soc.run_until_done(max_time=ms(spec.max_time_ms))
     wall_elapsed = _wallclock.perf_counter() - wall_start  # repro-lint: allow[DET-WALLCLOCK]
     trace_path = None
     if session is not None:
@@ -255,11 +255,11 @@ def run_scenario(
         executions.extend(instance.ip.executions)
     if not executions:
         raise ExperimentError(
-            f"scenario {scenario.name!r} executed no tasks under setup {setup.name!r}"
+            f"scenario {spec.name!r} executed no tasks under setup {setup.name!r}"
         )
     resolution = soc.simulator.backend_resolution
     return RunArtifacts(
-        scenario=scenario.name,
+        scenario=spec.name,
         setup=setup.name,
         soc=soc,
         end_time=end_time,
@@ -273,22 +273,20 @@ def run_scenario(
 
 
 def run_baseline(
-    scenario: "Scenario | str",
+    scenario: "PlatformSpec | str",
     baseline: Optional[DpmSetup] = None,
     accuracy: "AccuracyMode | str | None" = None,
     backend: Optional[str] = None,
 ) -> BaselineFigures:
     """Run the reference configuration once and reduce it to plain figures."""
-    from repro.platform.build import platform_setup
-
-    scenario = _as_scenario(scenario)
-    baseline = platform_setup(scenario, baseline, DpmSetup.always_on)
+    spec = _as_scenario(scenario)
+    baseline = platform_setup(spec, baseline, DpmSetup.always_on)
     mode = AccuracyMode.from_name(accuracy)
     # The baseline never traces: a spec-enabled trace would clobber the DPM
     # run's output file and the reference run is not the run under study.
-    run = run_scenario(scenario, baseline, accuracy=mode, trace=False, backend=backend)
+    run = run_scenario(spec, baseline, accuracy=mode, trace=False, backend=backend)
     return BaselineFigures(
-        scenario=scenario.name,
+        scenario=spec.name,
         setup=baseline.name,
         accuracy=mode.value,
         total_energy_j=run.total_energy_j,
@@ -299,7 +297,7 @@ def run_baseline(
 
 
 def run_comparison(
-    scenario: "Scenario | str",
+    scenario: "PlatformSpec | str",
     dpm: Optional[DpmSetup] = None,
     baseline: Optional[DpmSetup] = None,
     accuracy: "AccuracyMode | str | None" = None,
@@ -317,25 +315,23 @@ def run_comparison(
     :func:`run_scenario`); the baseline run is never traced.  ``backend``
     applies to both runs.
     """
-    from repro.platform.build import platform_setup
-
-    scenario = _as_scenario(scenario)
-    dpm = platform_setup(scenario, dpm, DpmSetup.paper, use_policy=True)
-    baseline = platform_setup(scenario, baseline, DpmSetup.always_on)
+    spec = _as_scenario(scenario)
+    dpm = platform_setup(spec, dpm, DpmSetup.paper, use_policy=True)
+    baseline = platform_setup(spec, baseline, DpmSetup.always_on)
     mode = AccuracyMode.from_name(accuracy)
-    dpm_run = run_scenario(scenario, dpm, accuracy=mode, trace=trace, backend=backend)
+    dpm_run = run_scenario(spec, dpm, accuracy=mode, trace=trace, backend=backend)
     if baseline_figures is None:
-        baseline_figures = run_baseline(scenario, baseline, accuracy=mode, backend=backend)
+        baseline_figures = run_baseline(spec, baseline, accuracy=mode, backend=backend)
     if not dpm_run.all_tasks_completed:
         raise ExperimentError(
-            f"scenario {scenario.name!r}: the DPM run did not finish within the time budget"
+            f"scenario {spec.name!r}: the DPM run did not finish within the time budget"
         )
     if not baseline_figures.all_tasks_completed:
         raise ExperimentError(
-            f"scenario {scenario.name!r}: the baseline run did not finish within the time budget"
+            f"scenario {spec.name!r}: the baseline run did not finish within the time budget"
         )
     metrics = compare_runs(
-        scenario=scenario.name,
+        scenario=spec.name,
         dpm_energy_j=dpm_run.total_energy_j,
         baseline_energy_j=baseline_figures.total_energy_j,
         dpm_rise_c=dpm_run.average_rise_c,

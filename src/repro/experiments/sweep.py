@@ -18,7 +18,8 @@ from typing import Dict, List, Optional, Sequence
 from repro.analysis.metrics import ScenarioMetrics
 from repro.dpm.controller import DpmSetup
 from repro.experiments.runner import run_comparison
-from repro.experiments.scenarios import Scenario, single_ip_scenario
+from repro.platform.registry import single_ip_platform
+from repro.platform.spec import PlatformSpec
 from repro.sim.simtime import ms
 
 __all__ = ["condition_sweep", "policy_ablation", "predictor_ablation"]
@@ -37,18 +38,15 @@ def condition_sweep(
     results = []
     for battery in battery_levels:
         for temperature in temperature_levels:
-            scenario = single_ip_scenario(
-                name=f"{battery}/{temperature}",
-                battery=battery,
-                temperature=temperature,
-                task_count=task_count,
+            spec = single_ip_platform(
+                f"{battery}/{temperature}", battery, temperature, task_count=task_count
             )
-            results.append(run_comparison(scenario, dpm=dpm))
+            results.append(run_comparison(spec, dpm=dpm))
     return results
 
 
 def policy_ablation(
-    scenario: Optional[Scenario] = None,
+    scenario: "PlatformSpec | str | None" = None,
     setups: Optional[Sequence[DpmSetup]] = None,
 ) -> Dict[str, ScenarioMetrics]:
     """Compare DPM setups on one scenario (default: the A1 conditions).
@@ -57,7 +55,7 @@ def policy_ablation(
     so its own row shows ~0 % saving by construction and serves as a sanity
     check.
     """
-    scenario = scenario or single_ip_scenario("ablation", "full", "low")
+    scenario = scenario or single_ip_platform("ablation", "full", "low")
     if setups is None:
         setups = [
             DpmSetup.paper(),
@@ -73,11 +71,11 @@ def policy_ablation(
 
 
 def predictor_ablation(
-    scenario: Optional[Scenario] = None,
+    scenario: "PlatformSpec | str | None" = None,
     predictor_kinds: Sequence[str] = ("fixed", "last-value", "ewma", "adaptive"),
 ) -> Dict[str, ScenarioMetrics]:
     """Compare idle-time predictors under the paper's rule-based policy."""
-    scenario = scenario or single_ip_scenario("predictor-ablation", "full", "low")
+    scenario = scenario or single_ip_platform("predictor-ablation", "full", "low")
     results: Dict[str, ScenarioMetrics] = {}
     for kind in predictor_kinds:
         setup = DpmSetup.with_predictor(kind)

@@ -17,7 +17,8 @@ from repro.analysis.metrics import ScenarioMetrics
 from repro.analysis.report import format_table, render_comparison, render_table2
 from repro.dpm.controller import DpmSetup
 from repro.experiments.runner import run_comparison, run_scenario
-from repro.experiments.scenarios import Scenario, paper_scenarios
+from repro.platform.registry import paper_platforms
+from repro.platform.spec import PlatformSpec
 
 __all__ = [
     "reproduce_table2",
@@ -28,13 +29,13 @@ __all__ = [
 
 
 def reproduce_table2(
-    scenarios: Optional[Sequence[Scenario]] = None,
+    scenarios: Optional[Sequence["PlatformSpec | str"]] = None,
     dpm: Optional[DpmSetup] = None,
     baseline: Optional[DpmSetup] = None,
     accuracy: Optional[str] = None,
 ) -> List[ScenarioMetrics]:
-    """Run all Table-2 scenarios and return their metrics in paper order."""
-    scenarios = list(scenarios) if scenarios is not None else paper_scenarios()
+    """Run the given platforms (default: the six Table-2 rows) in order."""
+    scenarios = list(scenarios) if scenarios is not None else paper_platforms()
     return [
         run_comparison(scenario, dpm=dpm, baseline=baseline, accuracy=accuracy)
         for scenario in scenarios
@@ -54,7 +55,7 @@ def table2_report(
 
 
 def simulation_speed(
-    scenarios: Optional[Sequence[Scenario]] = None,
+    scenarios: Optional[Sequence["PlatformSpec | str"]] = None,
     dpm: Optional[DpmSetup] = None,
     accuracy: Optional[str] = None,
     backend: Optional[str] = None,
@@ -64,12 +65,12 @@ def simulation_speed(
     ``backend`` selects the kernel event-queue implementation (``python``,
     ``native`` or ``auto``; ``None`` consults ``REPRO_SIM_BACKEND``).
     """
-    scenarios = list(scenarios) if scenarios is not None else paper_scenarios()
+    scenarios = list(scenarios) if scenarios is not None else paper_platforms()
     dpm = dpm or DpmSetup.paper()
     speeds: Dict[str, float] = {}
     for scenario in scenarios:
         artefacts = run_scenario(scenario, dpm, accuracy=accuracy, backend=backend)
-        speeds[scenario.name] = artefacts.kilocycles_per_second()
+        speeds[artefacts.scenario] = artefacts.kilocycles_per_second()
     return speeds
 
 

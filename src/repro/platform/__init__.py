@@ -8,35 +8,38 @@ This layer makes the *platform itself* a first-class, serializable object:
   :class:`ThermalDef`, :class:`GemDef`) with schema validation whose errors
   name the offending path;
 * :mod:`repro.platform.serialize` — lossless JSON/TOML round-trip;
-* :mod:`repro.platform.build` — the bridge to runnable objects
-  (:func:`to_scenario` and the per-section builders);
+* :mod:`repro.platform.build` — the per-section builders of the runnable
+  objects (:func:`build_ip_spec`, :func:`build_soc_config`,
+  :func:`platform_setup`) that :func:`repro.experiments.run_scenario` uses;
 * :mod:`repro.platform.builder` — the fluent :class:`PlatformBuilder`;
 * :mod:`repro.platform.registry` — named platforms; the six paper rows are
   registered as thin built-in specs that reproduce the pinned goldens
-  bit-identically.
+  bit-identically, built by :func:`single_ip_platform` and
+  :func:`multi_ip_platform`.
 
-After this layer, a new scenario is a file::
+A spec (or the name of a registered one) is the only description of a run
+the runners accept, and a new scenario is a file::
 
     repro-dpm platform run --spec my_soc.json
 """
 
 from repro.platform.build import (
-    PlatformScenario,
     build_dpm_setup,
     build_ip_spec,
     build_soc_config,
     build_workload,
     platform_setup,
-    to_scenario,
 )
 from repro.platform.builder import PlatformBuilder
 from repro.platform.registry import (
     PAPER_PLATFORM_NAMES,
     has_platform,
+    multi_ip_platform,
     paper_platforms,
     platform_by_name,
     platform_names,
     register_platform,
+    single_ip_platform,
     unregister_platform,
 )
 from repro.platform.serialize import (
@@ -89,7 +92,6 @@ __all__ = [
     "IpDef",
     "OperatingPointDef",
     "PlatformBuilder",
-    "PlatformScenario",
     "PlatformSpec",
     "PolicyDef",
     "PsmDef",
@@ -107,6 +109,7 @@ __all__ = [
     "library_platforms",
     "load_platform",
     "load_spec_dict",
+    "multi_ip_platform",
     "paper_platforms",
     "phone_bursty",
     "platform_by_name",
@@ -117,12 +120,12 @@ __all__ = [
     "render_spec_diff",
     "save_platform",
     "server_diurnal",
+    "single_ip_platform",
     "sustained_throttled",
     "spec_from_json",
     "spec_from_toml",
     "spec_hash",
     "spec_to_json",
     "spec_to_toml",
-    "to_scenario",
     "unregister_platform",
 ]

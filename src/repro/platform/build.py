@@ -4,21 +4,19 @@ The spec tree is pure data; this module turns it into the library's value
 objects (:class:`~repro.soc.soc.IpSpec`, :class:`~repro.soc.soc.SocConfig`,
 :class:`~repro.power.characterization.PowerCharacterization`,
 :class:`~repro.power.transitions.TransitionTable`,
-:class:`~repro.dpm.controller.DpmSetup`) and finally into a
-:class:`PlatformScenario` — a :class:`~repro.experiments.scenarios.Scenario`
-that remembers its spec, so the runners can honour the platform's policy and
-GEM tunables.
+:class:`~repro.dpm.controller.DpmSetup`) that
+:func:`repro.experiments.runner.run_scenario` assembles into a SoC.
 
-Migration contract: a spec that leaves every optional knob unset builds the
-exact same objects the legacy scenario factories built — that is what lets
-the six paper scenarios become thin built-in specs (see
-:mod:`repro.platform.registry`) while the pinned goldens stay bit-identical.
+Defaults contract: an optional knob left unset builds exactly what the
+library would build without it (``None`` characterisation and transitions,
+the named battery/thermal presets below, the generators' own defaults) —
+that is what keeps the six paper rows of :mod:`repro.platform.registry`
+thin while the pinned goldens stay bit-identical.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.battery.model import BatteryConfig
@@ -31,12 +29,6 @@ from repro.dpm.predictor import (
     LastValuePredictor,
 )
 from repro.errors import PlatformError
-from repro.experiments.scenarios import (
-    Scenario,
-    battery_condition,
-    scenario_a_workload,
-    thermal_condition,
-)
 from repro.platform.spec import BatteryDef, IpDef, PlatformSpec, PolicyDef, ThermalDef, WorkloadDef
 from repro.power.characterization import (
     DEFAULT_ACTIVITY,
@@ -58,11 +50,12 @@ from repro.soc.workload import (
     low_activity_workload,
     periodic_workload,
     random_workload,
+    scenario_a_workload,
 )
 from repro.thermal.model import ThermalConfig
 
 __all__ = [
-    "PlatformScenario",
+    "battery_condition",
     "build_battery_config",
     "build_characterization",
     "build_dpm_setup",
@@ -72,7 +65,7 @@ __all__ = [
     "build_transitions",
     "build_workload",
     "platform_setup",
-    "to_scenario",
+    "thermal_condition",
 ]
 
 _PREDICTOR_FACTORIES = {
@@ -86,15 +79,12 @@ _PREDICTOR_FACTORIES = {
 # ----------------------------------------------------------------------
 # Workloads
 # ----------------------------------------------------------------------
-def build_workload(wdef: WorkloadDef, seed_override: Optional[int] = None) -> Workload:
+def build_workload(wdef: WorkloadDef) -> Workload:
     """Instantiate the workload described by ``wdef``.
 
-    ``seed_override`` replaces the definition's own seed (campaign grids
-    sweep seeds this way); it is ignored by ``explicit`` workloads, which
-    have no randomness.  Fields left unset fall through to the generator's
-    own defaults, so the mapping stays in one place.
+    Fields left unset fall through to the generator's own defaults, so the
+    mapping stays in one place.
     """
-    seed = seed_override if seed_override is not None else wdef.seed
     kwargs: Dict[str, object] = {}
 
     def put(key: str, value) -> None:
@@ -107,7 +97,7 @@ def build_workload(wdef: WorkloadDef, seed_override: Optional[int] = None) -> Wo
             wdef, Workload.from_dicts(wdef.items or [], name=wdef.name or "workload")
         )
     if kind == "scenario_a":
-        put("seed", seed)
+        put("seed", wdef.seed)
         put("task_count", wdef.task_count)
         workload = scenario_a_workload(**kwargs)
         if wdef.name:
@@ -115,7 +105,7 @@ def build_workload(wdef: WorkloadDef, seed_override: Optional[int] = None) -> Wo
         return _post_transform(wdef, workload)
 
     put("name", wdef.name)
-    put("seed", seed)
+    put("seed", wdef.seed)
     if wdef.priorities is not None:
         kwargs["priorities"] = tuple(TaskPriority(p) for p in wdef.priorities)
     if kind == "periodic":
@@ -172,9 +162,9 @@ def _post_transform(wdef: WorkloadDef, workload: Workload) -> Workload:
 def build_characterization(ipdef: IpDef) -> Optional[PowerCharacterization]:
     """The IP's characterisation, or ``None`` for the library default.
 
-    Returning ``None`` (rather than ``default_characterization()``) keeps
-    the spec path byte-identical to the legacy builders, which also pass
-    ``None`` through :class:`~repro.soc.soc.IpSpec`.
+    Returning ``None`` (rather than ``default_characterization()``) lets
+    :class:`~repro.soc.soc.IpSpec` apply the library default itself, so a
+    thin spec builds exactly the objects the goldens were recorded with.
     """
     if not ipdef.has_custom_characterization():
         return None
@@ -254,19 +244,12 @@ def build_transitions(
     return TransitionTable(costs)
 
 
-def build_ip_spec(ipdef: IpDef, index: int = 0, seed: Optional[int] = None) -> IpSpec:
-    """One :class:`IpSpec` from its definition.
-
-    A grid ``seed`` re-seeds the IP's generator workload with
-    ``seed + index`` (the IP's position in the platform), so sweeping a seed
-    re-rolls every IP while keeping them decorrelated.
-    """
+def build_ip_spec(ipdef: IpDef) -> IpSpec:
+    """One :class:`IpSpec` from its definition."""
     characterization = build_characterization(ipdef)
     return IpSpec(
         name=ipdef.name,
-        workload=build_workload(
-            ipdef.workload, None if seed is None else seed + index
-        ),
+        workload=build_workload(ipdef.workload),
         static_priority=ipdef.static_priority,
         characterization=characterization,
         transitions=build_transitions(ipdef, characterization),
@@ -279,6 +262,54 @@ def build_ip_spec(ipdef: IpDef, index: int = 0, seed: Optional[int] = None) -> I
 # ----------------------------------------------------------------------
 # SoC-level configuration
 # ----------------------------------------------------------------------
+def battery_condition(level: str) -> BatteryConfig:
+    """Battery configuration for a named condition (``"full"`` or ``"low"``).
+
+    ``full`` starts at 95 % state of charge (class Full), ``low`` at 20 %
+    (class Low); ``high``, ``medium`` and ``empty`` are provided for sweeps.
+    """
+    presets = {
+        "full": 0.95,
+        "high": 0.75,
+        "medium": 0.45,
+        "low": 0.20,
+        "empty": 0.03,
+    }
+    try:
+        soc0 = presets[level.lower()]
+    except KeyError:
+        raise PlatformError(f"unknown battery condition {level!r}") from None
+    return BatteryConfig(capacity_j=250.0, initial_state_of_charge=soc0)
+
+
+def thermal_condition(level: str, ip_count: int = 1) -> ThermalConfig:
+    """Thermal configuration for a named condition (``"low"`` or ``"high"``).
+
+    The *high* condition models a hot environment: higher ambient and an
+    initial die temperature just above the High threshold, so the DPM must
+    actively cool the chip down before serving non-critical tasks.  The
+    thermal resistance scales inversely with the number of IPs (a larger SoC
+    ships with a package designed for its power budget).
+    """
+    resistance = 60.0 / max(1, ip_count)
+    if level.lower() == "low":
+        return ThermalConfig(
+            ambient_c=35.0,
+            initial_c=35.0,
+            thermal_resistance_c_per_w=resistance,
+        )
+    if level.lower() == "high":
+        # Hot environment: high ambient and an already warm die.  The busy
+        # baseline crosses into the High class, so the DPM must actively keep
+        # the chip below it (rows 2 and 4 of Table 1).
+        return ThermalConfig(
+            ambient_c=68.0,
+            initial_c=70.0,
+            thermal_resistance_c_per_w=resistance,
+        )
+    raise PlatformError(f"unknown thermal condition {level!r}")
+
+
 def build_battery_config(bdef: BatteryDef) -> BatteryConfig:
     """Battery configuration: preset (if any) plus explicit overrides."""
     base = battery_condition(bdef.condition) if bdef.condition else BatteryConfig()
@@ -394,74 +425,20 @@ def _apply_gem_overrides(spec: PlatformSpec, setup: DpmSetup) -> DpmSetup:
 
 
 def platform_setup(
-    scenario: Scenario,
+    spec: PlatformSpec,
     setup: Optional[DpmSetup],
     default: Callable[[], DpmSetup],
     use_policy: bool = False,
 ) -> DpmSetup:
-    """Resolve the setup for one run of ``scenario``.
+    """Resolve the setup for one run of ``spec``.
 
-    For a :class:`PlatformScenario`, ``None`` resolves to the platform's own
-    :class:`PolicyDef` (when ``use_policy`` and the spec has one) before the
-    ``default`` factory, and the spec's GEM tunables are applied to whatever
-    setup ends up running; plain scenarios just get the default.
+    ``None`` resolves to the platform's own :class:`PolicyDef` (when
+    ``use_policy`` and the spec has one), else to the ``default`` factory;
+    the spec's GEM tunables are applied to whatever setup ends up running.
     """
-    spec = getattr(scenario, "spec", None)
     if setup is None:
-        if use_policy and spec is not None and spec.policy is not None:
+        if use_policy and spec.policy is not None:
             setup = build_dpm_setup(spec.policy)
         else:
             setup = default()
-    if spec is not None:
-        setup = _apply_gem_overrides(spec, setup)
-    return setup
-
-
-# ----------------------------------------------------------------------
-# The scenario bridge
-# ----------------------------------------------------------------------
-@dataclass
-class PlatformScenario(Scenario):
-    """A scenario built from a spec; remembers it for policy/GEM resolution."""
-
-    spec: Optional[PlatformSpec] = None
-
-
-def to_scenario(spec: PlatformSpec, seed: Optional[int] = None) -> PlatformScenario:
-    """Turn a validated spec into a runnable scenario.
-
-    ``seed``, when given, re-seeds every generator workload with
-    ``seed + ip_index`` (explicit workloads are untouched) — the hook
-    campaign grids use to sweep seeds over platform files.
-    """
-    spec.validate()
-    return PlatformScenario(
-        name=spec.name,
-        description=spec.description
-        or f"platform {spec.name!r} ({len(spec.ips)} IPs"
-        f"{', GEM' if spec.gem.enabled else ''})",
-        ip_specs_factory=lambda: [
-            build_ip_spec(ipdef, index, seed) for index, ipdef in enumerate(spec.ips)
-        ],
-        soc_config_factory=lambda: build_soc_config(spec),
-        max_time=ms(spec.max_time_ms),
-        paper_row=_paper_row_for(spec),
-        spec=spec,
-    )
-
-
-def _paper_row_for(spec: PlatformSpec):
-    """The paper's Table-2 reference row, but only for the genuine article.
-
-    A user spec that merely *names itself* "A1" (loaded from a file, never
-    registered) must not inherit the paper's printed figures as its
-    reference — only a spec equal to the built-in platform does.
-    """
-    from repro.platform.registry import PAPER_PLATFORM_NAMES, platform_by_name
-
-    name = spec.name.upper()
-    if name not in PAPER_PLATFORM_NAMES or spec != platform_by_name(name):
-        return None
-    from repro.analysis.report import PAPER_TABLE2
-
-    return PAPER_TABLE2.get(name)
+    return _apply_gem_overrides(spec, setup)

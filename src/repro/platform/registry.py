@@ -2,16 +2,17 @@
 
 Maps case-insensitive names to :class:`~repro.platform.spec.PlatformSpec`
 objects.  The six paper scenarios (A1–A4, B, C) are registered as thin
-built-in specs at import time — they are the proof that the declarative
-format subsumes the hardcoded catalogue: the pinned goldens of
+built-in specs at import time, built by :func:`single_ip_platform` and
+:func:`multi_ip_platform` — the same two builders campaign grids, sweeps and
+benchmarks use for paper-shaped platforms.  The pinned goldens of
 ``tests/golden/scenario_metrics.json`` are reproduced bit-identically
 through this path.
 
 User platforms are added with :func:`register_platform` (or
 :meth:`~repro.platform.builder.PlatformBuilder.register`); every consumer of
-scenario names — ``scenario_by_name``, the CLI, campaign specs — resolves
-through :func:`platform_by_name`, so a registered platform is immediately
-usable everywhere.
+scenario names — the runners, the CLI, campaign specs — resolves through
+:func:`platform_by_name`, so a registered platform is immediately usable
+everywhere.
 """
 
 from __future__ import annotations
@@ -32,10 +33,12 @@ from repro.platform.spec import (
 __all__ = [
     "PAPER_PLATFORM_NAMES",
     "has_platform",
+    "multi_ip_platform",
     "paper_platforms",
     "platform_by_name",
     "platform_names",
     "register_platform",
+    "single_ip_platform",
     "unregister_platform",
 ]
 
@@ -113,16 +116,19 @@ def paper_platforms() -> List[PlatformSpec]:
 
 
 # ----------------------------------------------------------------------
-# The six paper rows as thin built-in specs
+# Paper-shaped platforms: the six rows and the grids that vary them
 # ----------------------------------------------------------------------
-def _single_ip_platform(name: str, battery: str, temperature: str) -> PlatformSpec:
+def single_ip_platform(
+    name: str, battery: str, temperature: str, task_count: int = 40, seed: int = 11
+) -> PlatformSpec:
+    """A row-A platform: one IP running the scenario-A sequence, no GEM."""
     return PlatformSpec(
         name=name,
         description=f"single IP, battery {battery}, temperature {temperature}",
         ips=[
             IpDef(
                 name="ip1",
-                workload=WorkloadDef(kind="scenario_a", seed=11, task_count=40),
+                workload=WorkloadDef(kind="scenario_a", seed=seed, task_count=task_count),
                 static_priority=1,
             )
         ],
@@ -132,21 +138,33 @@ def _single_ip_platform(name: str, battery: str, temperature: str) -> PlatformSp
     )
 
 
-def _multi_ip_platform(
-    name: str, battery: str, temperature: str, high_activity_ips: Sequence[int]
+def multi_ip_platform(
+    name: str,
+    battery: str,
+    temperature: str,
+    high_activity_ips: Sequence[int],
+    task_count: int = 24,
+    seed: int = 21,
 ) -> PlatformSpec:
+    """A row-B/C platform: a GEM plus four IPs with static priorities 1-4.
+
+    The 1-based IP indices in ``high_activity_ips`` run the high-activity
+    sequence, the others the low-activity one; IP ``i`` draws its workload
+    from ``seed + i``.
+    """
+    if not high_activity_ips or not set(high_activity_ips) <= {1, 2, 3, 4}:
+        raise PlatformError(
+            f"high_activity_ips must name IPs 1-4, got {list(high_activity_ips)!r}"
+        )
     ips = []
     for index in range(1, 5):
-        if index in high_activity_ips:
-            workload = WorkloadDef(
-                kind="high_activity", task_count=24, seed=21 + index,
-                name=f"ip{index}-busy",
-            )
-        else:
-            workload = WorkloadDef(
-                kind="low_activity", task_count=24, seed=21 + index,
-                name=f"ip{index}-idle",
-            )
+        busy = index in high_activity_ips
+        workload = WorkloadDef(
+            kind="high_activity" if busy else "low_activity",
+            task_count=task_count,
+            seed=seed + index,
+            name=f"ip{index}-{'busy' if busy else 'idle'}",
+        )
         ips.append(IpDef(name=f"ip{index}", workload=workload, static_priority=index))
     return PlatformSpec(
         name=name,
@@ -163,12 +181,12 @@ def _multi_ip_platform(
 
 def _register_builtins() -> None:
     for spec in (
-        _single_ip_platform("A1", "full", "low"),
-        _single_ip_platform("A2", "low", "low"),
-        _single_ip_platform("A3", "full", "high"),
-        _single_ip_platform("A4", "low", "high"),
-        _multi_ip_platform("B", "low", "low", high_activity_ips=(1, 2)),
-        _multi_ip_platform("C", "low", "low", high_activity_ips=(3, 4)),
+        single_ip_platform("A1", "full", "low"),
+        single_ip_platform("A2", "low", "low"),
+        single_ip_platform("A3", "full", "high"),
+        single_ip_platform("A4", "low", "high"),
+        multi_ip_platform("B", "low", "low", high_activity_ips=(1, 2)),
+        multi_ip_platform("C", "low", "low", high_activity_ips=(3, 4)),
     ):
         _REGISTRY[spec.name.lower()] = spec.validate()
 

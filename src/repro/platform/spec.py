@@ -881,7 +881,7 @@ class BatteryDef:
     """Battery condition: a named preset, explicit parameters, or both.
 
     ``condition`` references the presets of
-    :func:`repro.experiments.scenarios.battery_condition` (the paper's
+    :func:`repro.platform.build.battery_condition` (the paper's
     "Full"/"Low" classes); explicit fields override the preset.
     """
 
@@ -933,7 +933,7 @@ class ThermalDef:
     """Thermal condition: a named preset, explicit parameters, or both.
 
     ``condition`` references
-    :func:`repro.experiments.scenarios.thermal_condition` (evaluated with
+    :func:`repro.platform.build.thermal_condition` (evaluated with
     the platform's IP count); explicit fields override the preset.
     """
 

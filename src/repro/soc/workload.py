@@ -14,7 +14,8 @@ The generator functions below build the statistics used by the experiments:
 * :func:`high_activity_workload` — short idle gaps, the "often busy" case;
 * :func:`low_activity_workload` — long idle gaps, the "often idle" case;
 * :func:`bursty_workload` — back-to-back bursts separated by long pauses;
-* :func:`random_workload` — fully parameterised uniform-random traffic.
+* :func:`random_workload` — fully parameterised uniform-random traffic;
+* :func:`scenario_a_workload` — the mixed sequence of the paper's rows A1–A4.
 
 All random generators take an explicit seed so simulations are reproducible.
 """
@@ -38,6 +39,7 @@ __all__ = [
     "high_activity_workload",
     "low_activity_workload",
     "bursty_workload",
+    "scenario_a_workload",
 ]
 
 #: The fields of one :meth:`Workload.as_dicts` entry.
@@ -296,3 +298,20 @@ def bursty_workload(
             )
             items.append(WorkloadItem(task, idle))
     return Workload(items=items, name=name)
+
+
+def scenario_a_workload(seed: int = 11, task_count: int = 40) -> Workload:
+    """The common task sequence of the single-IP scenarios A1–A4.
+
+    Half of the sequence is busy (short idle gaps), half is idle-heavy (long
+    gaps), matching the paper's "in some sequences the IP is often busy, in
+    some it is often in idle state"; priorities are mixed so the Table-1 rows
+    that depend on the priority are all exercised.
+    """
+    if task_count < 2:
+        raise WorkloadError("the scenario A workload needs at least two tasks")
+    busy = high_activity_workload(task_count=task_count // 2, seed=seed, name="A-busy")
+    idle_heavy = low_activity_workload(
+        task_count=task_count - task_count // 2, seed=seed + 1, name="A-idle"
+    )
+    return Workload(items=list(busy.items) + list(idle_heavy.items), name="scenario-A")

@@ -14,7 +14,7 @@ from repro.campaign import (
     normalize_setup,
 )
 from repro.errors import CampaignError
-from repro.experiments.scenarios import scenario_by_name
+from repro.platform import build_ip_spec, platform_by_name
 
 
 class TestNormalizeScenario:
@@ -50,21 +50,67 @@ class TestNormalizeScenario:
         )
         assert first == second
 
+    def test_valid_entries_normalise_unchanged(self):
+        entry = {"kind": "multi_ip", "name": "m", "battery": "medium",
+                 "temperature": "low", "high_activity_ips": [1, 3],
+                 "task_count": 16, "seed": 5, "max_time_ms": 800}
+        assert normalize_scenario(entry) == entry
+        assert normalize_scenario(dict(entry, high_activity_ips=[3, 1])) == entry
+
+
+class TestRejectAtLoad:
+    """Entries no job could run fail when the campaign is loaded."""
+
+    @pytest.mark.parametrize("entry,field", [
+        ({"kind": "single_ip", "name": "warm", "battery": "low",
+          "temperature": "medium"}, "temperature"),
+        ({"kind": "single_ip", "name": "tiny", "battery": "low",
+          "temperature": "low", "task_count": 1}, "task_count"),
+        ({"kind": "multi_ip", "name": "ghost", "battery": "low",
+          "temperature": "low", "high_activity_ips": [7]}, "high_activity_ips"),
+        ({"kind": "multi_ip", "name": "dead", "battery": "flat",
+          "temperature": "low", "high_activity_ips": [1]}, "battery"),
+        ({"kind": "single_ip", "name": "never", "battery": "low",
+          "temperature": "low", "max_time_ms": 0}, "max_time_ms"),
+        ({"kind": "single_ip", "name": "odd", "battery": "low",
+          "temperature": "low", "workload_seed": "x"}, "workload_seed"),
+    ], ids=["temperature", "task_count", "high_activity_ips", "battery", "max_time_ms",
+            "workload_seed"])
+    def test_bad_entry_names_scenario_and_field(self, entry, field):
+        with pytest.raises(CampaignError) as excinfo:
+            CampaignSpec.from_dict({"name": "bad", "scenarios": [entry]})
+        message = str(excinfo.value)
+        assert repr(entry["name"]) in message and field in message
+
+    def test_bad_override_is_rejected_at_load(self):
+        with pytest.raises(CampaignError, match="'A1'.*task_count"):
+            CampaignSpec.from_dict({"name": "bad", "scenarios": ["A1"],
+                                    "overrides": [{"task_count": 1}]})
+
 
 class TestBuildScenario:
     def test_paper_scenario_matches_catalogue(self):
-        built = build_scenario(normalize_scenario("A1"))
-        reference = scenario_by_name("A1")
-        assert built.name == reference.name
-        assert built.build_specs()[0].workload.as_dicts() == \
-            reference.build_specs()[0].workload.as_dicts()
+        assert build_scenario(normalize_scenario("A1")) == platform_by_name("A1")
+        assert build_scenario(normalize_scenario("C")) == platform_by_name("C")
 
     def test_seed_reseeds_the_workload(self):
         description = normalize_scenario("A1")
         default = build_scenario(description)
         reseeded = build_scenario(description, seed=99)
-        assert default.build_specs()[0].workload.as_dicts() != \
-            reseeded.build_specs()[0].workload.as_dicts()
+        assert reseeded.ips[0].workload.seed == 99
+        assert build_ip_spec(default.ips[0]).workload.as_dicts() != \
+            build_ip_spec(reseeded.ips[0]).workload.as_dicts()
+
+    def test_seed_reseeds_each_platform_ip_by_index(self):
+        spec = platform_by_name("phone-bursty")  # a bursty and a periodic IP
+        entry = {"kind": "platform", "spec": spec.to_dict()}
+        reseeded = build_scenario(entry, seed=7)
+        for index, (old, new) in enumerate(zip(spec.ips, reseeded.ips)):
+            if old.workload.kind in ("explicit", "periodic"):
+                assert new.workload == old.workload
+            else:
+                assert new.workload.seed == 7 + index
+        assert build_scenario(entry) == spec
 
     def test_custom_scenario_without_touching_the_catalogue(self):
         built = build_scenario(
@@ -72,8 +118,8 @@ class TestBuildScenario:
              "temperature": "high", "task_count": 6, "max_time_ms": 500}
         )
         assert built.name == "mine"
-        assert len(built.build_specs()[0].workload) == 6
-        assert built.max_time.seconds == pytest.approx(0.5)
+        assert len(build_ip_spec(built.ips[0]).workload) == 6
+        assert built.max_time_ms == 500.0
 
 
 class TestSetups:

@@ -15,7 +15,8 @@ The contract enforced here, per the documented tolerances:
 import pytest
 
 from repro.dpm import DpmSetup
-from repro.experiments import run_comparison, run_scenario, scenario_by_name
+from repro.experiments import run_comparison, run_scenario
+from repro.platform import platform_by_name
 from repro.sim import AccuracyMode
 
 SCENARIOS = ["A1", "A2", "A3", "A4", "B", "C"]
@@ -69,7 +70,7 @@ class TestAccuracyModeParsing:
 
 @pytest.mark.parametrize("scenario_name", SCENARIOS)
 def test_fast_mode_within_documented_tolerances(scenario_name):
-    scenario = scenario_by_name(scenario_name)
+    scenario = platform_by_name(scenario_name)
     exact = run_comparison(scenario, DpmSetup.paper(), accuracy="exact")
     fast = run_comparison(scenario, DpmSetup.paper(), accuracy="fast")
 
@@ -103,7 +104,7 @@ def test_fast_mode_within_documented_tolerances(scenario_name):
 @pytest.mark.parametrize("scenario_name", ["A1", "B"])
 def test_fast_mode_preserves_event_times_exactly(scenario_name):
     """Every task's request/grant/completion instant must be identical."""
-    scenario = scenario_by_name(scenario_name)
+    scenario = platform_by_name(scenario_name)
     exact = run_scenario(scenario, DpmSetup.paper(), accuracy="exact")
     fast = run_scenario(scenario, DpmSetup.paper(), accuracy="fast")
     assert exact.end_time == fast.end_time
@@ -120,7 +121,7 @@ def test_fast_mode_preserves_event_times_exactly(scenario_name):
 
 def test_fast_mode_is_deterministic():
     """Two fast runs of the same scenario are bit-identical to each other."""
-    scenario = scenario_by_name("A1")
+    scenario = platform_by_name("A1")
     first = run_comparison(scenario, DpmSetup.paper(), accuracy="fast")
     second = run_comparison(scenario, DpmSetup.paper(), accuracy="fast")
     for field in ENERGY_FIELDS + TEMPERATURE_FIELDS + EXACT_FIELDS:
@@ -129,7 +130,7 @@ def test_fast_mode_is_deterministic():
 
 def test_default_mode_is_exact():
     """Omitting accuracy must keep the bit-identical reference behaviour."""
-    scenario = scenario_by_name("A1")
+    scenario = platform_by_name("A1")
     default = run_comparison(scenario, DpmSetup.paper())
     exact = run_comparison(scenario, DpmSetup.paper(), accuracy="exact")
     for field in ENERGY_FIELDS + TEMPERATURE_FIELDS + EXACT_FIELDS:
@@ -138,7 +139,7 @@ def test_default_mode_is_exact():
 
 def test_fast_mode_works_for_baseline_setup():
     """The always-on baseline (GEM forces, Peukert-rate battery) also holds."""
-    scenario = scenario_by_name("B")
+    scenario = platform_by_name("B")
     exact = run_scenario(scenario, DpmSetup.always_on(), accuracy="exact")
     fast = run_scenario(scenario, DpmSetup.always_on(), accuracy="fast")
     assert _rel(exact.total_energy_j, fast.total_energy_j) <= ENERGY_RTOL

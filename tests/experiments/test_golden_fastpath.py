@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 
 from repro.dpm import DpmSetup
-from repro.experiments import run_comparison, scenario_by_name
-from repro.sim import Clock, Simulator
+from repro.experiments import run_comparison
+from repro.platform import build_ip_spec, build_soc_config, platform_by_name
+from repro.sim import Clock, Simulator, ms
 from repro.sim.native import available as _native_available
 from repro.soc.soc import build_soc
 
@@ -52,12 +53,22 @@ def _load_golden():
         return json.load(handle)
 
 
+def _run_on_own_simulator(spec):
+    """Build ``spec`` on a fresh Simulator (whose modules the tests inspect) and run it."""
+    config = build_soc_config(spec)
+    simulator = Simulator(name=config.name)
+    soc = build_soc([build_ip_spec(ipdef) for ipdef in spec.ips], config,
+                    DpmSetup.paper(), simulator=simulator)
+    soc.run_until_done(max_time=ms(spec.max_time_ms))
+    return soc
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("scenario_name", ["A1", "A2", "A3", "A4", "B", "C"])
 def test_scenario_metrics_bit_identical_to_pre_refactor_goldens(scenario_name, backend):
     golden = _load_golden()[scenario_name]
     metrics = run_comparison(
-        scenario_by_name(scenario_name), DpmSetup.paper(), backend=backend
+        scenario_name, DpmSetup.paper(), backend=backend
     )
     mismatches = {}
     for field in _FLOAT_FIELDS:
@@ -80,11 +91,7 @@ def test_default_scenarios_never_materialise_a_clock(scenario_name):
     """Clock-free regression: no default scenario may construct a Clock;
     only the cycle-accurate bus owns one, and no paper scenario has a bus.
     """
-    scenario = scenario_by_name(scenario_name)
-    config = scenario.build_config()
-    simulator = Simulator(name=config.name)
-    soc = build_soc(scenario.build_specs(), config, DpmSetup.paper(), simulator=simulator)
-    soc.run_until_done(max_time=scenario.max_time)
+    simulator = _run_on_own_simulator(platform_by_name(scenario_name)).simulator
     clocks = [
         module
         for top in simulator.top_modules
@@ -97,7 +104,6 @@ def test_default_scenarios_never_materialise_a_clock(scenario_name):
 def test_event_driven_bus_stays_on_the_virtual_clock_fast_path():
     """A bus-bearing platform in the default timing mode adds no clock."""
     from repro.platform import PlatformBuilder
-    from repro.platform.build import to_scenario
 
     spec = (
         PlatformBuilder("busy-virtual")
@@ -109,11 +115,7 @@ def test_event_driven_bus_stays_on_the_virtual_clock_fast_path():
         .max_time_ms(50)
         .build()
     )
-    scenario = to_scenario(spec)
-    config = scenario.build_config()
-    simulator = Simulator(name=config.name)
-    soc = build_soc(scenario.build_specs(), config, DpmSetup.paper(), simulator=simulator)
-    soc.run_until_done(max_time=scenario.max_time)
+    soc = _run_on_own_simulator(spec)
     assert soc.bus is not None
     assert soc.bus.stats.transfer_count > 0
     assert soc.bus.clock is None
@@ -124,7 +126,6 @@ def test_cycle_accurate_bus_keeps_even_its_own_clock_virtual():
     analytic edge schedule is used — the clock runs no process and drives
     no signal."""
     from repro.platform import PlatformBuilder
-    from repro.platform.build import to_scenario
 
     spec = (
         PlatformBuilder("busy-accurate")
@@ -136,11 +137,7 @@ def test_cycle_accurate_bus_keeps_even_its_own_clock_virtual():
         .max_time_ms(50)
         .build()
     )
-    scenario = to_scenario(spec)
-    config = scenario.build_config()
-    simulator = Simulator(name=config.name)
-    soc = build_soc(scenario.build_specs(), config, DpmSetup.paper(), simulator=simulator)
-    soc.run_until_done(max_time=scenario.max_time)
+    soc = _run_on_own_simulator(spec)
     assert soc.bus.stats.transfer_count > 0
     assert soc.bus.clock is not None
     assert not soc.bus.clock.processes and not soc.bus.clock.signals

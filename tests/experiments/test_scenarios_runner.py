@@ -1,22 +1,22 @@
-"""Tests for the scenario catalogue and the experiment runner."""
+"""Tests for the paper-shaped platform builders and the experiment runner."""
 
 import pytest
 
 from repro.battery import BatteryLevel
 from repro.dpm import DpmSetup
-from repro.errors import ExperimentError
-from repro.experiments import (
-    battery_condition,
-    multi_ip_scenario,
-    paper_scenarios,
-    run_comparison,
-    run_scenario,
-    scenario_a_workload,
-    scenario_by_name,
-    single_ip_scenario,
-    thermal_condition,
-)
+from repro.errors import ExperimentError, PlatformError, WorkloadError
+from repro.experiments import run_comparison, run_scenario
+from repro.experiments.runner import _as_scenario
 from repro.experiments.table2 import simulation_speed_report, table2_report
+from repro.platform import (
+    build_ip_spec,
+    build_soc_config,
+    multi_ip_platform,
+    paper_platforms,
+    single_ip_platform,
+)
+from repro.platform.build import battery_condition, thermal_condition
+from repro.soc.workload import scenario_a_workload
 from repro.thermal import TemperatureLevel
 
 
@@ -29,7 +29,7 @@ class TestConditions:
         assert Battery(battery_condition("full")).level is BatteryLevel.FULL
         assert Battery(battery_condition("low")).level is BatteryLevel.LOW
         assert Battery(battery_condition("empty")).level is BatteryLevel.EMPTY
-        with pytest.raises(ExperimentError):
+        with pytest.raises(PlatformError):
             battery_condition("turbo")
 
     def test_thermal_conditions(self):
@@ -40,19 +40,19 @@ class TestConditions:
         assert high.initial_c > low.initial_c
         quad = thermal_condition("low", ip_count=4)
         assert quad.thermal_resistance_c_per_w < low.thermal_resistance_c_per_w
-        with pytest.raises(ExperimentError):
+        with pytest.raises(PlatformError):
             thermal_condition("volcanic")
 
 
 class TestScenarioCatalogue:
     def test_paper_scenarios_cover_table2(self):
-        names = [scenario.name for scenario in paper_scenarios()]
+        names = [spec.name for spec in paper_platforms()]
         assert names == ["A1", "A2", "A3", "A4", "B", "C"]
 
     def test_scenario_by_name(self):
-        assert scenario_by_name("a2").name == "A2"
+        assert _as_scenario("a2").name == "A2"
         with pytest.raises(ExperimentError):
-            scenario_by_name("Z1")
+            _as_scenario("Z1")
 
     def test_scenario_a_workload_mixed_statistics(self):
         workload = scenario_a_workload(task_count=40)
@@ -61,39 +61,37 @@ class TestScenarioCatalogue:
         mean_busy_idle = sum(i.idle_after.seconds for i in busy_half) / 20
         mean_idle_idle = sum(i.idle_after.seconds for i in idle_half) / 20
         assert mean_idle_idle > 3 * mean_busy_idle
-        with pytest.raises(ExperimentError):
+        with pytest.raises(WorkloadError):
             scenario_a_workload(task_count=1)
 
     def test_single_ip_scenario_structure(self):
-        scenario = single_ip_scenario("X", "full", "low")
-        specs = scenario.build_specs()
-        assert len(specs) == 1
-        config = scenario.build_config()
-        assert not config.use_gem
+        platform = single_ip_platform("X", "full", "low")
+        assert len(platform.ips) == 1
+        assert not build_soc_config(platform).use_gem
 
     def test_multi_ip_scenario_structure(self):
-        scenario = multi_ip_scenario("Y", "low", "low", high_activity_ips=(1, 2))
-        specs = scenario.build_specs()
+        platform = multi_ip_platform("Y", "low", "low", high_activity_ips=(1, 2))
+        specs = [build_ip_spec(ipdef) for ipdef in platform.ips]
         assert len(specs) == 4
         assert [spec.static_priority for spec in specs] == [1, 2, 3, 4]
-        config = scenario.build_config()
-        assert config.use_gem
+        assert build_soc_config(platform).use_gem
         busy1 = specs[0].workload.busy_fraction(200e6)
         busy3 = specs[2].workload.busy_fraction(200e6)
         assert busy1 > busy3
-        with pytest.raises(ExperimentError):
-            multi_ip_scenario("Z", "low", "low", high_activity_ips=())
+        for ips in ((), (0, 1), (5,)):
+            with pytest.raises(PlatformError):
+                multi_ip_platform("Z", "low", "low", high_activity_ips=ips)
 
     def test_scenario_factories_produce_fresh_objects(self):
-        scenario = single_ip_scenario("X", "full", "low")
-        assert scenario.build_specs()[0] is not scenario.build_specs()[0]
-        assert scenario.build_config() is not scenario.build_config()
+        platform = single_ip_platform("X", "full", "low")
+        assert build_ip_spec(platform.ips[0]) is not build_ip_spec(platform.ips[0])
+        assert build_soc_config(platform) is not build_soc_config(platform)
 
 
 class TestRunner:
     @pytest.fixture(scope="class")
     def small_scenario(self):
-        return single_ip_scenario("small", "full", "low", task_count=10)
+        return single_ip_platform("small", "full", "low", task_count=10)
 
     def test_run_scenario_produces_artifacts(self, small_scenario):
         artefacts = run_scenario(small_scenario, DpmSetup.paper())

@@ -10,33 +10,29 @@ executes.
 import pytest
 
 from repro.dpm import DpmSetup
-from repro.experiments import (
-    run_comparison,
-    run_scenario,
-    scenario_by_name,
-    single_ip_scenario,
-)
+from repro.experiments import run_comparison, run_scenario
+from repro.platform import single_ip_platform
 from repro.power import PowerState
 
 
 @pytest.fixture(scope="module")
 def a1():
-    return run_comparison(scenario_by_name("A1"))
+    return run_comparison("A1")
 
 
 @pytest.fixture(scope="module")
 def a2():
-    return run_comparison(scenario_by_name("A2"))
+    return run_comparison("A2")
 
 
 @pytest.fixture(scope="module")
 def a3():
-    return run_comparison(scenario_by_name("A3"))
+    return run_comparison("A3")
 
 
 @pytest.fixture(scope="module")
 def b_row():
-    return run_comparison(scenario_by_name("B"))
+    return run_comparison("B")
 
 
 class TestSingleIpShape:
@@ -81,13 +77,13 @@ class TestMultiIpShape:
 
 class TestThermalControl:
     def test_dpm_keeps_peak_temperature_below_baseline(self):
-        scenario = scenario_by_name("A3")
+        scenario = "A3"
         dpm_run = run_scenario(scenario, DpmSetup.paper())
         baseline_run = run_scenario(scenario, DpmSetup.always_on())
         assert dpm_run.peak_temperature_c < baseline_run.peak_temperature_c
 
     def test_baseline_crosses_high_threshold_dpm_does_not(self):
-        scenario = scenario_by_name("A3")
+        scenario = "A3"
         dpm_run = run_scenario(scenario, DpmSetup.paper())
         baseline_run = run_scenario(scenario, DpmSetup.always_on())
         threshold = dpm_run.soc.thermal.config.thresholds.high_c
@@ -97,7 +93,7 @@ class TestThermalControl:
 
 class TestPolicyOrdering:
     def test_oracle_never_worse_than_greedy_on_energy(self):
-        scenario = single_ip_scenario("policy-order", "full", "low", task_count=16)
+        scenario = single_ip_platform("policy-order", "full", "low", task_count=16)
         oracle = run_comparison(scenario, dpm=DpmSetup.oracle())
         greedy = run_comparison(scenario, dpm=DpmSetup.greedy_sleep())
         # Both sleep aggressively; the oracle avoids mispredicted shutdowns so
@@ -105,7 +101,7 @@ class TestPolicyOrdering:
         assert oracle.dpm_energy_j <= greedy.dpm_energy_j * 1.05
 
     def test_paper_policy_saves_more_than_greedy_under_low_battery(self):
-        scenario = single_ip_scenario("policy-low-batt", "low", "low", task_count=16)
+        scenario = single_ip_platform("policy-low-batt", "low", "low", task_count=16)
         paper = run_comparison(scenario, dpm=DpmSetup.paper())
         greedy = run_comparison(scenario, dpm=DpmSetup.greedy_sleep())
         # The paper's policy additionally slows execution down (DVFS), which
@@ -113,7 +109,7 @@ class TestPolicyOrdering:
         assert paper.energy_saving_pct > greedy.energy_saving_pct
 
     def test_always_on_baseline_runs_only_on1(self):
-        scenario = single_ip_scenario("baseline-check", "low", "high", task_count=12)
+        scenario = single_ip_platform("baseline-check", "low", "high", task_count=12)
         run = run_scenario(scenario, DpmSetup.always_on())
         for execution in run.executions:
             assert execution.power_state is PowerState.ON1

@@ -8,7 +8,8 @@ import pytest
 
 EXAMPLES_DIR = Path(__file__).resolve().parents[2] / "examples"
 
-from repro.experiments import condition_sweep, policy_ablation, predictor_ablation, single_ip_scenario
+from repro.experiments import condition_sweep, policy_ablation, predictor_ablation
+from repro.platform import single_ip_platform
 from repro.sim import ms
 from repro.dpm import DpmSetup
 
@@ -37,14 +38,14 @@ class TestConditionSweep:
 
 class TestAblationHelpers:
     def test_policy_ablation_contains_all_setups(self):
-        scenario = single_ip_scenario("abl", "full", "low", task_count=10)
+        scenario = single_ip_platform("abl", "full", "low", task_count=10)
         setups = [DpmSetup.always_on(), DpmSetup.paper()]
         results = policy_ablation(scenario, setups)
         assert set(results) == {"always-on", "paper"}
         assert results["paper"].energy_saving_pct > results["always-on"].energy_saving_pct
 
     def test_predictor_ablation_contains_all_kinds(self):
-        scenario = single_ip_scenario("pred", "full", "low", task_count=10)
+        scenario = single_ip_platform("pred", "full", "low", task_count=10)
         results = predictor_ablation(scenario, predictor_kinds=("ewma", "fixed"))
         assert set(results) == {"ewma", "fixed"}
         for metrics in results.values():

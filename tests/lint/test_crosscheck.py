@@ -14,8 +14,16 @@ from repro.experiments import (
     decision_contexts,
 )
 from repro.experiments.lint_crosscheck import PAPER_SCENARIO_NAMES
+from repro.errors import ExperimentError
 from repro.lint import Severity, lint_spec
-from repro.platform import IpDef, PlatformSpec, PolicyDef, WorkloadDef
+from repro.platform import (
+    IpDef,
+    PlatformSpec,
+    PolicyDef,
+    WorkloadDef,
+    register_platform,
+    unregister_platform,
+)
 
 
 class TestPaperScenarios:
@@ -95,6 +103,43 @@ class TestInjectedShadowedRule:
         assert result.table_name == "injected-rules"
 
 
+@pytest.fixture
+def registered():
+    """Register specs for one test and unregister them afterwards."""
+    names = []
+
+    def register(spec):
+        register_platform(spec)
+        names.append(spec.name)
+        return spec.name
+
+    yield register
+    for name in names:
+        unregister_platform(name)
+
+
+class TestNameResolution:
+    """A registered name cross-checks against the table its spec runs under."""
+
+    def test_non_rule_based_platform_by_name_is_rejected(self, registered, tmp_path):
+        name = registered(PlatformSpec(
+            name="a1-greedy",
+            ips=[IpDef(name="cpu", workload=WorkloadDef(kind="scenario_a"))],
+            policy=PolicyDef(name="greedy-sleep"),
+        ))
+        with pytest.raises(ExperimentError, match="non-rule-based"):
+            crosscheck_scenario(name, trace_dir=tmp_path)
+
+    def test_custom_rules_platform_by_name_uses_its_own_table(self, registered, tmp_path):
+        spec = injected_shadowed_spec()
+        spec.name = "injected-by-name"
+        result = crosscheck_scenario(registered(spec), trace_dir=tmp_path)
+        assert result.table_name == "injected-by-name-rules"
+        injected = len(spec.policy.rules) - 1
+        assert injected in result.unreachable
+        assert result.ok
+
+
 class TestDecisionContexts:
     def test_trace_parsing_ignores_other_events(self, tmp_path):
         trace = tmp_path / "t.jsonl"
@@ -111,8 +156,6 @@ class TestDecisionContexts:
         assert contexts[0].other_ip_energy_j == 0.5
 
     def test_malformed_decision_raises(self, tmp_path):
-        from repro.errors import ExperimentError
-
         trace = tmp_path / "t.jsonl"
         trace.write_text(
             '{"t_fs": 1, "kind": "lem.decision", "source": "cpu",'

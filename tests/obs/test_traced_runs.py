@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.dpm import DpmSetup
-from repro.experiments import run_comparison, scenario_by_name
+from repro.experiments import run_comparison
 from repro.experiments.runner import run_scenario
 from repro.obs import TraceRequest, validate_event
 
@@ -41,12 +41,12 @@ def _metric_hexes(metrics):
 @pytest.mark.parametrize("fmt", ["jsonl", "perfetto"])
 def test_traced_run_is_bit_identical_to_untraced(tmp_path, scenario_name, accuracy, fmt):
     untraced = run_comparison(
-        scenario_by_name(scenario_name), DpmSetup.paper(),
+        scenario_name, DpmSetup.paper(),
         accuracy=accuracy, trace=False,
     )
     request = TraceRequest(format=fmt, path=str(tmp_path / f"t.{fmt}"))
     traced = run_comparison(
-        scenario_by_name(scenario_name), DpmSetup.paper(),
+        scenario_name, DpmSetup.paper(),
         accuracy=accuracy, trace=request,
     )
     assert _metric_hexes(traced) == _metric_hexes(untraced)
@@ -60,7 +60,7 @@ def test_traced_exact_run_matches_golden(tmp_path, scenario_name):
         golden = json.load(handle)[scenario_name]
     request = TraceRequest(format="jsonl", path=str(tmp_path / "t.jsonl"))
     metrics = run_comparison(
-        scenario_by_name(scenario_name), DpmSetup.paper(), trace=request
+        scenario_name, DpmSetup.paper(), trace=request
     )
     for field in _FLOAT_FIELDS:
         assert getattr(metrics, field).hex() == golden[field], field
@@ -275,7 +275,7 @@ def test_baseline_run_is_never_traced(tmp_path):
     """run_comparison traces the DPM run only — the baseline must not
     clobber (or double-write) the trace file."""
     path = tmp_path / "only_dpm.jsonl"
-    run_comparison(scenario_by_name("A1"), DpmSetup.paper(),
+    run_comparison("A1", DpmSetup.paper(),
                    trace=TraceRequest(format="jsonl", path=str(path)))
     sources = {json.loads(line)["source"]
                for line in path.read_text().splitlines()

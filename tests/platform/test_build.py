@@ -1,13 +1,7 @@
-"""Tests for the spec -> runnable-object bridge (repro.platform.build)."""
+"""Tests for the spec -> runnable-object builders (repro.platform.build)."""
 
-import pytest
-
+from repro.campaign import build_scenario
 from repro.dpm.controller import DpmSetup
-from repro.experiments.scenarios import (
-    multi_ip_scenario,
-    paper_scenarios,
-    single_ip_scenario,
-)
 from repro.platform import (
     GemDef,
     IpDef,
@@ -20,10 +14,10 @@ from repro.platform import (
     build_dpm_setup,
     build_ip_spec,
     build_workload,
+    multi_ip_platform,
     paper_platforms,
-    platform_by_name,
     platform_setup,
-    to_scenario,
+    single_ip_platform,
 )
 from repro.platform.build import build_characterization, build_transitions
 from repro.power.states import PowerState
@@ -32,48 +26,23 @@ from repro.soc.task import TaskPriority
 
 
 class TestPaperMigration:
-    """The six rows built from specs equal the legacy factory output."""
+    """The six rows are the public paper-shaped builders' output.
 
-    def test_single_ip_platforms_match_legacy_factories(self):
-        for name, battery, temperature in (
-            ("A1", "full", "low"), ("A2", "low", "low"),
-            ("A3", "full", "high"), ("A4", "low", "high"),
-        ):
-            legacy = single_ip_scenario(name, battery, temperature)
-            modern = to_scenario(platform_by_name(name))
-            legacy_specs, modern_specs = legacy.build_specs(), modern.build_specs()
-            assert len(legacy_specs) == len(modern_specs) == 1
-            for old, new in zip(legacy_specs, modern_specs):
-                assert old.workload.as_dicts() == new.workload.as_dicts()
-                assert (old.name, old.static_priority) == (new.name, new.static_priority)
-                assert new.characterization is None and new.transitions is None
-            assert legacy.build_config() == modern.build_config()
-            assert legacy.max_time == modern.max_time
-
-    def test_multi_ip_platforms_match_legacy_factories(self):
-        for name, ips in (("B", (1, 2)), ("C", (3, 4))):
-            legacy = multi_ip_scenario(name, "low", "low", high_activity_ips=ips)
-            modern = to_scenario(platform_by_name(name))
-            for old, new in zip(legacy.build_specs(), modern.build_specs()):
-                assert old.workload.as_dicts() == new.workload.as_dicts()
-                assert old.workload.name == new.workload.name
-            assert legacy.build_config() == modern.build_config()
+    That the builders reproduce the paper's figures is pinned by
+    ``tests/golden/scenario_metrics.json`` (the registry rows) and
+    ``tests/golden/campaign_rows.json`` (campaign ``single_ip``/``multi_ip``
+    entries, with and without a grid seed).
+    """
 
     def test_paper_scenarios_are_platform_backed(self):
-        scenarios = paper_scenarios()
-        assert [s.name for s in scenarios] == ["A1", "A2", "A3", "A4", "B", "C"]
-        for scenario, spec in zip(scenarios, paper_platforms()):
-            assert scenario.spec == spec
-            assert scenario.paper_row is not None
-
-    def test_impostor_paper_name_gets_no_paper_row(self):
-        # a user spec merely *named* "A1" must not inherit the paper's
-        # printed reference figures
-        impostor = PlatformSpec(name="A1", ips=[
-            IpDef(name="x", workload=WorkloadDef(kind="periodic", task_count=2)),
-        ])
-        assert to_scenario(impostor).paper_row is None
-        assert to_scenario(platform_by_name("A1")).paper_row is not None
+        assert paper_platforms() == [
+            single_ip_platform("A1", "full", "low"),
+            single_ip_platform("A2", "low", "low"),
+            single_ip_platform("A3", "full", "high"),
+            single_ip_platform("A4", "low", "high"),
+            multi_ip_platform("B", "low", "low", high_activity_ips=(1, 2)),
+            multi_ip_platform("C", "low", "low", high_activity_ips=(3, 4)),
+        ]
 
 
 class TestWorkloadBuild:
@@ -100,15 +69,14 @@ class TestWorkloadBuild:
         assert all(item.task.priority is TaskPriority.VERY_HIGH for item in workload)
         assert all(item.idle_after == us(20.0) for item in workload)
 
-    def test_seed_override_reseeds_generators(self):
-        wdef = WorkloadDef(kind="high_activity", task_count=6, seed=1)
-        assert build_workload(wdef).as_dicts() != build_workload(wdef, 99).as_dicts()
-        assert build_workload(wdef, 99).as_dicts() == build_workload(wdef, 99).as_dicts()
-
     def test_ip_index_decorrelates_grid_seeds(self):
-        spec = IpDef(name="a", workload=WorkloadDef(kind="high_activity", task_count=4))
-        first = build_ip_spec(spec, index=0, seed=7)
-        second = build_ip_spec(spec, index=1, seed=7)
+        workload = WorkloadDef(kind="high_activity", task_count=4)
+        spec = PlatformSpec(name="twins", ips=[
+            IpDef(name="a", workload=workload),
+            IpDef(name="b", workload=workload),
+        ])
+        seeded = build_scenario({"kind": "platform", "spec": spec.to_dict()}, seed=7)
+        first, second = (build_ip_spec(ipdef) for ipdef in seeded.ips)
         assert first.workload.as_dicts() != second.workload.as_dicts()
 
 
@@ -195,7 +163,7 @@ class TestSetupResolution:
         assert setup.lem_config.estimation_state is PowerState.ON2
 
     def test_none_setup_defers_to_spec_policy(self):
-        scenario = to_scenario(self.spec_with_policy(PolicyDef(name="greedy-sleep")))
+        scenario = self.spec_with_policy(PolicyDef(name="greedy-sleep"))
         resolved = platform_setup(scenario, None, DpmSetup.paper, use_policy=True)
         assert resolved.name == "greedy-sleep"
         # an explicit setup always wins over the spec's policy
@@ -212,14 +180,15 @@ class TestSetupResolution:
             ips=[IpDef(name="a", workload=WorkloadDef(kind="periodic", task_count=1))],
             gem=GemDef(enabled=True, high_priority_count=3, forced_state="SL3"),
         )
-        scenario = to_scenario(spec)
-        resolved = platform_setup(scenario, None, DpmSetup.paper, use_policy=True)
+        resolved = platform_setup(spec, None, DpmSetup.paper, use_policy=True)
         assert resolved.gem_config.high_priority_count == 3
         assert resolved.gem_config.forced_state is PowerState.SL3
-        baseline = platform_setup(scenario, DpmSetup.always_on(), DpmSetup.always_on)
+        baseline = platform_setup(spec, DpmSetup.always_on(), DpmSetup.always_on)
         assert baseline.gem_config.high_priority_count == 3
 
     def test_plain_scenarios_are_untouched(self):
-        scenario = single_ip_scenario("X", "full", "low")
-        resolved = platform_setup(scenario, None, DpmSetup.paper, use_policy=True)
+        # no policy and no GEM knob: the default setup runs as built
+        resolved = platform_setup(single_ip_platform("X", "full", "low"), None,
+                                  DpmSetup.paper, use_policy=True)
         assert resolved.name == "paper"
+        assert resolved.gem_config == DpmSetup.paper().gem_config

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ExperimentError, PlatformError
-from repro.experiments.scenarios import scenario_by_name
+from repro.experiments.runner import _as_scenario
 from repro.platform import (
     PAPER_PLATFORM_NAMES,
     BatteryDef,
@@ -146,9 +146,11 @@ class TestRegistry:
 
 
 class TestScenarioByName:
+    """The runners resolve names through the registry (``_as_scenario``)."""
+
     def test_error_message_lists_valid_names(self):
         with pytest.raises(ExperimentError) as excinfo:
-            scenario_by_name("Z1")
+            _as_scenario("Z1")
         message = str(excinfo.value)
         for name in PAPER_PLATFORM_NAMES:
             assert name in message
@@ -159,6 +161,6 @@ class TestScenarioByName:
         ])
         register_platform(spec)
         clean_registry.append("byname-test")
-        scenario = scenario_by_name("BYNAME-TEST")
-        assert scenario.name == "byname-test"
-        assert scenario.spec == spec
+        resolved = _as_scenario("BYNAME-TEST")
+        assert resolved.name == "byname-test"
+        assert resolved == spec

@@ -22,9 +22,9 @@ from repro.platform import (
     PsmDef,
     TransitionDef,
     WorkloadDef,
+    build_ip_spec,
     load_platform,
     save_platform,
-    to_scenario,
 )
 
 EXAMPLE_SPEC = os.path.join(
@@ -60,7 +60,7 @@ class TestRunnersAcceptSpecs:
     def test_unsupported_scenario_type_rejected(self):
         from repro.errors import ExperimentError
 
-        with pytest.raises(ExperimentError, match="expected a Scenario"):
+        with pytest.raises(ExperimentError, match="expected a PlatformSpec"):
             run_scenario(42)
 
     def test_custom_eight_ip_platform_with_user_psm_runs(self):
@@ -68,10 +68,9 @@ class TestRunnersAcceptSpecs:
         spec = load_platform(EXAMPLE_SPEC)
         assert len(spec.ips) >= 8
         assert any(ip.psm is not None and ip.psm.transitions for ip in spec.ips)
-        metrics = run_comparison(to_scenario(spec))
+        metrics = run_comparison(spec)
         assert metrics.tasks_executed == sum(
-            len(to_scenario(spec).build_specs()[i].workload)
-            for i in range(len(spec.ips))
+            len(build_ip_spec(ipdef).workload) for ipdef in spec.ips
         )
         assert metrics.energy_saving_pct > 0.0
 
@@ -103,8 +102,8 @@ class TestCampaignIntegration:
         description = normalize_scenario({"kind": "platform", "spec": spec.to_dict()})
         default = build_scenario(description)
         reseeded = build_scenario(description, seed=77)
-        assert default.build_specs()[0].workload.as_dicts() != \
-            reseeded.build_specs()[0].workload.as_dicts()
+        assert build_ip_spec(default.ips[0]).workload.as_dicts() != \
+            build_ip_spec(reseeded.ips[0]).workload.as_dicts()
 
     def test_campaign_grid_over_a_platform_file_with_caching(self, tmp_path):
         spec_path = tmp_path / "tiny.json"
@@ -349,8 +348,7 @@ class TestBusPlatforms:
             PlatformSpec.from_dict(data)
 
     def test_cycle_accurate_platform_grants_only_on_posedges(self):
-        scenario = to_scenario(bus_platform())
-        artifacts = run_scenario(scenario)
+        artifacts = run_scenario(bus_platform())
         bus = artifacts.soc.bus
         # Batched arbitration: the clock runs no process; grants still land
         # on its analytic posedge grid (checked via busy_time below).
