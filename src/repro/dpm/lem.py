@@ -91,6 +91,8 @@ class LemDecision:
     grant_time: SimTime
     deferrals: int = 0
     bus: str = "low"
+    #: energy the other IPs had requested from the GEM (0 without a GEM)
+    other_ip_energy_j: float = 0.0
 
     @property
     def waiting_time(self) -> SimTime:
@@ -128,6 +130,7 @@ class LocalEnergyManager(Module):
         config: Optional[LemConfig] = None,
         parent: Optional[Module] = None,
         fast: bool = False,
+        decision_log: Optional[List[LemDecision]] = None,
     ) -> None:
         super().__init__(kernel, name, parent)
         if static_priority < 1:
@@ -145,6 +148,9 @@ class LocalEnergyManager(Module):
         self.static_priority = static_priority
         self.config = config or LemConfig()
         self.decisions: List[LemDecision] = []
+        #: run-wide log shared by the LEMs of one SoC: every decision of
+        #: every IP, in grant order
+        self.decision_log = decision_log
         self.sleep_decisions = 0
         self.deferral_count = 0
         self._pending_grant: Optional[TaskGrant] = None
@@ -300,19 +306,21 @@ class LocalEnergyManager(Module):
         if not self._fast:
             # The decision log is an analysis artefact; fast mode keeps the
             # counters but skips the per-task record (documented).
-            self.decisions.append(
-                LemDecision(
-                    task_name=grant.task.name,
-                    priority=grant.task.priority,
-                    battery=str(context.battery),
-                    temperature=str(context.temperature),
-                    selected_state=selected,
-                    request_time=grant.request_time,
-                    grant_time=self.kernel.now,
-                    deferrals=deferrals,
-                    bus=str(context.bus),
-                )
+            decision = LemDecision(
+                task_name=grant.task.name,
+                priority=grant.task.priority,
+                battery=str(context.battery),
+                temperature=str(context.temperature),
+                selected_state=selected,
+                request_time=grant.request_time,
+                grant_time=self.kernel.now,
+                deferrals=deferrals,
+                bus=str(context.bus),
+                other_ip_energy_j=context.other_ip_energy_j,
             )
+            self.decisions.append(decision)
+            if self.decision_log is not None:
+                self.decision_log.append(decision)
         tracer = self._tracer
         if tracer is not None:
             now_fs = self.kernel.now_fs

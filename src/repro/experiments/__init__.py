@@ -11,6 +11,7 @@ from repro.experiments.lint_crosscheck import (
     crosscheck_paper_platforms,
     crosscheck_scenario,
     decision_contexts,
+    decision_log_contexts,
 )
 from repro.experiments.runner import (
     BaselineFigures,
@@ -38,6 +39,7 @@ __all__ = [
     "crosscheck_paper_platforms",
     "crosscheck_scenario",
     "decision_contexts",
+    "decision_log_contexts",
     "policy_ablation",
     "predictor_ablation",
     "reproduce_table2",

@@ -36,8 +36,8 @@ returns one :class:`OracleVerdict` per oracle:
 ``lint_reach``
     Static analysis agrees with dynamics: the spec is linted with the
     trajectory envelope attached (``lint_spec(reach=True)``, findings are
-    advisory for generated platforms), every ``lem.decision`` context of
-    a traced run lies inside the reachability envelope
+    advisory for generated platforms), every decision context of the base
+    run's LEM decision log lies inside that envelope
     (:func:`repro.lint.reach.compute_reach`), and rules the analysis
     declared statically shadowed or trajectory-dead never fire.  An
     escape is an unsoundness in the abstract interpretation; a dead rule
@@ -46,6 +46,15 @@ returns one :class:`OracleVerdict` per oracle:
 
 Oracles that cannot apply (no bus, native unavailable, baseline exhausted
 its budget) report ``skip`` with a reason rather than vanishing silently.
+
+The oracles share an example's runs, so each distinct simulation runs once:
+the base run (exact, the spec's own policy) feeds ``exact_vs_fast``,
+``backend_parity``, ``structural`` and ``lint_reach``, and stands in for the
+policy oracle's run of the preset the spec's policy is (``paper`` without a
+policy, or a bare ``{"name": <preset>}``); the bus oracle's always-on run at
+the spec's own bus timing is the policy oracle's always-on run.  Only runs
+that succeeded are shared: an oracle whose shared run crashed repeats it,
+so a crash is reported by every oracle that needs the run.
 """
 
 from __future__ import annotations
@@ -87,6 +96,15 @@ ALL_ORACLES = (
     "structural",
     "lint_reach",
 )
+#: Oracles that cannot run without the base run; a base-run crash is
+#: reported as their failure.
+_BASE_ORACLES = ("exact_vs_fast", "backend_parity", "structural")
+#: The setups the policy oracle compares, by preset name.
+_POLICY_SETUPS = {
+    "paper": DpmSetup.paper,
+    "always-on": DpmSetup.always_on,
+    "greedy-sleep": DpmSetup.greedy_sleep,
+}
 
 
 @dataclass(frozen=True)
@@ -241,6 +259,20 @@ def _check_run_agreement(
     return problems
 
 
+def _own_preset(spec: PlatformSpec) -> Optional[str]:
+    """The policy-oracle preset a run with ``setup=None`` is, if any.
+
+    That is ``paper`` for a spec without a policy, and the preset a bare
+    ``PolicyDef(name=<preset>)`` (no knob set) names.
+    """
+    if spec.policy is None:
+        return "paper"
+    name = spec.policy.name
+    if name in _POLICY_SETUPS and spec.policy.to_dict() == {"name": name}:
+        return name
+    return None
+
+
 def _spec_with_bus_timing(spec: PlatformSpec, timing: str) -> PlatformSpec:
     data = spec.to_dict()
     bus = dict(data.get("bus", {}))
@@ -288,7 +320,9 @@ def _oracle_backend_parity(spec: PlatformSpec, base: RunArtifacts) -> OracleVerd
     return OracleVerdict("backend_parity", "pass")
 
 
-def _oracle_bus_timing(spec: PlatformSpec, backend) -> OracleVerdict:
+def _oracle_bus_timing(
+    spec: PlatformSpec, backend, shared: Dict[str, RunArtifacts]
+) -> OracleVerdict:
     if spec.bus is None or not spec.bus.enabled:
         return OracleVerdict("bus_timing", "skip", "platform has no bus")
     if not any(ip.bus_words_per_task for ip in spec.ips):
@@ -297,13 +331,22 @@ def _oracle_bus_timing(spec: PlatformSpec, backend) -> OracleVerdict:
     for timing in ("event_driven", "cycle_accurate"):
         # Always-on isolates bus arbitration from DPM decision cascades: a
         # one-period grant shift must not flip a sleep decision and snowball.
-        runs[timing] = run_scenario(
-            _spec_with_bus_timing(spec, timing),
-            DpmSetup.always_on(),
-            accuracy="exact",
-            trace=False,
-            backend=backend,
-        )
+        if timing == spec.bus.timing:
+            # At its own timing the spec runs unchanged: that run is the
+            # policy oracle's always-on run, shared both ways.
+            if "always-on" not in shared:
+                shared["always-on"] = run_scenario(
+                    spec, DpmSetup.always_on(), accuracy="exact", trace=False, backend=backend
+                )
+            runs[timing] = shared["always-on"]
+        else:
+            runs[timing] = run_scenario(
+                _spec_with_bus_timing(spec, timing),
+                DpmSetup.always_on(),
+                accuracy="exact",
+                trace=False,
+                backend=backend,
+            )
     ed, ca = runs["event_driven"], runs["cycle_accurate"]
     problems: List[str] = []
     if ed.all_tasks_completed != ca.all_tasks_completed:
@@ -356,14 +399,17 @@ def _oracle_bus_timing(spec: PlatformSpec, backend) -> OracleVerdict:
     return OracleVerdict("bus_timing", "pass")
 
 
-def _oracle_policy(spec: PlatformSpec, backend) -> OracleVerdict:
+def _oracle_policy(
+    spec: PlatformSpec, backend, shared: Dict[str, RunArtifacts]
+) -> OracleVerdict:
     runs: Dict[str, RunArtifacts] = {}
-    for name, setup in (
-        ("paper", DpmSetup.paper()),
-        ("always-on", DpmSetup.always_on()),
-        ("greedy-sleep", DpmSetup.greedy_sleep()),
-    ):
-        runs[name] = run_scenario(spec, setup, accuracy="exact", trace=False, backend=backend)
+    for name, make_setup in _POLICY_SETUPS.items():
+        if name in shared:
+            runs[name] = shared[name]
+        else:
+            runs[name] = run_scenario(
+                spec, make_setup(), accuracy="exact", trace=False, backend=backend
+            )
     baseline = runs["always-on"]
     if not baseline.all_tasks_completed:
         return OracleVerdict(
@@ -478,31 +524,26 @@ def _oracle_structural(spec: PlatformSpec, base: RunArtifacts) -> OracleVerdict:
     return OracleVerdict("structural", "pass")
 
 
-def _oracle_lint_reach(spec: PlatformSpec, backend) -> OracleVerdict:
-    """Static lint (with the trajectory envelope) vs one traced run."""
-    import tempfile
-    from pathlib import Path
-
-    from repro.experiments.lint_crosscheck import decision_contexts
-    from repro.lint import build_model, lint_spec, spec_rule_table
-    from repro.lint.reach import compute_reach
-    from repro.obs.session import TraceRequest
+def _oracle_lint_reach(
+    spec: PlatformSpec, base: Optional[RunArtifacts], backend
+) -> OracleVerdict:
+    """Static lint (with the trajectory envelope) vs the base run's decisions."""
+    from repro.experiments.lint_crosscheck import decision_log_contexts
+    from repro.lint import lint_spec, spec_rule_table
 
     # Lint findings on a *generated* spec are advisory (the generator is
     # free to produce saturated buses or hopeless break-evens; the corpus
     # sidecar records them at save time).  What the oracle enforces is the
-    # *agreement* between the static claims and a traced run: containment
-    # in the reachable envelope and silence of statically-dead rules.
+    # *agreement* between the static claims and the run: containment in the
+    # reachable envelope and silence of statically-dead rules.
     report = lint_spec(spec, reach=True)
-    reach = compute_reach(build_model(spec))
+    reach = report.reach
+    assert reach is not None
     table = spec_rule_table(spec)
-    with tempfile.TemporaryDirectory() as tmp:
-        trace_path = Path(tmp) / "lint_reach_trace.jsonl"
-        request = TraceRequest(
-            format="jsonl", path=str(trace_path), events=("lem.decision",)
-        )
-        artifacts = run_scenario(spec, None, trace=request, backend=backend)
-        contexts = decision_contexts(artifacts.trace_path or trace_path)
+    if base is None:
+        # The base run crashed; repeating it reports the crash here.
+        base = run_scenario(spec, None, accuracy="exact", trace=False, backend=backend)
+    contexts = decision_log_contexts(base.soc.decision_log)
     problems: List[str] = []
     escapes = [c for c in contexts if not reach.is_reachable(c)]
     for context in escapes[:3]:
@@ -519,8 +560,9 @@ def _oracle_lint_reach(spec: PlatformSpec, backend) -> OracleVerdict:
             if index is not None:
                 fired[index] = fired.get(index, 0) + 1
         live = reach.live_rule_indices(table)
+        shadowed = set(table.unreachable_rules())
         for index in sorted(fired):
-            if index in set(table.unreachable_rules()):
+            if index in shadowed:
                 problems.append(
                     f"statically shadowed rule {index} "
                     f"({table.rules[index].describe()}) won "
@@ -568,25 +610,33 @@ def run_differential(
         )
     result = DifferentialResult(spec_name=spec.name, spec_hash=spec_hash(spec))
 
+    # Successful exact runs of ``spec`` under a policy-oracle preset, by
+    # preset name: the base run when the spec's policy is one, and the bus
+    # oracle's always-on run at the spec's own timing.
+    shared: Dict[str, RunArtifacts] = {}
+    own_preset = _own_preset(spec)
     base: Optional[RunArtifacts] = None
-    needs_base = {"exact_vs_fast", "backend_parity", "structural"} & set(selected)
-    if needs_base:
+    if set(selected) & {*_BASE_ORACLES, "lint_reach"} or (
+        "policy" in selected and own_preset is not None
+    ):
         try:
             base = run_scenario(
                 spec, None, accuracy="exact", trace=False, backend=backend
             )
         except ReproError as error:
-            for name in ALL_ORACLES:
-                if name in needs_base:
+            for name in _BASE_ORACLES:
+                if name in selected:
                     result.verdicts.append(
                         OracleVerdict(name, "fail", f"base run crashed: {error}")
                     )
-            needs_base = set()
+        else:
+            if own_preset is not None:
+                shared[own_preset] = base
 
     for name in ALL_ORACLES:
         if name not in selected:
             continue
-        if name in {"exact_vs_fast", "backend_parity", "structural"} and base is None:
+        if name in _BASE_ORACLES and base is None:
             continue  # already reported as a base-run failure above
         try:
             if name == "exact_vs_fast":
@@ -594,11 +644,11 @@ def run_differential(
             elif name == "backend_parity":
                 verdict = _oracle_backend_parity(spec, base)
             elif name == "bus_timing":
-                verdict = _oracle_bus_timing(spec, backend)
+                verdict = _oracle_bus_timing(spec, backend, shared)
             elif name == "policy":
-                verdict = _oracle_policy(spec, backend)
+                verdict = _oracle_policy(spec, backend, shared)
             elif name == "lint_reach":
-                verdict = _oracle_lint_reach(spec, backend)
+                verdict = _oracle_lint_reach(spec, base, backend)
             else:
                 verdict = _oracle_structural(spec, base)
         except ReproError as error:

@@ -36,6 +36,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.battery.status import BatteryLevel
+from repro.dpm.lem import LemDecision
 from repro.dpm.levels import RuleContext
 from repro.dpm.rules import RuleTable
 from repro.errors import ExperimentError
@@ -48,6 +49,7 @@ __all__ = [
     "crosscheck_paper_platforms",
     "crosscheck_scenario",
     "decision_contexts",
+    "decision_log_contexts",
 ]
 
 #: The platforms the CI cross-check sweeps (the paper's six scenarios).
@@ -118,6 +120,26 @@ def decision_contexts(trace_path: "Path | str") -> List[RuleContext]:
                     f"{trace_path}: malformed lem.decision event: {error}"
                 ) from error
     return contexts
+
+
+def decision_log_contexts(decisions: Sequence[LemDecision]) -> List[RuleContext]:
+    """The :class:`RuleContext` of every entry of a LEM decision log, in log
+    order.
+
+    An exact run's :attr:`~repro.soc.soc.SoC.decision_log` holds the same
+    contexts, in the same order, as the ``lem.decision`` events of the run
+    traced (:func:`decision_contexts` is the reference), without the trace.
+    """
+    return [
+        RuleContext(
+            priority=decision.priority,
+            battery=BatteryLevel(decision.battery),
+            temperature=TemperatureLevel(decision.temperature),
+            other_ip_energy_j=decision.other_ip_energy_j,
+            bus=BusLevel(decision.bus),
+        )
+        for decision in decisions
+    ]
 
 
 def _replay(table: RuleTable, contexts: Sequence[RuleContext]) -> Dict[int, int]:

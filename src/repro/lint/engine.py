@@ -30,14 +30,15 @@ def lint_spec(spec: PlatformSpec, reach: bool = False) -> LintReport:
 
     With ``reach=True`` the trajectory-reachability envelope is computed
     first (:func:`repro.lint.reach.compute_reach`) and attached to the
-    model, making the rules/psm/policy analyzers trajectory-aware.
+    model, making the rules/psm/policy analyzers trajectory-aware; the
+    report hands it back as :attr:`LintReport.reach`.
     """
     model = build_model(spec)
     if reach:
         from repro.lint.reach import compute_reach
 
         model.reach = compute_reach(model)
-    report = LintReport(subject=spec.name)
+    report = LintReport(subject=spec.name, reach=model.reach)
     for analyze in ANALYZERS:
         report.extend(analyze(model))
     return report

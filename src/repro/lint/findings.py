@@ -13,7 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+
+if TYPE_CHECKING:  # pragma: no cover - keeps findings a leaf module
+    from repro.lint.reach import ReachResult
 
 __all__ = ["CODES", "Finding", "LintReport", "Severity"]
 
@@ -108,6 +111,9 @@ class LintReport:
 
     subject: str
     findings: List[Finding] = field(default_factory=list)
+    #: the trajectory envelope the analyzers consulted
+    #: (``lint_spec(reach=True)``), else None
+    reach: Optional["ReachResult"] = None
 
     def extend(self, findings: Iterable[Finding]) -> None:
         self.findings.extend(findings)

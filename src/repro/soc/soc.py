@@ -38,7 +38,7 @@ from repro.thermal.sensor import TemperatureSensor
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (dpm imports soc.task)
     from repro.dpm.controller import DpmSetup
     from repro.dpm.gem import GlobalEnergyManager
-    from repro.dpm.lem import LocalEnergyManager
+    from repro.dpm.lem import LemDecision, LocalEnergyManager
 
 __all__ = ["IpSpec", "SocConfig", "IpInstance", "SoC", "build_soc"]
 
@@ -189,6 +189,8 @@ class SoC(Module):
             )
         self.gem: Optional[GlobalEnergyManager] = None
         self.instances: List[IpInstance] = []
+        #: every LEM decision of the run, in grant order (exact mode only)
+        self.decision_log: List[LemDecision] = []
 
     # ------------------------------------------------------------------
     # Queries
@@ -422,6 +424,7 @@ def build_soc(
             config=dpm.lem_config,
             parent=soc,
             fast=simulator.accuracy.is_fast,
+            decision_log=soc.decision_log,
         )
         ip = FunctionalIP(
             simulator.kernel,

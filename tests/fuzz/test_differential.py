@@ -6,22 +6,38 @@ oracle (and by the end-to-end fuzz loop, which shrinks and saves the
 counterexample), while the unmodified code passes the exact same specs.
 A differential harness that cannot see a planted bug is just an expensive
 random walk.
+
+``tests/golden/differential_verdicts.json`` pins every verdict's status and
+detail on a fixed set of specs, so a change to how the oracles share runs
+cannot change what they report.  Regenerate (only for a change meant to
+alter a verdict) with::
+
+    PYTHONPATH=src python tests/fuzz/test_differential.py
 """
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.dpm import DpmSetup
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, ReproError
 from repro.experiments import (
     ALL_ORACLES,
+    differential,
     run_differential,
     run_scenario,
 )
 from repro.experiments.differential import OracleVerdict
 from repro.platform import PlatformSpec
+from repro.platform.library import library_platforms
+from repro.platform.registry import multi_ip_platform
+from repro.sim.native import available as native_available
 from repro.soc.sampling import FastSampleEngine
+
+GOLDEN_PATH = Path(__file__).resolve().parent.parent / "golden" / "differential_verdicts.json"
 
 
 def tiny_spec(**overrides) -> PlatformSpec:
@@ -70,6 +86,54 @@ def bus_spec() -> PlatformSpec:
             "words_per_cycle": 4,
         },
     )
+
+
+def bus_spec_event_driven() -> PlatformSpec:
+    data = bus_spec().to_dict()
+    data["bus"]["timing"] = "event_driven"
+    return PlatformSpec.from_dict(data)
+
+
+def shadowed_rule_spec() -> PlatformSpec:
+    """Table 1 plus an appended rule that earlier rows shadow entirely."""
+    from repro.dpm.rules import paper_rule_table
+
+    rules = paper_rule_table().as_dicts()
+    rules.append({
+        "state": "SL4", "priorities": ["low"], "batteries": ["full"],
+        "temperatures": ["low"], "buses": ["high"], "label": "dead",
+    })
+    return tiny_spec(policy={"name": "paper", "rules": rules})
+
+
+def golden_specs():
+    """The specs whose verdicts ``differential_verdicts.json`` pins, by key."""
+    specs = {
+        "tiny": tiny_spec(),
+        "bus-cycle-accurate": bus_spec(),
+        "bus-event-driven": bus_spec_event_driven(),
+        "greedy-sleep-policy": tiny_spec(policy={"name": "greedy-sleep"}),
+        "bare-paper-policy": tiny_spec(policy={"name": "paper"}),
+        "shadowed-custom-rule": shadowed_rule_spec(),
+        "saturated-bus": PlatformSpec.from_dict({
+            **bus_spec().to_dict(),
+            "bus": {"enabled": True, "words_per_second": 20_000.0},
+        }),
+        "gem": multi_ip_platform("gem-small", "low", "high", (1, 3), task_count=4),
+    }
+    for spec in library_platforms():
+        specs[spec.name] = spec
+    return specs
+
+
+def pinned_verdicts(spec: PlatformSpec):
+    """``[oracle, status, detail]`` of every default oracle but backend_parity,
+    whose verdict depends on whether the C extension is built."""
+    return [
+        [verdict.oracle, verdict.status, verdict.detail]
+        for verdict in run_differential(spec).verdicts
+        if verdict.oracle != "backend_parity"
+    ]
 
 
 class TestRunDifferential:
@@ -122,15 +186,7 @@ class TestLintReachOracle:
         assert "lint_reach" in ALL_ORACLES
 
     def test_shadowed_custom_rule_never_fires(self):
-        from repro.dpm.rules import paper_rule_table
-
-        rules = paper_rule_table().as_dicts()
-        rules.append({
-            "state": "SL4", "priorities": ["low"], "batteries": ["full"],
-            "temperatures": ["low"], "buses": ["high"], "label": "dead",
-        })
-        spec = tiny_spec(policy={"name": "paper", "rules": rules})
-        result = run_differential(spec, oracles=["lint_reach"])
+        result = run_differential(shadowed_rule_spec(), oracles=["lint_reach"])
         assert result.ok, result.summary()
 
     def test_lint_errors_on_the_spec_are_advisory(self):
@@ -200,6 +256,61 @@ class TestInjectedFastModeBug:
         assert result.ok, result.summary()
 
 
+class TestGoldenVerdicts:
+    @pytest.mark.parametrize("key", sorted(golden_specs()))
+    def test_verdicts_match_golden(self, key):
+        golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+        assert pinned_verdicts(golden_specs()[key]) == golden[key]
+
+    def test_every_run_crashing_is_reported_per_oracle(self, monkeypatch):
+        from repro.experiments import runner
+
+        def crash(*args, **kwargs):
+            raise ReproError("boom")
+
+        monkeypatch.setattr(runner, "build_soc", crash)
+        result = run_differential(bus_spec())
+        assert [[v.oracle, v.status, v.detail] for v in result.verdicts] == [
+            ["exact_vs_fast", "fail", "base run crashed: boom"],
+            ["backend_parity", "fail", "base run crashed: boom"],
+            ["structural", "fail", "base run crashed: boom"],
+            ["bus_timing", "fail", "oracle crashed: boom"],
+            ["policy", "fail", "oracle crashed: boom"],
+            ["lint_reach", "fail", "oracle crashed: boom"],
+        ]
+
+
+class TestRunSharing:
+    """Each simulation runs once per example under the default oracles."""
+
+    @pytest.fixture
+    def run_count(self, monkeypatch):
+        calls = []
+        original = differential.run_scenario
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(differential, "run_scenario", counted)
+        return calls
+
+    # backend_parity runs the other backend once when the extension is built.
+    PARITY_RUNS = 1 if native_available() else 0
+
+    def test_no_policy_no_bus(self, run_count):
+        # base (shared by the paper and lint_reach runs), fast, always-on,
+        # greedy-sleep
+        assert run_differential(tiny_spec()).ok
+        assert len(run_count) == 4 + self.PARITY_RUNS
+
+    def test_no_policy_with_bus(self, run_count):
+        # base, fast, the other bus timing, always-on at the spec's own
+        # timing (shared by bus_timing and policy), greedy-sleep
+        assert run_differential(bus_spec()).ok
+        assert len(run_count) == 5 + self.PARITY_RUNS
+
+
 class TestVerdictPlumbing:
     def test_verdict_dict_round_trip_fields(self):
         verdict = OracleVerdict("policy", "fail", "detail text")
@@ -215,3 +326,9 @@ class TestVerdictPlumbing:
         data = result.as_dict()
         assert data["ok"] is True
         assert data["verdicts"][0]["oracle"] == "structural"
+
+
+if __name__ == "__main__":
+    figures = {key: pinned_verdicts(spec) for key, spec in golden_specs().items()}
+    GOLDEN_PATH.write_text(json.dumps(figures, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {GOLDEN_PATH}")

@@ -12,6 +12,8 @@ from repro.experiments import (
     crosscheck_paper_platforms,
     crosscheck_scenario,
     decision_contexts,
+    decision_log_contexts,
+    run_scenario,
 )
 from repro.experiments.lint_crosscheck import PAPER_SCENARIO_NAMES
 from repro.errors import ExperimentError
@@ -21,9 +23,11 @@ from repro.platform import (
     PlatformSpec,
     PolicyDef,
     WorkloadDef,
+    platform_names,
     register_platform,
     unregister_platform,
 )
+from repro.obs.session import TraceRequest
 
 
 class TestPaperScenarios:
@@ -164,3 +168,17 @@ class TestDecisionContexts:
         )
         with pytest.raises(ExperimentError):
             decision_contexts(trace)
+
+
+class TestDecisionLog:
+    @pytest.mark.parametrize("name", platform_names())
+    def test_log_contexts_equal_the_traced_contexts(self, name, tmp_path):
+        # The run-wide decision log of an untraced run replaces the
+        # lem.decision trace: same contexts, same (grant) order.
+        trace_path = tmp_path / "trace.jsonl"
+        request = TraceRequest(format="jsonl", path=str(trace_path), events=("lem.decision",))
+        traced = run_scenario(name, trace=request)
+        untraced = run_scenario(name, trace=False)
+        expected = decision_contexts(traced.trace_path or trace_path)
+        assert expected
+        assert decision_log_contexts(untraced.soc.decision_log) == expected
