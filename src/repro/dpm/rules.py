@@ -259,33 +259,23 @@ class RuleTable:
         return missing
 
     def unreachable_rules(self) -> List[int]:
-        """Indices of rules shadowed by earlier rules for every input."""
-        unreachable = []
+        """Indices of rules shadowed by earlier rules for every input.
+
+        A rule is reachable iff it is the first match of some context, so
+        one walk over the contexts collects every reachable index.
+        """
+        reachable = set()
         bus_levels = self._bus_dimension()
-        for index, rule in enumerate(self._rules):
-            reachable = False
-            for priority in TaskPriority:
-                for battery in BatteryLevel:
-                    for temperature in TemperatureLevel:
-                        for bus in bus_levels:
-                            context = RuleContext(priority, battery, temperature, bus=bus)
-                            if not rule.matches(context):
-                                continue
-                            earlier = any(
-                                self._rules[j].matches(context) for j in range(index)
-                            )
-                            if not earlier:
-                                reachable = True
-                                break
-                        if reachable:
-                            break
-                    if reachable:
-                        break
-                if reachable:
-                    break
-            if not reachable:
-                unreachable.append(index)
-        return unreachable
+        for priority in TaskPriority:
+            for battery in BatteryLevel:
+                for temperature in TemperatureLevel:
+                    for bus in bus_levels:
+                        index = self.first_match_index(
+                            RuleContext(priority, battery, temperature, bus=bus)
+                        )
+                        if index is not None:
+                            reachable.add(index)
+        return [index for index in range(len(self._rules)) if index not in reachable]
 
     def describe(self) -> str:
         """Printable rendering of the whole table."""

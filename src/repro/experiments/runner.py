@@ -24,7 +24,7 @@ from repro.analysis.metrics import ScenarioMetrics, compare_runs
 from repro.dpm.controller import DpmSetup
 from repro.errors import ExperimentError
 from repro.platform import registry
-from repro.platform.build import build_ip_spec, build_soc_config, platform_setup
+from repro.platform.build import build_soc_config, compile_ip, platform_setup
 from repro.platform.spec import PlatformSpec
 from repro.power.states import PowerState
 from repro.sim.accuracy import AccuracyMode
@@ -232,7 +232,7 @@ def run_scenario(
     mode = AccuracyMode.from_name(accuracy)
     request = _resolve_trace_request(spec, trace)
     soc = build_soc(
-        [build_ip_spec(ipdef) for ipdef in spec.ips],
+        [compile_ip(ipdef).ip_spec(ipdef) for ipdef in spec.ips],
         build_soc_config(spec),
         setup,
         accuracy=mode,

@@ -4,9 +4,9 @@ Every spec analyzer needs the same derived artifacts — the instantiated
 workloads, the power characterisation, the transition table and the
 break-even analysis per IP, plus the active selection rule table.  Building
 them once in :func:`build_model` keeps the analyzers cheap and guarantees
-they all reason about the *same* objects the simulator would run (the
-builders of :mod:`repro.platform.build` are the single bridge from spec to
-library objects).
+they all reason about the *same* objects the simulator runs: each IP's
+characterisation, transition table and workload come from the memoised
+:func:`repro.platform.build.compile_ip` a run of the spec uses too.
 """
 
 from __future__ import annotations
@@ -15,20 +15,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.dpm.rules import RuleTable, paper_rule_table
-from repro.errors import ReproError
-from repro.platform.build import (
-    build_characterization,
-    build_transitions,
-    build_workload,
-)
+from repro.platform.build import compile_ip
 from repro.platform.spec import IpDef, PlatformSpec
 from repro.power.breakeven import BreakEvenAnalyzer
-from repro.power.characterization import (
-    PowerCharacterization,
-    default_characterization,
-)
+from repro.power.characterization import PowerCharacterization
 from repro.power.states import SLEEP_STATES, PowerState
-from repro.power.transitions import TransitionTable, default_transition_table
+from repro.power.transitions import TransitionTable
 from repro.soc.workload import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (reach imports us)
@@ -106,12 +98,8 @@ class SpecModel:
 
 
 def _build_ip(index: int, ip: IpDef) -> IpModel:
-    characterization = build_characterization(ip) or default_characterization()
-    transitions = build_transitions(ip, characterization)
-    if transitions is None:
-        transitions = default_transition_table(
-            reference_power_w=characterization.active_power_w(PowerState.ON1)
-        )
+    compiled = compile_ip(ip)
+    transitions = compiled.transitions
     complete = [
         state
         for state in LOW_STATES
@@ -119,27 +107,22 @@ def _build_ip(index: int, ip: IpDef) -> IpModel:
         and transitions.is_allowed(state, PowerState.ON1)
     ]
     breakeven = (
-        BreakEvenAnalyzer(characterization, transitions, candidate_states=complete)
+        BreakEvenAnalyzer(compiled.characterization, transitions, candidate_states=complete)
         if complete
         else None
     )
-    workload: Optional[Workload] = None
-    workload_error: Optional[str] = None
-    try:
-        workload = build_workload(ip.workload)
-    except (ReproError, ValueError) as error:
-        # A validated spec can still describe an uninstantiable workload
-        # (e.g. a zero-cycle explicit task); the workload analyzer turns
-        # this into a finding instead of the whole lint run crashing.
-        workload_error = str(error)
+    # A validated spec can still describe an uninstantiable workload (e.g. a
+    # zero-cycle explicit task); the workload analyzer turns the recorded
+    # error into a finding instead of the whole lint run crashing.
+    workload_error = None if compiled.workload is not None else str(compiled.error)
     return IpModel(
         index=index,
         ip=ip,
-        characterization=characterization,
+        characterization=compiled.characterization,
         transitions=transitions,
         complete_states=complete,
         breakeven=breakeven,
-        workload=workload,
+        workload=compiled.workload,
         workload_error=workload_error,
     )
 

@@ -7,6 +7,11 @@ objects (:class:`~repro.soc.soc.IpSpec`, :class:`~repro.soc.soc.SocConfig`,
 :class:`~repro.dpm.controller.DpmSetup`) that
 :func:`repro.experiments.runner.run_scenario` assembles into a SoC.
 
+What no run changes — an IP's characterisation, transition table,
+break-even analysis and generated workload — is built by
+:func:`compile_ip` once per IP content and shared by every run and lint
+of that IP in the process.
+
 Defaults contract: an optional knob left unset builds exactly what the
 library would build without it (``None`` characterisation and transitions,
 the named battery/thermal presets below, the generators' own defaults) —
@@ -17,6 +22,8 @@ thin while the pinned goldens stay bit-identical.
 from __future__ import annotations
 
 import dataclasses
+import json
+from collections import OrderedDict
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.battery.model import BatteryConfig
@@ -28,8 +35,9 @@ from repro.dpm.predictor import (
     FixedPredictor,
     LastValuePredictor,
 )
-from repro.errors import PlatformError
+from repro.errors import PlatformError, ReproError
 from repro.platform.spec import BatteryDef, IpDef, PlatformSpec, PolicyDef, ThermalDef, WorkloadDef
+from repro.power.breakeven import BreakEvenAnalyzer
 from repro.power.characterization import (
     DEFAULT_ACTIVITY,
     DEFAULT_RESIDUAL_FRACTION,
@@ -41,7 +49,7 @@ from repro.power.operating_point import OperatingPoint, OperatingPointTable
 from repro.power.states import PowerState
 from repro.power.transitions import TransitionCost, TransitionTable, default_transition_table
 from repro.sim.simtime import ms, us
-from repro.soc.soc import IpSpec, SocConfig
+from repro.soc.soc import IpSpec, SocConfig, resolve_power_model
 from repro.soc.task import TaskPriority
 from repro.soc.workload import (
     Workload,
@@ -55,6 +63,8 @@ from repro.soc.workload import (
 from repro.thermal.model import ThermalConfig
 
 __all__ = [
+    "COMPILED_IP_LIMIT",
+    "CompiledIp",
     "battery_condition",
     "build_battery_config",
     "build_characterization",
@@ -64,6 +74,7 @@ __all__ = [
     "build_thermal_config",
     "build_transitions",
     "build_workload",
+    "compile_ip",
     "platform_setup",
     "thermal_condition",
 ]
@@ -244,19 +255,93 @@ def build_transitions(
     return TransitionTable(costs)
 
 
-def build_ip_spec(ipdef: IpDef) -> IpSpec:
-    """One :class:`IpSpec` from its definition."""
-    characterization = build_characterization(ipdef)
-    return IpSpec(
-        name=ipdef.name,
-        workload=build_workload(ipdef.workload),
-        static_priority=ipdef.static_priority,
-        characterization=characterization,
-        transitions=build_transitions(ipdef, characterization),
-        initial_state=PowerState(ipdef.initial_state),
-        bus_words_per_task=ipdef.bus_words_per_task,
-        bus_priority=ipdef.bus_priority,
+# ----------------------------------------------------------------------
+# Compiled IPs
+# ----------------------------------------------------------------------
+@dataclasses.dataclass(frozen=True, eq=False)
+class CompiledIp:
+    """The run-independent values of one IP, shared by every run of it.
+
+    No run mutates them: the characterisation and transition table with the
+    library defaults filled in, the break-even analysis a LEM decides with
+    and the generated workload.  A workload or break-even analysis that
+    cannot be built leaves ``None`` and records the error (the workload's
+    first): a run raises it, lint reports a failed workload as a finding.
+    """
+
+    characterization: PowerCharacterization
+    transitions: TransitionTable
+    workload: Optional[Workload]
+    breakeven: Optional[BreakEvenAnalyzer]
+    error: Optional[Exception] = None
+
+    def ip_spec(self, ipdef: IpDef) -> IpSpec:
+        """A fresh :class:`IpSpec` of ``ipdef`` over these values."""
+        if self.error is not None:
+            raise self.error
+        assert self.workload is not None
+        return IpSpec(
+            name=ipdef.name,
+            workload=self.workload,
+            static_priority=ipdef.static_priority,
+            characterization=self.characterization,
+            transitions=self.transitions,
+            breakeven=self.breakeven,
+            initial_state=PowerState(ipdef.initial_state),
+            bus_words_per_task=ipdef.bus_words_per_task,
+            bus_priority=ipdef.bus_priority,
+        )
+
+
+def _compile_ip(ipdef: IpDef) -> CompiledIp:
+    custom = build_characterization(ipdef)
+    characterization, transitions = resolve_power_model(
+        custom, build_transitions(ipdef, custom)
     )
+    workload: Optional[Workload] = None
+    breakeven: Optional[BreakEvenAnalyzer] = None
+    error: Optional[Exception] = None
+    try:
+        workload = build_workload(ipdef.workload)
+    except (ReproError, ValueError) as workload_error:
+        error = workload_error
+    try:
+        breakeven = BreakEvenAnalyzer(characterization, transitions)
+    except ReproError as breakeven_error:
+        error = breakeven_error if error is None else error
+    return CompiledIp(characterization, transitions, workload, breakeven, error)
+
+
+#: Compiled IPs by canonical IpDef content, least recently used first.
+_COMPILED: "OrderedDict[str, CompiledIp]" = OrderedDict()
+#: Bound of :data:`_COMPILED`: the IPs of a few platforms, so a process that
+#: sweeps many specs holds a handful of workloads, not all of them.
+COMPILED_IP_LIMIT = 16
+
+
+def compile_ip(ipdef: IpDef) -> CompiledIp:
+    """The compiled values of ``ipdef``, built once per content.
+
+    Keyed by the canonical ``to_dict`` form that ``spec_hash`` hashes, so
+    equal definitions share one compile however they were written.  Only
+    compiles without an error are kept.
+    """
+    key = json.dumps(ipdef.to_dict(), sort_keys=True, separators=(",", ":"))
+    compiled = _COMPILED.get(key)
+    if compiled is not None:
+        _COMPILED.move_to_end(key)
+        return compiled
+    compiled = _compile_ip(ipdef)
+    if compiled.error is None:
+        _COMPILED[key] = compiled
+        if len(_COMPILED) > COMPILED_IP_LIMIT:
+            _COMPILED.popitem(last=False)
+    return compiled
+
+
+def build_ip_spec(ipdef: IpDef) -> IpSpec:
+    """One :class:`IpSpec` from its definition, sharing nothing with any run."""
+    return _compile_ip(ipdef).ip_spec(ipdef)
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.errors import PowerModelError
 from repro.power.operating_point import OperatingPointTable, default_operating_points
@@ -125,13 +125,17 @@ class PowerCharacterization:
             if not 0.0 <= self.residual_fraction[state] <= 1.0:
                 raise PowerModelError(f"residual fraction of {state} must be in [0, 1]")
         self._validate_sleep_ordering()
-        # Memoisation of the pure per-state figures.  A characterisation is a
-        # value object (never mutated after construction), so caching the
-        # computed floats returns bit-identical values while keeping the
-        # simulation hot path free of repeated table lookups.  Keys are the
-        # dense per-member ``_idx`` indices (integer hashing is C-speed,
-        # enum hashing is not).
-        self._idle_power_cache: list = [None] * len(PowerState)
+        # A characterisation is a value object (never mutated after
+        # construction), so its pure per-state figures are computed once.
+        # Keys are the dense per-member ``_idx`` indices (integer hashing is
+        # C-speed, enum hashing is not).  Idle power is filled in up front,
+        # for every state: the PSM reads it on each background integration.
+        on1_idle_w = self._on_idle_power_w(PowerState.ON1)
+        self.idle_powers: Tuple[float, ...] = tuple(
+            self._on_idle_power_w(state) if state.is_on
+            else self.residual_fraction[state] * on1_idle_w
+            for state in PowerState
+        )
         self._energy_per_cycle_cache: Dict[int, float] = {}
         self._execution_time_cache: Dict[tuple, SimTime] = {}
 
@@ -203,25 +207,18 @@ class PowerCharacterization:
     # -- background figures ----------------------------------------------------
     def idle_power_w(self, state: PowerState) -> float:
         """Power of ``state`` while no instructions execute."""
-        idx = state._idx
-        cached = self._idle_power_cache[idx]
-        if cached is not None:
-            return cached
-        if state.is_on:
-            point = self.operating_points.point(state)
-            dynamic = point.dynamic_power_w(self.effective_capacitance_f, self.idle_activity)
-            value = dynamic + point.leakage_power_w(self.leakage_coefficient)
-        else:
-            value = self.residual_power_w(state)
-        self._idle_power_cache[idx] = value
-        return value
+        return self.idle_powers[state._idx]
+
+    def _on_idle_power_w(self, state: PowerState) -> float:
+        point = self.operating_points.point(state)
+        dynamic = point.dynamic_power_w(self.effective_capacitance_f, self.idle_activity)
+        return dynamic + point.leakage_power_w(self.leakage_coefficient)
 
     def residual_power_w(self, state: PowerState) -> float:
-        """Power of a sleep/off state."""
+        """Power of a sleep/off state: its residual fraction of ON1 idle power."""
         if state.is_on:
             raise PowerModelError(f"{state} is an execution state; use idle_power_w")
-        reference = self.idle_power_w(PowerState.ON1)
-        return self.residual_fraction[state] * reference
+        return self.idle_powers[state._idx]
 
     def background_power_w(self, state: PowerState, busy: bool) -> float:
         """Power drawn by the IP outside explicit task-energy accounting.

@@ -80,14 +80,11 @@ class PowerStateMachine(Module):
         self._requested_state: Optional[PowerState] = None
         self._busy = False
         self._last_account_fs: int = kernel.now_fs
-        # Hot-path state keyed by the dense PowerState._idx: residency in raw
-        # femtoseconds, memoised background power, and transition costs.
+        # Residency in raw femtoseconds, keyed by the dense PowerState._idx.
         self._residency_fs: list = [0] * len(PowerState)
         # States that appeared in the books even with zero accumulated time
         # (a zero-latency transition): residency() must still list them.
         self._residency_touched: set = set()
-        self._background_power: list = [None] * len(PowerState)
-        self._cost_cache: Dict[int, object] = {}
         self._label_cache: Dict[int, str] = {}
         self._transition_count = 0
         self._transition_counts: Dict[str, int] = defaultdict(int)
@@ -234,10 +231,7 @@ class PowerStateMachine(Module):
         idx = state._idx
         self._residency_fs[idx] += elapsed_fs
         if not self._busy:
-            power = self._background_power[idx]
-            if power is None:
-                power = self.characterization.idle_power_w(state)
-                self._background_power[idx] = power
+            power = self.characterization.idle_powers[idx]
             if power > 0.0:
                 category = EnergyCategory.IDLE if state._is_on else EnergyCategory.SLEEP
                 # elapsed_fs / 10^15 matches SimTime.seconds bit for bit
@@ -264,11 +258,9 @@ class PowerStateMachine(Module):
             if target is source:
                 self.transition_complete.notify()
                 continue
-            cost_key = source._idx * 16 + target._idx
-            cost = self._cost_cache.get(cost_key)
+            cost = self.transitions.dense_costs[source._idx * 16 + target._idx]
             if cost is None:
-                cost = self.transitions.cost(source, target)
-                self._cost_cache[cost_key] = cost
+                cost = self.transitions.cost(source, target)  # raises: not allowed
             self._integrate_background()
             self._in_transition = True
             self.in_transition.write_if_watched(True)
@@ -358,11 +350,9 @@ class PowerStateMachine(Module):
             if target is source:
                 self.transition_complete.notify()
                 continue
-            cost_key = source._idx * 16 + target._idx
-            cost = self._cost_cache.get(cost_key)
+            cost = self.transitions.dense_costs[source._idx * 16 + target._idx]
             if cost is None:
-                cost = self.transitions.cost(source, target)
-                self._cost_cache[cost_key] = cost
+                cost = self.transitions.cost(source, target)  # raises: not allowed
             # Close the books on the time spent in the old state.
             self._integrate_background()
             self._in_transition = True

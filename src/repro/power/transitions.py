@@ -15,7 +15,7 @@ provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import InvalidTransitionError, PowerModelError
 from repro.power.states import ON_STATES, SLEEP_STATES, PowerState
@@ -56,6 +56,13 @@ class TransitionTable:
                 raise PowerModelError(f"cost of {source}->{target} is not a TransitionCost")
             if source == target and (cost.energy_j != 0.0 or not cost.latency.is_zero):
                 raise PowerModelError("self-transitions must be free")
+        # Dense cost matrix for the PSM hot path, indexed by
+        # ``source._idx * 16 + target._idx`` (``None`` where the transition
+        # is not listed).  A tuple, so the table stays read-only.
+        dense: List[Optional[TransitionCost]] = [None] * (16 * len(PowerState))
+        for (source, target), cost in self._costs.items():
+            dense[source._idx * 16 + target._idx] = cost
+        self.dense_costs: Tuple[Optional[TransitionCost], ...] = tuple(dense)
 
     # -- queries ---------------------------------------------------------
     def is_allowed(self, source: PowerState, target: PowerState) -> bool:

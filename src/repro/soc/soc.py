@@ -14,7 +14,7 @@ paper's baseline (maximum frequency, never sleep): only the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.battery.model import Battery, BatteryConfig
 from repro.battery.monitor import BatteryMonitor
@@ -40,12 +40,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (dpm imports soc.task
     from repro.dpm.gem import GlobalEnergyManager
     from repro.dpm.lem import LemDecision, LocalEnergyManager
 
-__all__ = ["IpSpec", "SocConfig", "IpInstance", "SoC", "build_soc"]
+__all__ = ["IpSpec", "SocConfig", "IpInstance", "SoC", "build_soc", "resolve_power_model"]
 
 
 @dataclass
 class IpSpec:
-    """Declarative description of one IP block."""
+    """Declarative description of one IP block.
+
+    The power model left unset is the library default: the default
+    characterisation, the transition table generated from its ON1 power and
+    the break-even analysis of the two.  After construction all three are
+    set; the SoC builder only reads them, so one spec's values can be shared
+    by many runs.
+    """
 
     name: str
     workload: Workload
@@ -57,6 +64,7 @@ class IpSpec:
     #: arbitration priority on the shared bus; ``None`` reuses the static
     #: priority (lower wins), the historical behaviour
     bus_priority: Optional[int] = None
+    breakeven: Optional[BreakEvenAnalyzer] = None
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -65,6 +73,28 @@ class IpSpec:
             raise ConfigurationError("static priority must be >= 1")
         if self.bus_priority is not None and self.bus_priority < 0:
             raise ConfigurationError("bus priority must be >= 0")
+        self.characterization, self.transitions = resolve_power_model(
+            self.characterization, self.transitions
+        )
+        if self.breakeven is None:
+            self.breakeven = BreakEvenAnalyzer(self.characterization, self.transitions)
+
+
+def resolve_power_model(
+    characterization: Optional[PowerCharacterization],
+    transitions: Optional[TransitionTable],
+) -> Tuple[PowerCharacterization, TransitionTable]:
+    """An IP's characterisation and transition table, library defaults filled in.
+
+    A missing table is generated from the characterisation's ON1 power.
+    """
+    if characterization is None:
+        characterization = default_characterization()
+    if transitions is None:
+        transitions = default_transition_table(
+            reference_power_w=characterization.active_power_w(PowerState.ON1)
+        )
+    return characterization, transitions
 
 
 @dataclass
@@ -390,10 +420,12 @@ def build_soc(
         )
 
     for spec in ip_specs:
-        characterization = spec.characterization or default_characterization()
-        transitions = spec.transitions or default_transition_table(
-            reference_power_w=characterization.active_power_w(PowerState.ON1)
+        # IpSpec filled in the power model on construction.
+        characterization, transitions, breakeven = (
+            spec.characterization, spec.transitions, spec.breakeven
         )
+        assert characterization is not None and transitions is not None
+        assert breakeven is not None
         account = soc.ledger.account(spec.name)
         psm = PowerStateMachine(
             simulator.kernel,
@@ -406,7 +438,6 @@ def build_soc(
             fast=simulator.accuracy.is_fast,
             sample_interval=soc_config.sample_interval,
         )
-        breakeven = BreakEvenAnalyzer(characterization, transitions)
         lem = LocalEnergyManager(
             simulator.kernel,
             f"{spec.name}_lem",

@@ -28,6 +28,21 @@ class TestTransitionTable:
             for target in states:
                 assert table.is_allowed(source, target)
 
+    def test_dense_costs_mirror_the_table(self):
+        costs = {
+            (PowerState.ON1, PowerState.SL1): TransitionCost(1e-6, us(5)),
+            (PowerState.SL1, PowerState.ON1): TransitionCost(2e-6, us(7)),
+        }
+        for table in (default_transition_table(), TransitionTable(costs)):
+            assert isinstance(table.dense_costs, tuple)
+            for source in PowerState:
+                for target in PowerState:
+                    dense = table.dense_costs[source._idx * 16 + target._idx]
+                    if source is not target and table.is_allowed(source, target):
+                        assert dense is table.cost(source, target)
+                    else:
+                        assert dense is None
+
     def test_self_transition_is_free(self):
         table = default_transition_table()
         cost = table.cost(PowerState.ON2, PowerState.ON2)
