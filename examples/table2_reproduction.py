@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 
 from repro.analysis.report import render_comparison
-from repro.experiments import reproduce_table2, simulation_speed, simulation_speed_report
+from repro.experiments import reproduce_table2, simulation_speed_report
 from repro.platform import paper_platforms, platform_by_name
 
 
@@ -43,9 +43,12 @@ def main(argv=None) -> None:
                 f"{int(stats['transitions'])} PSM transitions"
             )
 
+    # Each DPM run timed itself (the whole run, build included), so the speed
+    # figure needs no extra simulation.
     print("\nSimulation speed (reference-clock cycles per wall-clock second):")
-    speeds = simulation_speed(scenarios)
-    print(simulation_speed_report(speeds))
+    print(simulation_speed_report(
+        {metrics.scenario: metrics.kilocycles_per_second for metrics in results}
+    ))
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """Markdown export of experiment results.
 
-``EXPERIMENTS.md``-style reports can be regenerated from code so that the
-documentation never drifts from what the harness actually measures.  The
-exporter takes the :class:`~repro.analysis.metrics.ScenarioMetrics` rows
-produced by the experiment runner and renders:
+Reproduction reports are regenerated from code, so a report never drifts
+from what the runners actually measured.  The exporter takes the
+:class:`~repro.analysis.metrics.ScenarioMetrics` rows produced by the
+experiment runner and renders:
 
 * a markdown table comparing the measured values with the paper's Table 2,
 * an optional per-IP breakdown section,
@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence
 
 from repro.analysis.metrics import ScenarioMetrics
-from repro.analysis.report import PAPER_TABLE2
+from repro.analysis.report import PAPER_KCYCLES_PER_S, PAPER_TABLE2
 
 __all__ = ["markdown_table2", "markdown_per_ip", "markdown_speed", "markdown_report"]
 
@@ -86,10 +86,9 @@ def markdown_per_ip(results: Sequence[ScenarioMetrics]) -> str:
 
 def markdown_speed(speeds: Mapping[str, float]) -> str:
     """Markdown table of the simulation-speed figure."""
-    paper_reference = {"A1": 35.0, "A2": 35.0, "A3": 35.0, "A4": 35.0, "B": 7.5, "C": 7.5}
     headers = ["Scenario", "Paper (Kcycle/s)", "This implementation (Kcycle/s)"]
     rows = [
-        [name, f"{paper_reference.get(name, float('nan')):.1f}", f"{value:.1f}"]
+        [name, f"{PAPER_KCYCLES_PER_S.get(name, float('nan')):.1f}", f"{value:.1f}"]
         for name, value in speeds.items()
     ]
     return _md_table(headers, rows)

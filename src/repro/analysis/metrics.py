@@ -13,7 +13,7 @@ going to sleep or off mode":
 
 :func:`compare_runs` computes all three from a DPM run and a baseline run of
 the same scenario; :class:`ScenarioMetrics` is the result record used by the
-experiment runner, the report renderer and the benchmarks.
+experiment runner, the report renderer and the campaign records.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ class ScenarioMetrics:
                 or self.bus_cancelled_count > 0)
 
     def as_dict(self) -> dict:
-        """Flat dictionary view (used by reports and benchmark output)."""
+        """Flat dictionary view (used by reports and campaign records)."""
         data = {
             "scenario": self.scenario,
             "energy_saving_pct": self.energy_saving_pct,

@@ -1,9 +1,9 @@
 """Plain-text / markdown rendering of experiment results.
 
 The experiment runners produce :class:`~repro.analysis.metrics.ScenarioMetrics`
-records; this module turns them into the tables printed by the benchmarks,
-the CLI and ``EXPERIMENTS.md`` — including a side-by-side comparison with the
-values the paper reports in its Table 2.
+records; this module turns them into the tables printed by the CLI and the
+examples — including a side-by-side comparison with the values the paper
+reports in its Table 2 and the mean error against them.
 """
 
 from __future__ import annotations
@@ -12,7 +12,13 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.analysis.metrics import ScenarioMetrics
 
-__all__ = ["format_table", "render_table2", "render_comparison", "PAPER_TABLE2"]
+__all__ = [
+    "format_table",
+    "render_table2",
+    "render_comparison",
+    "PAPER_KCYCLES_PER_S",
+    "PAPER_TABLE2",
+]
 
 #: The paper's Table 2, exactly as printed (percentages).
 PAPER_TABLE2: Dict[str, Dict[str, float]] = {
@@ -22,6 +28,11 @@ PAPER_TABLE2: Dict[str, Dict[str, float]] = {
     "A4": {"energy_saving_pct": 55.0, "temperature_reduction_pct": 18.0, "average_delay_overhead_pct": 339.0},
     "B": {"energy_saving_pct": 65.0, "temperature_reduction_pct": 19.0, "average_delay_overhead_pct": 242.0},
     "C": {"energy_saving_pct": 64.0, "temperature_reduction_pct": 18.0, "average_delay_overhead_pct": 253.0},
+}
+
+#: The paper's simulation speed: 35 Kcycle/s for simulation A, 7.5 for B and C.
+PAPER_KCYCLES_PER_S: Dict[str, float] = {
+    "A1": 35.0, "A2": 35.0, "A3": 35.0, "A4": 35.0, "B": 7.5, "C": 7.5,
 }
 
 
@@ -81,21 +92,30 @@ def render_comparison(
         "Delay % (paper)",
         "Delay % (ours)",
     ]
+    columns = ("energy_saving_pct", "temperature_reduction_pct", "average_delay_overhead_pct")
     rows = []
     for result in results:
         reference = paper.get(result.scenario, {})
-        rows.append(
-            [
-                result.scenario,
-                _fmt(reference.get("energy_saving_pct")),
-                f"{result.energy_saving_pct:.0f}",
-                _fmt(reference.get("temperature_reduction_pct")),
-                f"{result.temperature_reduction_pct:.0f}",
-                _fmt(reference.get("average_delay_overhead_pct")),
-                f"{result.average_delay_overhead_pct:.0f}",
-            ]
-        )
-    return format_table(headers, rows, title=title)
+        row = [result.scenario]
+        for column in columns:
+            row += [_fmt(reference.get(column)), f"{getattr(result, column):.0f}"]
+        rows.append(row)
+    # Mean |measured - paper| per column over the rows with a full reference,
+    # from the unrounded metrics; the overall mean weighs every cell equally.
+    referenced = [
+        (result, paper[result.scenario]) for result in results
+        if all(column in paper.get(result.scenario, {}) for column in columns)
+    ]
+    if not referenced:
+        return format_table(headers, rows, title=title)
+    means = [
+        sum(abs(getattr(result, column) - reference[column]) for result, reference in referenced)
+        / len(referenced)
+        for column in columns
+    ]
+    rows.append(["mean |error| (pp)"] + [cell for mean in means for cell in ("", f"{mean:.2f}")])
+    overall = sum(means) / len(means)
+    return format_table(headers, rows, title=title) + f"\noverall mean |error|: {overall:.2f} pp"
 
 
 def _fmt(value: Optional[float]) -> str:

@@ -10,7 +10,7 @@ works on campaign output unchanged:
   ``(scenario, setup)``, i.e. one row per grid cell family;
 * :func:`render_campaign_report` — the text report printed by
   ``repro-dpm campaign report``;
-* :func:`campaign_status` — done/failed/missing counts for
+* :func:`campaign_status` — done/failed/missing/corrupt counts for
   ``repro-dpm campaign status``.
 """
 
@@ -196,11 +196,18 @@ def campaign_status(
         spec = CampaignSpec.from_dict(store.read_manifest())
     jobs = spec.jobs()
     stored = {record["job_id"]: record for record in store.records()}
-    counts = {"ok": 0, "error": 0, "timeout": 0, "missing": 0}
+    # A record file that does not parse is corrupt, not missing: it is named
+    # here, and --resume re-runs it like a missing job.
+    files = store.job_ids()
+    counts = {"ok": 0, "error": 0, "timeout": 0, "missing": 0, "corrupt": 0}
     missing: List[str] = []
+    corrupt: List[str] = []
     for job in jobs:
         record = stored.get(job.job_id)
-        if record is None:
+        if record is None and job.job_id in files:
+            counts["corrupt"] += 1
+            corrupt.append(str(store.records_dir / f"{job.job_id}.json"))
+        elif record is None:
             counts["missing"] += 1
             missing.append(job.label)
         else:
@@ -211,6 +218,7 @@ def campaign_status(
         "total_jobs": len(jobs),
         "counts": counts,
         "missing": missing,
+        "corrupt": corrupt,
         "directory": str(store.root),
     }
 
@@ -225,9 +233,11 @@ def render_status(status: Mapping[str, Any]) -> str:
         f"  error:   {counts.get('error', 0)}",
         f"  timeout: {counts.get('timeout', 0)}",
         f"  missing: {counts.get('missing', 0)}",
+        f"  corrupt: {counts.get('corrupt', 0)}",
     ]
     if status["missing"]:
         preview = ", ".join(status["missing"][:6])
         suffix = ", ..." if len(status["missing"]) > 6 else ""
         lines.append(f"  pending: {preview}{suffix}")
+    lines += [f"  corrupt record: {path}" for path in status["corrupt"]]
     return "\n".join(lines)

@@ -123,7 +123,7 @@ class ResultStore:
                 with open(path, "r", encoding="utf-8") as handle:
                     record = json.load(handle)
             except (OSError, json.JSONDecodeError):
-                continue  # a half-written record counts as missing
+                continue  # unparsable: campaign_status reports it as corrupt
             if isinstance(record, dict):
                 yield record
 

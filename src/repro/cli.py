@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     campaign_status_p = campaign_sub.add_parser(
-        "status", help="show done/failed/missing jobs of a campaign directory"
+        "status", help="show done/failed/missing/corrupt jobs of a campaign directory"
     )
     campaign_status_p.add_argument("directory", help="campaign directory")
 
@@ -687,11 +687,14 @@ def _cmd_breakeven(_args) -> int:
 
 def _cmd_report(args) -> int:
     from repro.analysis.export import markdown_report
-    from repro.experiments.table2 import reproduce_table2, simulation_speed
+    from repro.experiments.table2 import reproduce_table2
 
-    scenarios = args.scenarios or None
-    results = reproduce_table2(scenarios)
-    speeds = simulation_speed(scenarios) if args.with_speed else None
+    results = reproduce_table2(args.scenarios or None)
+    # Each row's DPM run already timed itself: no scenario runs again for speed.
+    speeds = (
+        {metrics.scenario: metrics.kilocycles_per_second for metrics in results}
+        if args.with_speed else None
+    )
     text = markdown_report(results, speeds=speeds)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -775,7 +778,7 @@ def _cmd_campaign_inner(args) -> int:
     if args.campaign_command == "status":
         status = campaign_status(store)
         print(render_status(status))
-        return 0 if status["counts"]["missing"] == 0 else 1
+        return 0 if status["counts"]["missing"] == status["counts"]["corrupt"] == 0 else 1
     # report
     spec = CampaignSpec.from_dict(store.read_manifest())
     # Only the current grid: a re-used directory may hold records of grid

@@ -6,7 +6,10 @@ DPM and with the always-on baseline, returning one
 :func:`table2_report` renders the side-by-side comparison with the numbers
 printed in the paper, and :func:`simulation_speed_report` reproduces the
 "35 Kcycle/s (sim. A) and 7.5 Kcycle/s (B and C)" throughput figure for this
-implementation.
+implementation.  Every Kcycle/s figure is
+:meth:`~repro.experiments.runner.RunArtifacts.kilocycles_per_second`, which
+times the whole :func:`~repro.experiments.runner.run_scenario` call, so a
+Table-2 result already carries the speed of its DPM run.
 """
 
 from __future__ import annotations
@@ -14,7 +17,12 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.metrics import ScenarioMetrics
-from repro.analysis.report import format_table, render_comparison, render_table2
+from repro.analysis.report import (
+    PAPER_KCYCLES_PER_S,
+    format_table,
+    render_comparison,
+    render_table2,
+)
 from repro.dpm.controller import DpmSetup
 from repro.experiments.runner import run_comparison, run_scenario
 from repro.platform.registry import paper_platforms
@@ -78,9 +86,8 @@ def simulation_speed_report(speeds: Optional[Dict[str, float]] = None) -> str:
     """Render the simulation-speed figure (paper: 35 Kcycle/s A, 7.5 Kcycle/s B/C)."""
     if speeds is None:
         speeds = simulation_speed()
-    paper_reference = {"A1": 35.0, "A2": 35.0, "A3": 35.0, "A4": 35.0, "B": 7.5, "C": 7.5}
     rows = [
-        [name, f"{paper_reference.get(name, float('nan')):.1f}", f"{value:.1f}"]
+        [name, f"{PAPER_KCYCLES_PER_S.get(name, float('nan')):.1f}", f"{value:.1f}"]
         for name, value in speeds.items()
     ]
     return format_table(

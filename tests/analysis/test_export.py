@@ -80,6 +80,26 @@ class TestCliReportCommand:
         assert "# Reproduction report" in content
         assert "| A1 |" in content
 
+    def test_report_with_speed_runs_each_scenario_once(self, tmp_path, monkeypatch):
+        from repro.cli import main
+        from repro.experiments import runner, table2
+
+        calls = []
+        original = runner.run_scenario
+
+        def counted_run_scenario(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_scenario", counted_run_scenario)
+        monkeypatch.setattr(table2, "run_scenario", counted_run_scenario)
+        output = tmp_path / "report.md"
+        assert main(["report", "A1", "B", "--with-speed", "-o", str(output)]) == 0
+        assert len(calls) == 4  # one DPM and one baseline run per row
+        content = output.read_text()
+        assert "## Simulation speed" in content
+        assert "| A1 | 35.0 |" in content and "| B | 7.5 |" in content
+
     def test_report_to_stdout(self, capsys):
         from repro.cli import main
 

@@ -86,6 +86,7 @@ class TestRunCampaign:
         serial = run_campaign(spec, tmp_path / "serial", workers=1)
         parallel = run_campaign(spec, tmp_path / "parallel", workers=2)
         assert parallel.executed == serial.executed == 4
+        assert parallel.ok == parallel.total_jobs
         key = lambda r: r["job_id"]
         for left, right in zip(sorted(serial.records, key=key),
                                sorted(parallel.records, key=key)):
@@ -116,6 +117,27 @@ class TestRunCampaign:
         assert resumed.skipped == 2
         assert {r["job_id"] for r in resumed.records if r["job_id"] in victims} == set(victims)
         assert campaign_status(store)["counts"]["missing"] == 0
+
+    def test_corrupt_record_is_reported_and_rerun_on_resume(self, tmp_path, capsys):
+        from repro.cli import main
+
+        spec = small_spec()
+        run_campaign(spec, tmp_path / "camp", workers=1)
+        store = ResultStore(tmp_path / "camp")
+        victim = sorted(store.job_ids())[0]
+        path = store.records_dir / f"{victim}.json"
+        path.write_text(path.read_text()[:40])  # truncated record
+        status = campaign_status(store)
+        assert status["counts"]["corrupt"] == 1
+        assert status["counts"]["missing"] == 0
+        assert status["corrupt"] == [str(path)]
+        assert main(["campaign", "status", str(tmp_path / "camp")]) == 1
+        assert f"corrupt record: {path}" in capsys.readouterr().out
+        resumed = run_campaign(spec, tmp_path / "camp", workers=1, resume=True)
+        assert resumed.executed == 1
+        assert resumed.skipped == 3
+        assert campaign_status(store)["counts"]["corrupt"] == 0
+        assert main(["campaign", "status", str(tmp_path / "camp")]) == 0
 
     def test_without_resume_everything_reruns(self, tmp_path):
         spec = small_spec()

@@ -1,5 +1,7 @@
 """Tests for the paper-shaped platform builders and the experiment runner."""
 
+import time
+
 import pytest
 
 from repro.battery import BatteryLevel
@@ -16,6 +18,7 @@ from repro.platform import (
     single_ip_platform,
 )
 from repro.platform.build import battery_condition, thermal_condition
+from repro.sim.native import available as native_available
 from repro.soc.workload import scenario_a_workload
 from repro.thermal import TemperatureLevel
 
@@ -103,6 +106,32 @@ class TestRunner:
         summary = artefacts.per_ip_summary()
         assert "ip1" in summary
         assert summary["ip1"]["tasks"] == 10.0
+
+    def test_wall_clock_covers_the_build(self, monkeypatch):
+        # Kcycle/s is simulated cycles per host second of the whole call,
+        # the same span perfbench's sim_kcycles_per_s times.
+        from repro.experiments import runner
+
+        original = runner.build_soc
+
+        def slow_build_soc(*args, **kwargs):
+            time.sleep(0.05)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "build_soc", slow_build_soc)
+        assert run_scenario("A1").wall_clock_s >= 0.05
+
+    @pytest.mark.parametrize("accuracy", ["exact", "fast"])
+    @pytest.mark.parametrize("backend", [
+        "python",
+        pytest.param("native", marks=pytest.mark.skipif(
+            not native_available(), reason="native core extension not built")),
+    ])
+    @pytest.mark.parametrize("name", ["A1", "B"])
+    def test_run_records_its_backend(self, name, backend, accuracy):
+        artefacts = run_scenario(name, accuracy=accuracy, backend=backend)
+        assert artefacts.backend == backend
+        assert artefacts.kilocycles_per_second() > 0.0
 
     def test_run_comparison_metrics_sane(self, small_scenario):
         metrics = run_comparison(small_scenario)

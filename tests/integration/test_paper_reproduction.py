@@ -4,35 +4,70 @@ These tests run complete scenario comparisons (DPM vs always-on baseline) and
 check the *shape* of Table 2 rather than exact percentages: low battery
 trades a much larger delay for a larger energy saving, the GEM scenarios save
 the most, the DPM controls the chip temperature, and every task eventually
-executes.
+executes.  One test pins the mean error of the six rows against the paper.
 """
+
+import re
 
 import pytest
 
+from repro.analysis import render_comparison
 from repro.dpm import DpmSetup
-from repro.experiments import run_comparison, run_scenario
+from repro.experiments import reproduce_table2, run_comparison, run_scenario
 from repro.platform import single_ip_platform
 from repro.power import PowerState
 
-
-@pytest.fixture(scope="module")
-def a1():
-    return run_comparison("A1")
-
-
-@pytest.fixture(scope="module")
-def a2():
-    return run_comparison("A2")
-
-
-@pytest.fixture(scope="module")
-def a3():
-    return run_comparison("A3")
+#: Shape of each Table-2 row: open bounds (saving low, saving high, delay low,
+#: delay high) in percent around the paper's values.
+ROW_SHAPES = {
+    "A1": (25.0, 60.0, 0.0, 80.0),
+    "A2": (45.0, 100.0, 250.0, 450.0),
+    "A3": (25.0, 60.0, 0.0, 120.0),
+    "A4": (45.0, 100.0, 250.0, 450.0),
+    "B": (50.0, 100.0, 150.0, 600.0),
+    "C": (50.0, 100.0, 150.0, 600.0),
+}
 
 
 @pytest.fixture(scope="module")
-def b_row():
-    return run_comparison("B")
+def table2():
+    return {metrics.scenario: metrics for metrics in reproduce_table2()}
+
+
+@pytest.fixture(scope="module")
+def a1(table2):
+    return table2["A1"]
+
+
+@pytest.fixture(scope="module")
+def a2(table2):
+    return table2["A2"]
+
+
+@pytest.fixture(scope="module")
+def a3(table2):
+    return table2["A3"]
+
+
+@pytest.fixture(scope="module")
+def b_row(table2):
+    return table2["B"]
+
+
+class TestTable2Rows:
+    @pytest.mark.parametrize("name", sorted(ROW_SHAPES))
+    def test_row_has_the_paper_shape(self, table2, name):
+        saving_low, saving_high, delay_low, delay_high = ROW_SHAPES[name]
+        row = table2[name]
+        assert saving_low < row.energy_saving_pct < saving_high
+        assert delay_low < row.average_delay_overhead_pct < delay_high
+
+    def test_mean_error_against_the_paper(self, table2):
+        # The overall figure is perfbench's table2_err_pp on the same rows.
+        *_, error_row, overall = render_comparison(list(table2.values())).splitlines()
+        assert error_row.startswith("mean |error| (pp)")
+        assert re.findall(r"\d+\.\d+", error_row) == ["3.23", "39.19", "34.19"]
+        assert overall == "overall mean |error|: 25.53 pp"
 
 
 class TestSingleIpShape:
@@ -66,6 +101,11 @@ class TestMultiIpShape:
 
     def test_b_delay_is_large_but_bounded(self, b_row):
         assert 150.0 < b_row.average_delay_overhead_pct < 600.0
+
+    def test_gem_rows_save_more_than_single_ip(self, table2):
+        a1, b_row, c_row = table2["A1"], table2["B"], table2["C"]
+        assert c_row.energy_saving_pct > a1.energy_saving_pct
+        assert abs(b_row.energy_saving_pct - c_row.energy_saving_pct) < 15.0
 
     def test_b_all_ips_completed(self, b_row):
         assert b_row.tasks_executed == sum(

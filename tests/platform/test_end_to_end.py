@@ -363,6 +363,23 @@ class TestBusPlatforms:
         assert summary["transfer_count"] == 8.0
         assert summary["occupancy_pct"] > 0.0
 
+    @pytest.mark.parametrize("timing", ["event_driven", "cycle_accurate"])
+    def test_four_contending_ips_complete_every_transfer(self, timing):
+        builder = (
+            PlatformBuilder(f"bus-contention-{timing}")
+            .bus(words_per_second=10e6, arbitration="priority", timing=timing,
+                 words_per_cycle=4)
+            .max_time_ms(2000)
+        )
+        for index in range(4):
+            builder.ip(f"ip{index}",
+                       workload={"kind": "periodic", "task_count": 40, "cycles": 50_000,
+                                 "idle_us": 200.0},
+                       priority=index + 1, bus_words_per_task=512)
+        artifacts = run_scenario(builder.build())
+        assert artifacts.soc.bus.stats.transfer_count == 4 * 40
+        assert artifacts.kilocycles_per_second() > 0.0
+
     def test_bus_metrics_flow_into_scenario_metrics(self):
         metrics = run_comparison(bus_platform())
         assert metrics.has_bus_figures

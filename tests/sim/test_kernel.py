@@ -63,6 +63,21 @@ class TestTimedWaits:
         assert ticks == [10.0, 20.0, 30.0, 40.0, 50.0]
         assert kernel.now == ns(50)
 
+    def test_concurrent_tickers_each_fire_every_period(self, kernel):
+        fired = {index: 0 for index in range(4)}
+
+        def ticker(index):
+            def proc():
+                while True:
+                    yield ns(100)
+                    fired[index] += 1
+            return proc
+
+        for index in fired:
+            kernel.create_thread(ticker(index), f"ticker{index}")
+        kernel.run(us(500))
+        assert fired == {index: 5000 for index in fired}
+
     def test_two_processes_interleave_deterministically(self, kernel):
         order = []
 
