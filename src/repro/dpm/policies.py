@@ -18,7 +18,7 @@ timeout policy vs. oracle) without touching the LEM.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.dpm.levels import RuleContext
 from repro.dpm.rules import RuleTable, paper_rule_table
@@ -74,9 +74,14 @@ class RuleBasedPolicy(DpmPolicy):
     def __init__(self, rules: Optional[RuleTable] = None, allow_off: bool = True) -> None:
         self.rules = rules or paper_rule_table()
         self.allow_off = allow_off
+        #: how many times each rule (by index) has fired; one policy per LEM,
+        #: so the counts are per LEM even when all LEMs share one table
+        self.hit_counts: Dict[int, int] = dict.fromkeys(range(len(self.rules.rules)), 0)
 
     def select_on_state(self, context: RuleContext) -> PowerState:
-        return self.rules.select(context)
+        index = self.rules.select_index(context)
+        self.hit_counts[index] += 1
+        return self.rules.rules[index].state
 
     def select_idle_state(
         self, predicted_idle: SimTime, analyzer: BreakEvenAnalyzer

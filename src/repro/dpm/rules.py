@@ -19,8 +19,10 @@ Low/High only).
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.battery.status import BatteryLevel
 from repro.dpm.levels import RuleContext
@@ -132,8 +134,53 @@ def _skip_reason(rule: Rule, context: RuleContext) -> str:
     return "matched"
 
 
+def _context_keys(
+    priorities: Iterable[TaskPriority],
+    batteries: Iterable[BatteryLevel],
+    temperatures: Iterable[TemperatureLevel],
+    buses: Iterable[BusLevel],
+) -> List[int]:
+    """Packed keys of every context in the product, in enumeration order
+    (the key :meth:`RuleTable.first_match_index` computes: an ``_idx``
+    integer hashes at C speed, enum ``__hash__`` is Python-level)."""
+    return [
+        ((priority._idx * 64 + battery._idx * 8 + temperature._idx) * 4) + bus._idx
+        for priority, battery, temperature, bus in itertools.product(
+            priorities, batteries, temperatures, buses
+        )
+    ]
+
+
+_DIMENSIONS = (TaskPriority, BatteryLevel, TemperatureLevel, BusLevel)
+#: Every rule context with its packed key, in enumeration order.
+_CONTEXTS: Tuple[Tuple[int, RuleContext], ...] = tuple(
+    zip(
+        _context_keys(*_DIMENSIONS),
+        (RuleContext(p, b, t, bus=bus) for p, b, t, bus in itertools.product(*_DIMENSIONS)),
+    )
+)
+
+
+@functools.lru_cache(maxsize=16)
+def _first_match_map(rules: Tuple[Rule, ...]) -> Dict[int, Optional[int]]:
+    """First-match index (``None``: no rule matches) per packed context key.
+
+    Matching reads only the four input classes, so the winner of every
+    context is fixed by the rules alone.  Memoised per content and bounded:
+    a custom table run or linted many times builds its map once.
+    """
+    return {
+        key: next((index for index, rule in enumerate(rules) if rule.matches(context)), None)
+        for key, context in _CONTEXTS
+    }
+
+
 class RuleTable:
-    """Ordered list of rules with first-match-wins semantics."""
+    """Ordered list of rules with first-match-wins semantics.
+
+    Immutable, so one table serves every LEM of every run in a process;
+    hit counts live on :class:`~repro.dpm.policies.RuleBasedPolicy`.
+    """
 
     def __init__(self, rules: Sequence[Rule], name: str = "rules") -> None:
         if not rules:
@@ -142,53 +189,51 @@ class RuleTable:
             if not rule.state.is_on and not rule.state.is_sleep:
                 raise RuleError(f"rules may only select ON or sleep states, got {rule.state}")
         self.name = name
-        self._rules: List[Rule] = list(rules)
-        self._hits: Dict[int, int] = {index: 0 for index in range(len(rules))}
-        # First-match index per (priority, battery, temperature, bus) tuple:
-        # rule matching only reads those four classes, so the winning rule is
-        # a pure function of them and can be looked up instead of re-scanned.
-        self._first_match_cache: Dict[tuple, int] = {}
+        self._rules: Tuple[Rule, ...] = tuple(rules)
+        self._first_match = _first_match_map(self._rules)
 
     # -- evaluation -------------------------------------------------------
-    def select(self, context: RuleContext) -> PowerState:
-        """Return the state of the first matching rule.
+    def select_index(self, context: RuleContext) -> int:
+        """Index of the first matching rule.
 
         Raises
         ------
         RuleError
             If no rule matches (the table is not total for this input).
         """
-        # Dense integer key: enum __hash__ is Python-level and shows up in
-        # profiles; the packed _idx tuple hashes at C speed.
-        key = (
-            ((context.priority._idx * 64) + (context.battery._idx * 8) + context.temperature._idx)
-            * 4
-        ) + context.bus._idx
-        index = self._first_match_cache.get(key)
+        index = self.first_match_index(context)
         if index is None:
-            for index, rule in enumerate(self._rules):
-                if rule.matches(context):
-                    self._first_match_cache[key] = index
-                    break
-            else:
-                raise RuleError(
-                    f"no rule matches context ({context.describe()}) in table {self.name!r}"
-                )
-        self._hits[index] += 1
-        return self._rules[index].state
+            raise RuleError(
+                f"no rule matches context ({context.describe()}) in table {self.name!r}"
+            )
+        return index
+
+    def select(self, context: RuleContext) -> PowerState:
+        """Return the state of the first matching rule (see :meth:`select_index`)."""
+        return self._rules[self.select_index(context)].state
 
     def first_match_index(self, context: RuleContext) -> Optional[int]:
         """Index of the first matching rule, or ``None`` if nothing matches.
 
-        A pure scan: unlike :meth:`select` it neither touches the
-        first-match cache nor counts a hit, so analysis code (linting,
-        trace cross-checks, ``rules --explain``) can interrogate a live
-        table without perturbing its statistics.
+        Reads the same precomputed decision map as :meth:`select`, without
+        raising on an uncovered context.
         """
-        for index, rule in enumerate(self._rules):
-            if rule.matches(context):
-                return index
-        return None
+        return self._first_match[
+            ((context.priority._idx * 64 + context.battery._idx * 8 + context.temperature._idx) * 4)
+            + context.bus._idx
+        ]
+
+    def first_match_indices(
+        self,
+        priorities: Iterable[TaskPriority],
+        batteries: Iterable[BatteryLevel],
+        temperatures: Iterable[TemperatureLevel],
+        buses: Iterable[BusLevel],
+    ) -> Set[int]:
+        """Indices of the rules that first-match some context of the product."""
+        keys = _context_keys(priorities, batteries, temperatures, buses)
+        indices = map(self._first_match.__getitem__, keys)
+        return {index for index in indices if index is not None}
 
     def explain(self, context: RuleContext) -> List["RuleTrace"]:
         """First-match trace: every rule up to (and including) the winner.
@@ -197,13 +242,12 @@ class RuleTable:
         which dimension rejected the context first.  When no rule matches,
         the trace covers the whole table with ``matched=False`` throughout.
         """
-        trace: List[RuleTrace] = []
-        for index, rule in enumerate(self._rules):
-            if rule.matches(context):
-                trace.append(RuleTrace(index, rule, True, "matched"))
-                return trace
-            trace.append(RuleTrace(index, rule, False, _skip_reason(rule, context)))
-        return trace
+        winner = self.first_match_index(context)
+        stop = len(self._rules) if winner is None else winner + 1
+        return [
+            RuleTrace(index, rule, index == winner, _skip_reason(rule, context))
+            for index, rule in enumerate(self._rules[:stop])
+        ]
 
     def select_levels(
         self,
@@ -217,64 +261,38 @@ class RuleTable:
 
     # -- inspection ----------------------------------------------------------
     @property
-    def rules(self) -> List[Rule]:
+    def rules(self) -> Tuple[Rule, ...]:
         """The rules in evaluation order."""
-        return list(self._rules)
-
-    @property
-    def hit_counts(self) -> Dict[int, int]:
-        """How many times each rule (by index) has fired."""
-        return dict(self._hits)
+        return self._rules
 
     def is_total(self) -> bool:
         """True when every input combination matches.
 
-        Enumerates (priority, battery, temperature) and — for tables with
+        Covers (priority, battery, temperature) and — for tables with
         bus-constrained rules — every bus level too.
         """
         return not self.uncovered_contexts()
 
-    def _bus_dimension(self) -> Tuple[BusLevel, ...]:
-        """Bus levels to enumerate in coverage checks.
+    def uncovered_contexts(self) -> List[RuleContext]:
+        """All input combinations not covered by any rule.
 
         A table whose rules never constrain the bus is a pure function of
         the classic (priority, battery, temperature) triple, so only the
-        default ``LOW`` level needs visiting.
+        default ``LOW`` bus level is reported for it.
         """
-        if any(rule.buses is not None for rule in self._rules):
-            return tuple(BusLevel)
-        return (BusLevel.LOW,)
-
-    def uncovered_contexts(self) -> List[RuleContext]:
-        """All input combinations not covered by any rule."""
-        missing = []
-        bus_levels = self._bus_dimension()
-        for priority in TaskPriority:
-            for battery in BatteryLevel:
-                for temperature in TemperatureLevel:
-                    for bus in bus_levels:
-                        context = RuleContext(priority, battery, temperature, bus=bus)
-                        if not any(rule.matches(context) for rule in self._rules):
-                            missing.append(context)
-        return missing
+        any_bus = any(rule.buses is not None for rule in self._rules)
+        return [
+            context
+            for key, context in _CONTEXTS
+            if self._first_match[key] is None and (any_bus or context.bus is BusLevel.LOW)
+        ]
 
     def unreachable_rules(self) -> List[int]:
         """Indices of rules shadowed by earlier rules for every input.
 
-        A rule is reachable iff it is the first match of some context, so
-        one walk over the contexts collects every reachable index.
+        A rule is reachable iff it is the first match of some context.
         """
-        reachable = set()
-        bus_levels = self._bus_dimension()
-        for priority in TaskPriority:
-            for battery in BatteryLevel:
-                for temperature in TemperatureLevel:
-                    for bus in bus_levels:
-                        index = self.first_match_index(
-                            RuleContext(priority, battery, temperature, bus=bus)
-                        )
-                        if index is not None:
-                            reachable.add(index)
+        reachable = set(self._first_match.values())
         return [index for index in range(len(self._rules)) if index not in reachable]
 
     def describe(self) -> str:
@@ -284,59 +302,50 @@ class RuleTable:
     # -- (de)serialisation ------------------------------------------------------
     def as_dicts(self) -> List[dict]:
         """Serializable representation (used to retarget the LEM per IP)."""
-        result = []
-        for rule in self._rules:
-            result.append(
-                {
-                    "state": str(rule.state),
-                    "priorities": None
-                    if rule.priorities is None
-                    else sorted(str(p) for p in rule.priorities),
-                    "batteries": None
-                    if rule.batteries is None
-                    else sorted(str(b) for b in rule.batteries),
-                    "temperatures": None
-                    if rule.temperatures is None
-                    else sorted(str(t) for t in rule.temperatures),
-                    "buses": None
-                    if rule.buses is None
-                    else sorted(str(b) for b in rule.buses),
-                    "label": rule.label,
-                }
-            )
-        return result
+        return [
+            {
+                "state": str(rule.state),
+                "priorities": _names(rule.priorities),
+                "batteries": _names(rule.batteries),
+                "temperatures": _names(rule.temperatures),
+                "buses": _names(rule.buses),
+                "label": rule.label,
+            }
+            for rule in self._rules
+        ]
 
     @staticmethod
     def from_dicts(entries: Iterable[dict], name: str = "rules") -> "RuleTable":
         """Rebuild a table from :meth:`as_dicts` output."""
-        rules = []
-        for entry in entries:
-            rules.append(
-                Rule.of(
-                    state=PowerState.from_string(entry["state"]),
-                    priorities=None
-                    if entry.get("priorities") is None
-                    else [TaskPriority(p) for p in entry["priorities"]],
-                    batteries=None
-                    if entry.get("batteries") is None
-                    else [BatteryLevel(b) for b in entry["batteries"]],
-                    temperatures=None
-                    if entry.get("temperatures") is None
-                    else [TemperatureLevel(t) for t in entry["temperatures"]],
-                    buses=None
-                    if entry.get("buses") is None
-                    else [BusLevel(b) for b in entry["buses"]],
-                    label=entry.get("label", ""),
-                )
+        rules = [
+            Rule.of(
+                state=PowerState.from_string(entry["state"]),
+                priorities=_parse(entry.get("priorities"), TaskPriority),
+                batteries=_parse(entry.get("batteries"), BatteryLevel),
+                temperatures=_parse(entry.get("temperatures"), TemperatureLevel),
+                buses=_parse(entry.get("buses"), BusLevel),
+                label=entry.get("label", ""),
             )
+            for entry in entries
+        ]
         return RuleTable(rules, name=name)
 
 
+def _names(values: Optional[FrozenSet]) -> Optional[List[str]]:
+    return None if values is None else sorted(str(value) for value in values)
+
+
+def _parse(values: Optional[Iterable[str]], kind: Callable[[str], Any]) -> Optional[List[Any]]:
+    return None if values is None else [kind(value) for value in values]
+
+
+@functools.cache
 def paper_rule_table() -> RuleTable:
     """The power-state selection algorithm of the paper's Table 1.
 
     Rows appear in the paper's order (first match wins); the trailing
     ``completion-*`` rules make the table total, see the module docstring.
+    One shared instance per process: tables are immutable.
     """
     very_high = [_P.VERY_HIGH]
     not_very_high = [_P.HIGH, _P.MEDIUM, _P.LOW]

@@ -528,7 +528,7 @@ def _oracle_lint_reach(
     spec: PlatformSpec, base: Optional[RunArtifacts], backend
 ) -> OracleVerdict:
     """Static lint (with the trajectory envelope) vs the base run's decisions."""
-    from repro.experiments.lint_crosscheck import decision_log_contexts
+    from repro.experiments.lint_crosscheck import decision_log_contexts, replay_decisions
     from repro.lint import lint_spec, spec_rule_table
 
     # Lint findings on a *generated* spec are advisory (the generator is
@@ -554,11 +554,7 @@ def _oracle_lint_reach(
     if len(escapes) > 3:
         problems.append(f"... and {len(escapes) - 3} more escape(s)")
     if table is not None and contexts:
-        fired: Dict[int, int] = {}
-        for context in contexts:
-            index = table.first_match_index(context)
-            if index is not None:
-                fired[index] = fired.get(index, 0) + 1
+        fired = replay_decisions(table, contexts)
         live = reach.live_rule_indices(table)
         shadowed = set(table.unreachable_rules())
         for index in sorted(fired):

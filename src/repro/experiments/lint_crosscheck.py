@@ -31,6 +31,7 @@ The check is cheap enough to run over all six paper platforms in CI.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -50,6 +51,7 @@ __all__ = [
     "crosscheck_scenario",
     "decision_contexts",
     "decision_log_contexts",
+    "replay_decisions",
 ]
 
 #: The platforms the CI cross-check sweeps (the paper's six scenarios).
@@ -142,14 +144,10 @@ def decision_log_contexts(decisions: Sequence[LemDecision]) -> List[RuleContext]
     ]
 
 
-def _replay(table: RuleTable, contexts: Sequence[RuleContext]) -> Dict[int, int]:
+def replay_decisions(table: RuleTable, contexts: Sequence[RuleContext]) -> Dict[int, int]:
     """Which rule wins each recorded decision, as index -> count."""
-    counts: Dict[int, int] = {}
-    for context in contexts:
-        index = table.first_match_index(context)
-        if index is not None:
-            counts[index] = counts.get(index, 0) + 1
-    return counts
+    indices = map(table.first_match_index, contexts)
+    return Counter(index for index in indices if index is not None)
 
 
 def crosscheck_scenario(
@@ -201,7 +199,7 @@ def crosscheck_scenario(
         contexts = decision_contexts(artifacts.trace_path or trace_path)
     finally:
         trace_path.unlink(missing_ok=True)
-    fire_counts = _replay(table, contexts)
+    fire_counts = replay_decisions(table, contexts)
     unreachable = tuple(table.unreachable_rules())
     violations = [
         (

@@ -26,7 +26,8 @@ Design constraints encoded here (not just chosen for speed):
 
 from __future__ import annotations
 
-from typing import List, Optional
+import functools
+from typing import Any, Callable, List, Optional, Tuple
 
 from hypothesis import strategies as st
 
@@ -52,40 +53,58 @@ __all__ = [
     "workload_defs",
 ]
 
+# Every strategy is built once per process and reused: Hypothesis validates
+# and labels each new strategy object before drawing from it, which costs
+# more than the draw.  Primitives are memoised per argument, composites per
+# call.
+_integers: Callable[..., st.SearchStrategy[int]] = functools.cache(st.integers)
+_floats: Callable[..., st.SearchStrategy[float]] = functools.cache(st.floats)
+_sampled_from: Callable[..., st.SearchStrategy[Any]] = functools.cache(st.sampled_from)
+
+
+@functools.cache
+def _optional(strategy: st.SearchStrategy) -> st.SearchStrategy:
+    return st.none() | strategy
+
+
 #: states a generated IP may start in (ON states only: a platform whose IP
 #: starts asleep exercises the wake-up path in every single run instead).
-_INITIAL_STATES = ("ON1", "ON2")
+_INITIAL_STATES = _sampled_from(("ON1", "ON2"))
 
-_SEEDS = st.integers(min_value=0, max_value=999)
-_CYCLES = st.integers(min_value=2_000, max_value=80_000)
-_IDLE_US = st.integers(min_value=50, max_value=2_000)
-_PRIORITY = st.sampled_from(PRIORITY_NAMES)
-_INSTRUCTION_CLASS = st.sampled_from(INSTRUCTION_CLASS_NAMES)
+_BOOLEANS = st.booleans()
+_SEEDS = _integers(min_value=0, max_value=999)
+_CYCLES = _integers(min_value=2_000, max_value=80_000)
+_IDLE_US = _integers(min_value=50, max_value=2_000)
+_PRIORITY = _sampled_from(PRIORITY_NAMES)
+_INSTRUCTION_CLASS = _sampled_from(INSTRUCTION_CLASS_NAMES)
 
 
+@functools.cache
 @st.composite
-def _cycles_range(draw) -> tuple:
-    low = draw(st.integers(min_value=2_000, max_value=40_000))
-    span = draw(st.integers(min_value=0, max_value=40_000))
+def _cycles_range(draw: st.DrawFn) -> Tuple[int, int]:
+    low = draw(_integers(min_value=2_000, max_value=40_000))
+    span = draw(_integers(min_value=0, max_value=40_000))
     return low, low + span
 
 
+@functools.cache
 @st.composite
-def _idle_range_us(draw) -> tuple:
-    low = draw(st.integers(min_value=50, max_value=1_000))
-    span = draw(st.integers(min_value=0, max_value=2_000))
+def _idle_range_us(draw: st.DrawFn) -> Tuple[int, int]:
+    low = draw(_integers(min_value=50, max_value=1_000))
+    span = draw(_integers(min_value=0, max_value=2_000))
     return low, low + span
 
 
+@functools.cache
 @st.composite
-def _explicit_items(draw) -> List[dict]:
-    count = draw(st.integers(min_value=1, max_value=4))
+def _explicit_items(draw: st.DrawFn) -> List[dict]:
+    count = draw(_integers(min_value=1, max_value=4))
     items = []
     for index in range(count):
         item = {"task": f"t{index}", "cycles": draw(_CYCLES)}
-        if draw(st.booleans()):
+        if draw(_BOOLEANS):
             item["priority"] = draw(_PRIORITY)
-        if draw(st.booleans()):
+        if draw(_BOOLEANS):
             item["instruction_class"] = draw(_INSTRUCTION_CLASS)
         # lossless femtosecond idle (the canonical as_dicts key)
         item["idle_after_fs"] = draw(_IDLE_US) * 1_000_000_000
@@ -93,29 +112,28 @@ def _explicit_items(draw) -> List[dict]:
     return items
 
 
+@functools.cache
 @st.composite
-def workload_defs(draw) -> WorkloadDef:
+def workload_defs(draw: st.DrawFn) -> WorkloadDef:
     """A bounded workload of any declarative kind."""
-    kind = draw(
-        st.sampled_from(
-            ("periodic", "random", "bursty", "high_activity", "low_activity", "explicit")
-        )
-    )
+    kind = draw(_sampled_from(
+        ("periodic", "random", "bursty", "high_activity", "low_activity", "explicit")
+    ))
     if kind == "periodic":
         return WorkloadDef(
             kind=kind,
-            task_count=draw(st.integers(min_value=1, max_value=5)),
+            task_count=draw(_integers(min_value=1, max_value=5)),
             cycles=draw(_CYCLES),
             idle_us=float(draw(_IDLE_US)),
-            priority=draw(st.none() | _PRIORITY),
-            instruction_class=draw(st.none() | _INSTRUCTION_CLASS),
+            priority=draw(_optional(_PRIORITY)),
+            instruction_class=draw(_optional(_INSTRUCTION_CLASS)),
         )
     if kind == "random":
         cycles_min, cycles_max = draw(_cycles_range())
         idle_min, idle_max = draw(_idle_range_us())
         return WorkloadDef(
             kind=kind,
-            task_count=draw(st.integers(min_value=1, max_value=5)),
+            task_count=draw(_integers(min_value=1, max_value=5)),
             seed=draw(_SEEDS),
             cycles_min=cycles_min,
             cycles_max=cycles_max,
@@ -126,120 +144,119 @@ def workload_defs(draw) -> WorkloadDef:
         cycles_min, cycles_max = draw(_cycles_range())
         return WorkloadDef(
             kind=kind,
-            burst_count=draw(st.integers(min_value=1, max_value=2)),
-            tasks_per_burst=draw(st.integers(min_value=1, max_value=3)),
+            burst_count=draw(_integers(min_value=1, max_value=2)),
+            tasks_per_burst=draw(_integers(min_value=1, max_value=3)),
             seed=draw(_SEEDS),
             cycles_min=cycles_min,
             cycles_max=cycles_max,
-            intra_burst_idle_us=float(draw(st.integers(min_value=10, max_value=200))),
-            inter_burst_idle_us=float(draw(st.integers(min_value=500, max_value=4_000))),
+            intra_burst_idle_us=float(draw(_integers(min_value=10, max_value=200))),
+            inter_burst_idle_us=float(draw(_integers(min_value=500, max_value=4_000))),
         )
     if kind in ("high_activity", "low_activity"):
         return WorkloadDef(
             kind=kind,
-            task_count=draw(st.integers(min_value=1, max_value=6)),
+            task_count=draw(_integers(min_value=1, max_value=6)),
             seed=draw(_SEEDS),
         )
     return WorkloadDef(kind="explicit", items=draw(_explicit_items()))
 
 
+@functools.cache
 @st.composite
-def _psm_defs(draw) -> PsmDef:
+def _psm_defs(draw: st.DrawFn) -> PsmDef:
     psm = PsmDef()
-    if draw(st.booleans()):
-        psm.dvfs_latency_us = float(draw(st.integers(min_value=1, max_value=20)))
-    if draw(st.booleans()):
-        psm.entry_latency_us = {"SL1": float(draw(st.integers(min_value=5, max_value=50)))}
-    if draw(st.booleans()):
-        psm.wakeup_latency_us = {"SL1": float(draw(st.integers(min_value=10, max_value=100)))}
+    if draw(_BOOLEANS):
+        psm.dvfs_latency_us = float(draw(_integers(min_value=1, max_value=20)))
+    if draw(_BOOLEANS):
+        psm.entry_latency_us = {"SL1": float(draw(_integers(min_value=5, max_value=50)))}
+    if draw(_BOOLEANS):
+        psm.wakeup_latency_us = {"SL1": float(draw(_integers(min_value=10, max_value=100)))}
     return psm
 
 
+@functools.cache
 @st.composite
-def ip_defs(draw, index: int = 0, bus_words_per_cycle: Optional[int] = None) -> IpDef:
+def ip_defs(draw: st.DrawFn, index: int = 0, bus_words_per_cycle: Optional[int] = None) -> IpDef:
     """One IP block; produces bus traffic only when ``bus_words_per_cycle`` is set."""
     bus_words = 0
     bus_priority = None
     if bus_words_per_cycle is not None:
         # whole multiples of words_per_cycle: CA duration == ED duration
-        bus_words = bus_words_per_cycle * draw(st.integers(min_value=1, max_value=64))
-        bus_priority = draw(st.none() | st.integers(min_value=0, max_value=3))
+        bus_words = bus_words_per_cycle * draw(_integers(min_value=1, max_value=64))
+        bus_priority = draw(_optional(_integers(min_value=0, max_value=3)))
     return IpDef(
         name=f"ip{index}",
         workload=draw(workload_defs()),
-        static_priority=draw(st.integers(min_value=1, max_value=3)),
-        initial_state=draw(st.sampled_from(_INITIAL_STATES)),
+        static_priority=draw(_integers(min_value=1, max_value=3)),
+        initial_state=draw(_INITIAL_STATES),
         bus_words_per_task=bus_words,
         bus_priority=bus_priority,
-        idle_activity=draw(
-            st.none() | st.floats(min_value=0.05, max_value=0.3, allow_nan=False)
-        ),
-        psm=draw(st.none() | _psm_defs()),
+        idle_activity=draw(_optional(_floats(min_value=0.05, max_value=0.3, allow_nan=False))),
+        psm=draw(_optional(_psm_defs())),
     )
 
 
+@functools.cache
 @st.composite
-def bus_defs(draw) -> BusDef:
+def bus_defs(draw: st.DrawFn) -> BusDef:
     """An enabled bus with bounded bandwidth (callers decide enablement)."""
     return BusDef(
         enabled=True,
-        words_per_second=float(draw(st.sampled_from((1_000_000, 10_000_000, 50_000_000)))),
-        arbitration=draw(st.sampled_from(("fifo", "priority"))),
-        timing=draw(st.sampled_from(("event_driven", "cycle_accurate"))),
-        words_per_cycle=draw(st.sampled_from((1, 2, 4))),
+        words_per_second=float(draw(_sampled_from((1_000_000, 10_000_000, 50_000_000)))),
+        arbitration=draw(_sampled_from(("fifo", "priority"))),
+        timing=draw(_sampled_from(("event_driven", "cycle_accurate"))),
+        words_per_cycle=draw(_sampled_from((1, 2, 4))),
     )
 
 
+@functools.cache
 @st.composite
-def policy_defs(draw) -> PolicyDef:
+def policy_defs(draw: st.DrawFn) -> PolicyDef:
     """A declarative default policy of any supported name."""
-    name = draw(st.sampled_from(("paper", "always-on", "greedy-sleep", "fixed-timeout")))
+    name = draw(_sampled_from(("paper", "always-on", "greedy-sleep", "fixed-timeout")))
     policy = PolicyDef(name=name)
     if name == "paper":
-        policy.predictor = draw(
-            st.none() | st.sampled_from(("fixed", "last-value", "ewma", "adaptive"))
-        )
-        policy.allow_off = draw(st.none() | st.booleans())
+        policy.predictor = draw(_optional(_sampled_from(("fixed", "last-value", "ewma", "adaptive"))))
+        policy.allow_off = draw(_optional(_BOOLEANS))
     elif name == "greedy-sleep":
-        policy.allow_off = draw(st.none() | st.booleans())
+        policy.allow_off = draw(_optional(_BOOLEANS))
     elif name == "fixed-timeout":
-        policy.timeout_ms = float(draw(st.integers(min_value=1, max_value=5)))
+        policy.timeout_ms = float(draw(_integers(min_value=1, max_value=5)))
     return policy
 
 
+@functools.cache
 @st.composite
-def platform_specs(draw, max_ips: int = 3, allow_bus: bool = True) -> PlatformSpec:
+def platform_specs(draw: st.DrawFn, max_ips: int = 3, allow_bus: bool = True) -> PlatformSpec:
     """A complete, valid, bounded platform spec (the fuzz harness input)."""
-    ip_count = draw(st.integers(min_value=1, max_value=max_ips))
+    ip_count = draw(_integers(min_value=1, max_value=max_ips))
     bus = None
     masters: List[bool] = [False] * ip_count
-    if allow_bus and draw(st.booleans()):
+    if allow_bus and draw(_BOOLEANS):
         bus = draw(bus_defs())
-        masters = [draw(st.booleans()) for _ in range(ip_count)]
+        masters = [draw(_BOOLEANS) for _ in range(ip_count)]
         if not any(masters):
             masters[0] = True
 
-    gem_enabled = draw(st.booleans())
+    gem_enabled = draw(_BOOLEANS)
     if gem_enabled:
         # GEM + stressed conditions legitimately parks low-priority IPs
         # (deliberate deadline sacrifice); keep the rules quiescent so the
         # policy oracle's deadline check stays meaningful.
-        battery = BatteryDef(condition=draw(st.sampled_from(("full", "high"))))
+        battery = BatteryDef(condition=draw(_sampled_from(("full", "high"))))
         thermal = None
         gem = GemDef(
             enabled=True,
-            high_priority_count=draw(st.none() | st.integers(min_value=1, max_value=2)),
-            evaluation_interval_us=float(draw(st.integers(min_value=500, max_value=5_000))),
+            high_priority_count=draw(_optional(_integers(min_value=1, max_value=2))),
+            evaluation_interval_us=float(draw(_integers(min_value=500, max_value=5_000))),
         )
     else:
         battery = BatteryDef(
-            condition=draw(st.none() | st.sampled_from(("full", "high", "medium", "low"))),
-            state_of_charge=draw(
-                st.none() | st.floats(min_value=0.3, max_value=1.0, allow_nan=False)
-            ),
-            on_ac_power=draw(st.none() | st.booleans()),
+            condition=draw(_optional(_sampled_from(("full", "high", "medium", "low")))),
+            state_of_charge=draw(_optional(_floats(min_value=0.3, max_value=1.0, allow_nan=False))),
+            on_ac_power=draw(_optional(_BOOLEANS)),
         )
-        thermal = draw(st.none() | st.sampled_from(("low", "high")))
+        thermal = draw(_optional(_sampled_from(("low", "high"))))
         gem = GemDef()
 
     spec = PlatformSpec(
@@ -256,10 +273,10 @@ def platform_specs(draw, max_ips: int = 3, allow_bus: bool = True) -> PlatformSp
         battery=battery,
         gem=gem,
         bus=bus if bus is not None else BusDef(),
-        policy=draw(st.none() | policy_defs()),
-        max_time_ms=float(draw(st.integers(min_value=150, max_value=400))),
-        sample_interval_us=float(draw(st.sampled_from((500, 1000, 2000)))),
-        with_fan=draw(st.booleans()),
+        policy=draw(_optional(policy_defs())),
+        max_time_ms=float(draw(_integers(min_value=150, max_value=400))),
+        sample_interval_us=float(draw(_sampled_from((500, 1000, 2000)))),
+        with_fan=draw(_BOOLEANS),
     )
     if thermal is not None:
         spec.thermal = ThermalDef(condition=thermal)

@@ -12,7 +12,7 @@ characterisation, transition table and workload come from the memoised
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.dpm.rules import RuleTable, paper_rule_table
 from repro.platform.build import compile_ip
@@ -49,6 +49,19 @@ def spec_rule_table(spec: PlatformSpec) -> Optional[RuleTable]:
     return paper_rule_table()
 
 
+def reachable_from(graph: Dict[PowerState, Set[PowerState]], start: PowerState) -> Set[PowerState]:
+    """States reachable from ``start`` (itself included) in a transition graph."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        node = frontier.pop()
+        for successor in graph.get(node, ()):
+            if successor not in seen:
+                seen.add(successor)
+                frontier.append(successor)
+    return seen
+
+
 @dataclass
 class IpModel:
     """Derived per-IP artifacts, as the simulator would build them."""
@@ -57,6 +70,11 @@ class IpModel:
     ip: IpDef
     characterization: PowerCharacterization
     transitions: TransitionTable
+    #: the transition table as a directed graph: state -> its targets
+    graph: Dict[PowerState, Set[PowerState]]
+    initial: PowerState
+    #: states reachable from ``initial`` (``initial`` included)
+    forward: Set[PowerState]
     #: low-power states with a complete ON1 round trip (entry and wake)
     complete_states: List[PowerState]
     breakeven: Optional[BreakEvenAnalyzer]
@@ -100,6 +118,10 @@ class SpecModel:
 def _build_ip(index: int, ip: IpDef) -> IpModel:
     compiled = compile_ip(ip)
     transitions = compiled.transitions
+    graph: Dict[PowerState, Set[PowerState]] = {}
+    for source, target in transitions.transitions:
+        graph.setdefault(source, set()).add(target)
+    initial = PowerState(ip.initial_state)
     complete = [
         state
         for state in LOW_STATES
@@ -120,6 +142,9 @@ def _build_ip(index: int, ip: IpDef) -> IpModel:
         ip=ip,
         characterization=compiled.characterization,
         transitions=transitions,
+        graph=graph,
+        initial=initial,
+        forward=reachable_from(graph, initial),
         complete_states=complete,
         breakeven=breakeven,
         workload=compiled.workload,

@@ -22,43 +22,25 @@ characterisation, or the spec's custom ``psm``) as a directed graph:
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import List
 
 from repro.lint.findings import Finding, Severity
-from repro.lint.model import LOW_STATES, IpModel, SpecModel
+from repro.lint.model import LOW_STATES, IpModel, SpecModel, reachable_from
 from repro.power.states import PowerState
 from repro.sim.simtime import sec
 
 __all__ = ["analyze_psm"]
 
 
-def _reachable_from(graph: Dict[PowerState, Set[PowerState]], start: PowerState) -> Set[PowerState]:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        node = frontier.pop()
-        for successor in graph.get(node, ()):
-            if successor not in seen:
-                seen.add(successor)
-                frontier.append(successor)
-    return seen
-
-
 def _analyze_ip(model: SpecModel, ip_model: IpModel) -> List[Finding]:
     findings: List[Finding] = []
     path = f"{ip_model.path}.psm"
-    pairs = list(ip_model.transitions.transitions)
-    graph: Dict[PowerState, Set[PowerState]] = {}
-    for source, target in pairs:
-        graph.setdefault(source, set()).add(target)
-    present = {state for pair in pairs for state in pair}
-
-    initial = PowerState(ip_model.ip.initial_state)
-    forward = _reachable_from(graph, initial)
+    present = {state for pair in ip_model.transitions.transitions for state in pair}
+    initial = ip_model.initial
     for state in LOW_STATES:
         if state not in present:
             continue  # removed from the table entirely: simply unavailable
-        if state not in forward:
+        if state not in ip_model.forward:
             findings.append(Finding(
                 code="PSM-UNREACHABLE",
                 severity=Severity.WARN,
@@ -71,7 +53,7 @@ def _analyze_ip(model: SpecModel, ip_model: IpModel) -> List[Finding]:
             ))
             continue
         # Reachable low-power state: is there a way back to execution?
-        wake = _reachable_from(graph, state)
+        wake = reachable_from(ip_model.graph, state)
         if not any(s.is_on for s in wake):
             findings.append(Finding(
                 code="PSM-NO-WAKE",

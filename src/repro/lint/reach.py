@@ -60,7 +60,7 @@ every iterate over-approximates the concrete system, so stopping at the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.battery.model import BatteryConfig
@@ -208,16 +208,10 @@ class ReachResult:
     def live_rule_indices(self, table: RuleTable) -> FrozenSet[int]:
         """Rule indices that first-match at least one reachable context."""
         live: Set[int] = set()
-        bus_levels = sorted(self.bus_set, key=lambda l: l.value)
         for ip in self.ips:
-            for priority in ip.priorities:
-                for battery in sorted(ip.battery_set, key=lambda l: l.rank):
-                    for temperature in sorted(ip.temperature_set, key=lambda l: l.rank):
-                        for bus in bus_levels:
-                            context = RuleContext(priority, battery, temperature, bus=bus)
-                            index = table.first_match_index(context)
-                            if index is not None:
-                                live.add(index)
+            live |= table.first_match_indices(
+                ip.priorities, ip.battery_set, ip.temperature_set, self.bus_set
+            )
         return frozenset(live)
 
     def selected_on_states(self, table: RuleTable) -> FrozenSet[PowerState]:
@@ -281,8 +275,6 @@ class ReachResult:
 @dataclass
 class _IpStatics:
     ip_model: IpModel
-    initial: PowerState
-    forward: Set[PowerState]          # forward-reachable PSM states
     on_states: Tuple[PowerState, ...]  # forward-reachable ON states
     classes: Tuple[InstructionClass, ...]
     priorities: Tuple[TaskPriority, ...]
@@ -300,19 +292,7 @@ class _IpStatics:
 
 def _build_statics(ip_model: IpModel, notes: List[str]) -> _IpStatics:
     char = ip_model.characterization
-    pairs = list(ip_model.transitions.transitions)
-    graph: Dict[PowerState, Set[PowerState]] = {}
-    for source, target in pairs:
-        graph.setdefault(source, set()).add(target)
-    initial = PowerState(ip_model.ip.initial_state)
-    forward = {initial}
-    frontier = [initial]
-    while frontier:
-        node = frontier.pop()
-        for successor in graph.get(node, ()):
-            if successor not in forward:
-                forward.add(successor)
-                frontier.append(successor)
+    forward = ip_model.forward
     on_states = tuple(s for s in ON_STATES if s in forward)
 
     workload = ip_model.workload
@@ -365,7 +345,7 @@ def _build_statics(ip_model: IpModel, notes: List[str]) -> _IpStatics:
     trans_rate_w = 0.0
     trans_rate_unbounded = False
     max_trans_energy_j = 0.0
-    for source, target in pairs:
+    for source, target in ip_model.transitions.transitions:
         if source not in forward:
             continue
         cost = ip_model.transitions.cost(source, target)
@@ -386,8 +366,6 @@ def _build_statics(ip_model: IpModel, notes: List[str]) -> _IpStatics:
     traffic = ip_model.ip.bus_words_per_task > 0 and has_tasks
     return _IpStatics(
         ip_model=ip_model,
-        initial=initial,
-        forward=forward,
         on_states=on_states,
         classes=classes,
         priorities=priorities if has_tasks else (),
@@ -415,7 +393,7 @@ def _ip_power_bounds(statics: _IpStatics, resident: Set[PowerState]) -> Tuple[fl
             for iclass in statics.classes or tuple(InstructionClass):
                 active_max = max(active_max, char.active_power_w(state, iclass))
     idle_values = []
-    for state in statics.forward:
+    for state in statics.ip_model.forward:
         if state.is_on:
             # Idle power counts for every forward-reachable ON state, not
             # just table-selected ones: wake transitions land in ON1 and the
@@ -617,7 +595,7 @@ def compute_reach(model: SpecModel) -> ReachResult:
             if ip_statics.has_tasks:
                 # Tasks only ever execute at table-selected ON states (plus
                 # the initial state before the first decision).
-                keep &= selected | {ip_statics.initial}
+                keep &= selected | {ip_statics.ip_model.initial}
             refined.append(keep)
         if refined == resident:
             converged = True
@@ -628,20 +606,8 @@ def compute_reach(model: SpecModel) -> ReachResult:
         notes.append(
             f"fixpoint cap of {WIDEN_LIMIT} iterations hit; envelope widened"
         )
-    return ReachResult(
-        subject=result.subject,
-        horizon_s=result.horizon_s,
-        power_w=result.power_w,
-        window_power_w=result.window_power_w,
-        soc=result.soc,
-        run_soc=result.run_soc,
-        temperature_c=result.temperature_c,
-        run_temperature_c=result.run_temperature_c,
-        battery_levels=result.battery_levels,
-        temperature_levels=result.temperature_levels,
-        bus_levels=result.bus_levels,
-        ips=result.ips,
-        other_energy_bound_j=result.other_energy_bound_j,
+    return replace(
+        result,
         iterations=iterations,
         converged=converged,
         assumptions=tuple(dict.fromkeys(notes)),

@@ -17,8 +17,13 @@ from repro.dpm import (
     TemperatureLevel,
     paper_rule_table,
 )
+from repro.dpm.policies import RuleBasedPolicy
 from repro.errors import RuleError
+from repro.platform.build import build_dpm_setup
+from repro.platform.spec import PolicyDef
 from repro.power import PowerState
+from repro.sim import ms, sec
+from repro.soc import IpSpec, SocConfig, build_soc, periodic_workload
 
 P = TaskPriority
 B = BatteryLevel
@@ -75,10 +80,34 @@ class TestRuleTableSemantics:
             table.select(RuleContext(P.LOW, B.FULL, T.LOW))
 
     def test_hit_counts_recorded(self):
-        table = RuleTable([Rule.of(S.ON1)])
-        table.select(RuleContext(P.LOW, B.FULL, T.LOW))
-        table.select(RuleContext(P.HIGH, B.LOW, T.LOW))
-        assert table.hit_counts[0] == 2
+        policy = RuleBasedPolicy(RuleTable([Rule.of(S.ON1)]))
+        policy.select_on_state(RuleContext(P.LOW, B.FULL, T.LOW))
+        policy.select_on_state(RuleContext(P.HIGH, B.LOW, T.LOW))
+        assert policy.hit_counts[0] == 2
+
+    def test_hit_counts_are_per_lem_under_a_shared_custom_table(self):
+        # A custom policy.rules table is one object shared by every LEM of
+        # the SoC; each LEM's policy still counts only its own decisions.
+        rules = [
+            {"state": "ON2", "priorities": ["high"]},
+            {"state": "ON1", "label": "default"},
+        ]
+        setup = build_dpm_setup(PolicyDef(name="paper", rules=rules))
+        soc = build_soc(
+            [
+                IpSpec(name="ip0", workload=periodic_workload(
+                    task_count=3, cycles=20_000, idle=ms(1), priority=P.HIGH)),
+                IpSpec(name="ip1", workload=periodic_workload(
+                    task_count=2, cycles=20_000, idle=ms(1), priority=P.LOW)),
+            ],
+            SocConfig(),
+            setup,
+        )
+        soc.run_until_done(max_time=sec(1))
+        first, second = (lem.policy for lem in soc.lems)
+        assert first.rules is second.rules
+        assert first.hit_counts == {0: 3, 1: 0}
+        assert second.hit_counts == {0: 0, 1: 2}
 
     def test_uncovered_contexts_detection(self):
         table = RuleTable([Rule.of(S.ON1, temperatures=[T.LOW])])
@@ -236,8 +265,8 @@ class TestBusDimension:
         saturated = RuleContext(P.HIGH, B.FULL, T.LOW, bus=BusLevel.HIGH)
         assert throttle.select(low) is S.ON1
         assert throttle.select(saturated) is S.ON4
-        # The first-match cache must key on the bus level too: repeat reads
-        # with both levels stay distinct.
+        # The decision map must key on the bus level too: repeat reads with
+        # both levels stay distinct.
         assert throttle.select(saturated) is S.ON4
         assert throttle.select(low) is S.ON1
 
