@@ -48,6 +48,7 @@ CODES: Dict[str, str] = {
     "RULES-UNCOVERED": "no rule matches part of the priority x battery x temperature x bus lattice",
     "RULE-DEAD-TRAJECTORY": "rule only matches contexts outside the reachable trajectory envelope",
     # -- psm analyzer -----------------------------------------------------
+    "PSM-UNBUILDABLE": "the IP's power model cannot be built, so every run of the spec fails",
     "PSM-UNREACHABLE": "low-power state has no entry transition from any ON state",
     "PSM-NO-WAKE": "low-power state is absorbing: no wake transition back to any ON state",
     "PSM-SLEEP-POWER": "sleep-state residual power >= idle power, the state can never break even",

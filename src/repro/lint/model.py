@@ -1,35 +1,32 @@
 """Shared analysis model: one build of the spec's derived objects.
 
 Every spec analyzer needs the same derived artifacts — the instantiated
-workloads, the power characterisation, the transition table and the
-break-even analysis per IP, plus the active selection rule table.  Building
-them once in :func:`build_model` keeps the analyzers cheap and guarantees
-they all reason about the *same* objects the simulator runs: each IP's
-characterisation, transition table and workload come from the memoised
-:func:`repro.platform.build.compile_ip` a run of the spec uses too.
+workloads, the power characterisation, the transition table, its PSM graph
+facts and break-even analysis per IP, plus the active selection rule table.
+Gathering them in :func:`build_model` keeps the analyzers cheap and
+guarantees they reason about the *same* objects the simulator runs: each
+IP's workload and :class:`~repro.platform.build.PowerModel`, PSM facts
+included, come from the memoised :func:`repro.platform.build.compile_ip`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, FrozenSet, List, Optional, Sequence
 
 from repro.dpm.rules import RuleTable, paper_rule_table
-from repro.platform.build import compile_ip
+from repro.platform.build import LOW_STATES, PowerModel, compile_ip
 from repro.platform.spec import IpDef, PlatformSpec
 from repro.power.breakeven import BreakEvenAnalyzer
 from repro.power.characterization import PowerCharacterization
-from repro.power.states import SLEEP_STATES, PowerState
-from repro.power.transitions import TransitionTable
+from repro.power.states import PowerState
+from repro.power.transitions import StateGraph, TransitionTable
 from repro.soc.workload import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (reach imports us)
     from repro.lint.reach import ReachResult
 
-__all__ = ["IpModel", "SpecModel", "build_model", "spec_rule_table"]
-
-#: Candidate low-power states in analysis order (shallow to deep).
-LOW_STATES = tuple(SLEEP_STATES) + (PowerState.OFF,)
+__all__ = ["LOW_STATES", "IpModel", "SpecModel", "build_model", "spec_rule_table"]
 
 
 def spec_rule_table(spec: PlatformSpec) -> Optional[RuleTable]:
@@ -49,34 +46,23 @@ def spec_rule_table(spec: PlatformSpec) -> Optional[RuleTable]:
     return paper_rule_table()
 
 
-def reachable_from(graph: Dict[PowerState, Set[PowerState]], start: PowerState) -> Set[PowerState]:
-    """States reachable from ``start`` (itself included) in a transition graph."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        node = frontier.pop()
-        for successor in graph.get(node, ()):
-            if successor not in seen:
-                seen.add(successor)
-                frontier.append(successor)
-    return seen
-
-
 @dataclass
 class IpModel:
     """Derived per-IP artifacts, as the simulator would build them."""
 
     index: int
     ip: IpDef
+    power: PowerModel
     characterization: PowerCharacterization
     transitions: TransitionTable
     #: the transition table as a directed graph: state -> its targets
-    graph: Dict[PowerState, Set[PowerState]]
+    graph: StateGraph
     initial: PowerState
     #: states reachable from ``initial`` (``initial`` included)
-    forward: Set[PowerState]
+    forward: FrozenSet[PowerState]
     #: low-power states with a complete ON1 round trip (entry and wake)
-    complete_states: List[PowerState]
+    complete_states: Sequence[PowerState]
+    #: break-even analysis over ``complete_states``
     breakeven: Optional[BreakEvenAnalyzer]
     workload: Optional[Workload]
     workload_error: Optional[str] = None
@@ -117,22 +103,8 @@ class SpecModel:
 
 def _build_ip(index: int, ip: IpDef) -> IpModel:
     compiled = compile_ip(ip)
-    transitions = compiled.transitions
-    graph: Dict[PowerState, Set[PowerState]] = {}
-    for source, target in transitions.transitions:
-        graph.setdefault(source, set()).add(target)
+    power = compiled.power
     initial = PowerState(ip.initial_state)
-    complete = [
-        state
-        for state in LOW_STATES
-        if transitions.is_allowed(PowerState.ON1, state)
-        and transitions.is_allowed(state, PowerState.ON1)
-    ]
-    breakeven = (
-        BreakEvenAnalyzer(compiled.characterization, transitions, candidate_states=complete)
-        if complete
-        else None
-    )
     # A validated spec can still describe an uninstantiable workload (e.g. a
     # zero-cycle explicit task); the workload analyzer turns the recorded
     # error into a finding instead of the whole lint run crashing.
@@ -140,13 +112,14 @@ def _build_ip(index: int, ip: IpDef) -> IpModel:
     return IpModel(
         index=index,
         ip=ip,
-        characterization=compiled.characterization,
-        transitions=transitions,
-        graph=graph,
+        power=power,
+        characterization=power.characterization,
+        transitions=power.transitions,
+        graph=power.graph,
         initial=initial,
-        forward=reachable_from(graph, initial),
-        complete_states=complete,
-        breakeven=breakeven,
+        forward=power.reachable[initial],
+        complete_states=power.complete_states,
+        breakeven=power.lint_breakeven,
         workload=compiled.workload,
         workload_error=workload_error,
     )

@@ -26,7 +26,7 @@ from typing import List, Set, Tuple
 
 from repro.battery.status import BatteryLevel
 from repro.lint.findings import Finding, Severity
-from repro.lint.model import IpModel, SpecModel
+from repro.lint.model import SpecModel
 from repro.power.states import PowerState
 from repro.sim.simtime import ms
 from repro.thermal.level import TemperatureLevel
@@ -37,15 +37,6 @@ __all__ = ["analyze_policy"]
 _FIXED_TIMEOUT_SLEEP = PowerState.SL2
 #: Its default timeout (ms) when the spec leaves timeout_ms unset.
 _FIXED_TIMEOUT_DEFAULT_MS = 2.0
-
-
-def _entry_states(ip_model: IpModel) -> Set[PowerState]:
-    """Low-power states the IP can actually enter from some ON state."""
-    return {
-        target
-        for source, target in ip_model.transitions.transitions
-        if source.is_on and (target.is_sleep or target.is_off)
-    }
 
 
 def _check_timeout(model: SpecModel) -> List[Finding]:
@@ -150,7 +141,7 @@ def _check_referenced_states(model: SpecModel) -> List[Finding]:
     reported: Set[Tuple[str, PowerState, str]] = set()
     for path, state in _referenced_states(model):
         for ip_model in model.ips:
-            if state in _entry_states(ip_model):
+            if state in ip_model.power.entry_states:
                 continue
             key = (path, state, ip_model.ip.name)
             if key in reported:

@@ -3,6 +3,8 @@
 Walks each IP's transition table (the default one, scaled to the IP's
 characterisation, or the spec's custom ``psm``) as a directed graph:
 
+* ``PSM-UNBUILDABLE`` — every run fails building the IP's power model, e.g.
+  its break-even analysis needs an ON1 round trip the table forbids.
 * ``PSM-UNREACHABLE`` — a low-power state that appears in the table but has
   no path from the IP's initial state; it can never be entered.
 * ``PSM-NO-WAKE`` — a reachable low-power state with no path back to any ON
@@ -25,7 +27,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.lint.findings import Finding, Severity
-from repro.lint.model import LOW_STATES, IpModel, SpecModel, reachable_from
+from repro.lint.model import LOW_STATES, IpModel, SpecModel
 from repro.power.states import PowerState
 from repro.sim.simtime import sec
 
@@ -35,8 +37,16 @@ __all__ = ["analyze_psm"]
 def _analyze_ip(model: SpecModel, ip_model: IpModel) -> List[Finding]:
     findings: List[Finding] = []
     path = f"{ip_model.path}.psm"
-    present = {state for pair in ip_model.transitions.transitions for state in pair}
+    present = set(ip_model.graph).union(*ip_model.graph.values())
     initial = ip_model.initial
+    if ip_model.power.error is not None:
+        findings.append(Finding(
+            code="PSM-UNBUILDABLE",
+            severity=Severity.ERROR,
+            path=path,
+            message=f"no run can build this power model: {ip_model.power.error}",
+            suggestion="give every sleep and off state an ON1 entry and wake transition",
+        ))
     for state in LOW_STATES:
         if state not in present:
             continue  # removed from the table entirely: simply unavailable
@@ -53,8 +63,7 @@ def _analyze_ip(model: SpecModel, ip_model: IpModel) -> List[Finding]:
             ))
             continue
         # Reachable low-power state: is there a way back to execution?
-        wake = reachable_from(ip_model.graph, state)
-        if not any(s.is_on for s in wake):
+        if not any(s.is_on for s in ip_model.power.reachable[state]):
             findings.append(Finding(
                 code="PSM-NO-WAKE",
                 severity=Severity.ERROR,

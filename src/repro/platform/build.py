@@ -7,10 +7,10 @@ objects (:class:`~repro.soc.soc.IpSpec`, :class:`~repro.soc.soc.SocConfig`,
 :class:`~repro.dpm.controller.DpmSetup`) that
 :func:`repro.experiments.runner.run_scenario` assembles into a SoC.
 
-What no run changes — an IP's characterisation, transition table,
-break-even analysis and generated workload — is built by
-:func:`compile_ip` once per IP content and shared by every run and lint
-of that IP in the process.
+What no run changes is built by :func:`compile_ip` and shared by every run
+and lint in the process: an IP's generated workload once per IP content, its
+:class:`PowerModel` (characterisation, transitions, break-even analyses and
+PSM facts) once per power content, whatever the IP's name or workload.
 
 Defaults contract: an optional knob left unset builds exactly what the
 library would build without it (``None`` characterisation and transitions,
@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import weakref
 from collections import OrderedDict
-from typing import Callable, Dict, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.battery.model import BatteryConfig
 from repro.dpm.controller import DpmSetup
@@ -46,8 +48,8 @@ from repro.power.characterization import (
     default_characterization,
 )
 from repro.power.operating_point import OperatingPoint, OperatingPointTable
-from repro.power.states import PowerState
-from repro.power.transitions import TransitionCost, TransitionTable, default_transition_table
+from repro.power.states import SLEEP_STATES, PowerState
+from repro.power.transitions import StateGraph, TransitionCost, TransitionTable, default_transition_table
 from repro.sim.simtime import ms, us
 from repro.soc.soc import IpSpec, SocConfig, resolve_power_model
 from repro.soc.task import TaskPriority
@@ -65,6 +67,8 @@ from repro.thermal.model import ThermalConfig
 __all__ = [
     "COMPILED_IP_LIMIT",
     "CompiledIp",
+    "LOW_STATES",
+    "PowerModel",
     "battery_condition",
     "build_battery_config",
     "build_characterization",
@@ -258,17 +262,94 @@ def build_transitions(
 # ----------------------------------------------------------------------
 # Compiled IPs
 # ----------------------------------------------------------------------
+#: Candidate low-power states in analysis order (shallow to deep).
+LOW_STATES: Tuple[PowerState, ...] = tuple(SLEEP_STATES) + (PowerState.OFF,)
+#: IpDef fields that do not shape the power model.
+_NON_POWER_FIELDS = frozenset(
+    ("name", "workload", "static_priority", "initial_state", "bus_words_per_task", "bus_priority"))
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class PowerModel:
+    """An IP's power model, shared by every IP with the same power content.
+
+    The characterisation and transition table (library defaults filled in),
+    the run's break-even analysis (``None`` with the ``error`` every run of
+    the IP raises) and the PSM facts lint reads.  No run mutates them.
+    """
+
+    characterization: PowerCharacterization
+    transitions: TransitionTable
+    breakeven: Optional[BreakEvenAnalyzer]
+    #: each state's allowed targets
+    graph: StateGraph
+    #: states reachable from each state (itself included)
+    reachable: StateGraph
+    #: low-power states with a complete ON1 round trip (entry and wake)
+    complete_states: Tuple[PowerState, ...]
+    #: low-power states the IP can enter from some ON state
+    entry_states: FrozenSet[PowerState]
+    #: lint's break-even analysis over ``complete_states`` (``None`` if empty)
+    lint_breakeven: Optional[BreakEvenAnalyzer]
+    error: Optional[ReproError] = None
+
+
+def _build_power_model(ipdef: IpDef) -> PowerModel:
+    custom = build_characterization(ipdef)
+    characterization, transitions = resolve_power_model(
+        custom, build_transitions(ipdef, custom)
+    )
+    breakeven: Optional[BreakEvenAnalyzer] = None
+    error: Optional[ReproError] = None
+    try:
+        breakeven = BreakEvenAnalyzer(characterization, transitions)
+    except ReproError as breakeven_error:
+        error = breakeven_error
+    targets: Dict[PowerState, Set[PowerState]] = {}
+    for source, target in transitions.transitions:
+        targets.setdefault(source, set()).add(target)
+    # Warshall's transitive closure, every state reaching itself.
+    reach = {state: {state} | targets.get(state, set()) for state in PowerState}
+    for middle in PowerState:
+        for found in reach.values():
+            if middle in found:
+                found |= reach[middle]
+    complete = tuple(
+        state for state in LOW_STATES
+        if transitions.is_allowed(PowerState.ON1, state) and transitions.is_allowed(state, PowerState.ON1)
+    )
+    lint_breakeven: Optional[BreakEvenAnalyzer] = None
+    if complete == LOW_STATES:  # the run's own candidates
+        lint_breakeven = breakeven
+    elif complete:
+        lint_breakeven = BreakEvenAnalyzer(characterization, transitions, candidate_states=complete)
+    return PowerModel(
+        characterization=characterization,
+        transitions=transitions,
+        breakeven=breakeven,
+        graph=MappingProxyType({source: frozenset(found) for source, found in targets.items()}),
+        reachable=MappingProxyType({state: frozenset(found) for state, found in reach.items()}),
+        complete_states=complete,
+        entry_states=frozenset(
+            target for source, target in transitions.transitions if source.is_on and not target.is_on
+        ),
+        lint_breakeven=lint_breakeven,
+        error=error,
+    )
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class CompiledIp:
     """The run-independent values of one IP, shared by every run of it.
 
-    No run mutates them: the characterisation and transition table with the
-    library defaults filled in, the break-even analysis a LEM decides with
-    and the generated workload.  A workload or break-even analysis that
-    cannot be built leaves ``None`` and records the error (the workload's
-    first): a run raises it, lint reports a failed workload as a finding.
+    No run mutates them: the shared :class:`PowerModel` (its
+    characterisation, transition table and break-even analysis repeated
+    here) and the generated workload.  A workload that cannot be built
+    leaves ``None``; the workload's error, else the power model's, is
+    recorded: a run raises it, lint reports either as a finding.
     """
 
+    power: PowerModel
     characterization: PowerCharacterization
     transitions: TransitionTable
     workload: Optional[Workload]
@@ -293,23 +374,14 @@ class CompiledIp:
         )
 
 
-def _compile_ip(ipdef: IpDef) -> CompiledIp:
-    custom = build_characterization(ipdef)
-    characterization, transitions = resolve_power_model(
-        custom, build_transitions(ipdef, custom)
-    )
+def _compile_ip(ipdef: IpDef, power: PowerModel) -> CompiledIp:
     workload: Optional[Workload] = None
-    breakeven: Optional[BreakEvenAnalyzer] = None
-    error: Optional[Exception] = None
+    error: Optional[Exception] = power.error
     try:
         workload = build_workload(ipdef.workload)
     except (ReproError, ValueError) as workload_error:
         error = workload_error
-    try:
-        breakeven = BreakEvenAnalyzer(characterization, transitions)
-    except ReproError as breakeven_error:
-        error = breakeven_error if error is None else error
-    return CompiledIp(characterization, transitions, workload, breakeven, error)
+    return CompiledIp(power, power.characterization, power.transitions, workload, power.breakeven, error)
 
 
 #: Compiled IPs by canonical IpDef content, least recently used first.
@@ -317,21 +389,32 @@ _COMPILED: "OrderedDict[str, CompiledIp]" = OrderedDict()
 #: Bound of :data:`_COMPILED`: the IPs of a few platforms, so a process that
 #: sweeps many specs holds a handful of workloads, not all of them.
 COMPILED_IP_LIMIT = 16
+#: Power models by canonical power content.  Weak values: a model lives only
+#: while a compiled IP or a run holds it, so the memo adds no bound of its own.
+_POWER_MODELS: "weakref.WeakValueDictionary[str, PowerModel]" = weakref.WeakValueDictionary()
 
 
 def compile_ip(ipdef: IpDef) -> CompiledIp:
     """The compiled values of ``ipdef``, built once per content.
 
-    Keyed by the canonical ``to_dict`` form that ``spec_hash`` hashes, so
-    equal definitions share one compile however they were written.  Only
-    compiles without an error are kept.
+    Keyed by the canonical ``to_dict`` form that ``spec_hash`` hashes (the
+    power model by its power fields alone), so equal definitions share one
+    compile however they were written.  Only error-free builds are kept.
     """
-    key = json.dumps(ipdef.to_dict(), sort_keys=True, separators=(",", ":"))
+    data = ipdef.to_dict()
+    key = json.dumps(data, sort_keys=True, separators=(",", ":"))
     compiled = _COMPILED.get(key)
     if compiled is not None:
         _COMPILED.move_to_end(key)
         return compiled
-    compiled = _compile_ip(ipdef)
+    power_data = {field: value for field, value in data.items() if field not in _NON_POWER_FIELDS}
+    power_key = json.dumps(power_data, sort_keys=True, separators=(",", ":"))
+    power = _POWER_MODELS.get(power_key)
+    if power is None:
+        power = _build_power_model(ipdef)
+        if power.error is None:
+            _POWER_MODELS[power_key] = power
+    compiled = _compile_ip(ipdef, power)
     if compiled.error is None:
         _COMPILED[key] = compiled
         if len(_COMPILED) > COMPILED_IP_LIMIT:
@@ -341,7 +424,7 @@ def compile_ip(ipdef: IpDef) -> CompiledIp:
 
 def build_ip_spec(ipdef: IpDef) -> IpSpec:
     """One :class:`IpSpec` from its definition, sharing nothing with any run."""
-    return _compile_ip(ipdef).ip_spec(ipdef)
+    return _compile_ip(ipdef, _build_power_model(ipdef)).ip_spec(ipdef)
 
 
 # ----------------------------------------------------------------------

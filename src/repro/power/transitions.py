@@ -15,13 +15,16 @@ provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import InvalidTransitionError, PowerModelError
 from repro.power.states import ON_STATES, SLEEP_STATES, PowerState
 from repro.sim.simtime import SimTime, us, ZERO_TIME
 
-__all__ = ["TransitionCost", "TransitionTable", "default_transition_table"]
+__all__ = ["StateGraph", "TransitionCost", "TransitionTable", "default_transition_table"]
+
+#: A transition table as a directed graph: each state's allowed targets.
+StateGraph = Mapping[PowerState, FrozenSet[PowerState]]
 
 
 @dataclass(frozen=True)

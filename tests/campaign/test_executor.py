@@ -391,6 +391,23 @@ class TestPreflight:
             (tmp_path / "camp").rglob("*.json")
         )
 
+    def test_unbuildable_power_model_fails_fast(self):
+        from repro.campaign import preflight_campaign
+
+        platform = {
+            "format": "repro-platform/1",
+            "name": "no-sl3",
+            "ips": [{
+                "name": "cpu", "workload": {"kind": "periodic", "task_count": 2},
+                "psm": {"transitions": [
+                    {"source": "ON1", "target": "SL3", "allowed": False},
+                ]},
+            }],
+        }
+        spec = self.platform_grid({"kind": "platform", "spec": platform})
+        with pytest.raises(CampaignError, match="no-sl3.*PSM-UNBUILDABLE"):
+            preflight_campaign(spec)
+
     def test_preflight_can_be_disabled(self, tmp_path):
         spec = self.platform_grid({"kind": "platform", "spec": self.bad_platform()})
         summary = run_campaign(spec, tmp_path / "camp", workers=1, preflight=False)

@@ -8,6 +8,8 @@ contract: lint must not cry wolf on the specs the repo actually ships.
 
 import pytest
 
+from repro.errors import InvalidTransitionError
+from repro.experiments import run_scenario
 from repro.lint import CODES, Severity, lint_spec, spec_rule_table
 from repro.platform import (
     BatteryDef,
@@ -137,6 +139,25 @@ class TestPsmAnalyzer:
                                     for s in ALL_STATES]),
         )]))
         assert by_code(report, "PSM-UNREACHABLE").severity is Severity.WARN
+
+    def test_forbidden_on1_round_trip_fails_every_run_and_lint(self):
+        # Validates, but the run's break-even analysis needs ON1 -> SL3, so
+        # every run raises while building the power model; lint must say so.
+        spec = PlatformSpec.from_dict({"name": "nosl3", "ips": [{
+            "name": "cpu", "workload": {"kind": "periodic", "task_count": 2},
+            "psm": {"transitions": [
+                {"source": "ON1", "target": "SL3", "allowed": False},
+            ]},
+        }]})
+        spec.validate()
+        with pytest.raises(InvalidTransitionError, match="ON1 -> SL3"):
+            run_scenario(spec, trace=False)
+        report = lint_spec(spec, reach=True)
+        finding = by_code(report, "PSM-UNBUILDABLE")
+        assert finding.severity is Severity.ERROR
+        assert finding.path == "platform.ips[0].psm"
+        assert "ON1 -> SL3" in finding.message
+        assert report.errors == [finding]
 
     def test_sleep_power_not_below_idle(self):
         report = lint(PlatformSpec(name="sleeppower", ips=[IpDef(

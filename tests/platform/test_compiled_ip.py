@@ -1,22 +1,25 @@
 """Compiled IPs: built once per IpDef content, shared by runs, never mutated.
 
 Every run, oracle, campaign job and lint of an IP takes its
-characterisation, transition table, break-even analysis and workload from
-:func:`repro.platform.build.compile_ip`.  Sharing them is sound only while
-nothing mutates them, and a run on a warm memo is bit-identical to one on a
-cold memo.
+characterisation, transition table, break-even analyses, PSM facts and
+workload from :func:`repro.platform.build.compile_ip`; the power model is
+shared by every IP with the same power content.  Sharing them is sound only
+while nothing mutates them, and a run on a warm memo is bit-identical to one
+on a cold memo.
 """
 
 from __future__ import annotations
 
+import gc
 import re
+import weakref
 
 import pytest
 
 from repro.errors import WorkloadError
 from repro.experiments import run_comparison, run_differential, run_scenario
 from repro.lint import lint_spec
-from repro.platform import IpDef, PlatformSpec, WorkloadDef
+from repro.platform import IpDef, PlatformSpec, PsmDef, WorkloadDef
 from repro.platform import build as platform_build
 from repro.platform.build import COMPILED_IP_LIMIT, build_ip_spec, compile_ip
 from repro.platform.registry import platform_by_name, platform_names
@@ -30,10 +33,20 @@ def cold_memo():
     platform_build._COMPILED.clear()
 
 
+def states(values):
+    return sorted(str(state) for state in values)
+
+
 def snapshot(compiled):
     """Every value of a compiled IP a run or analysis reads."""
     characterization = compiled.characterization
+    power = compiled.power
     return {
+        "graph": {str(state): states(targets) for state, targets in power.graph.items()},
+        "reachable": {str(state): states(found) for state, found in power.reachable.items()},
+        "complete": states(power.complete_states),
+        "entry": states(power.entry_states),
+        "lint_breakeven": power.lint_breakeven.summary(),
         "workload": compiled.workload.as_dicts(),
         "transitions": compiled.transitions.as_dict(),
         "dense_costs": compiled.transitions.dense_costs,
@@ -68,8 +81,12 @@ def test_no_run_mutates_a_compiled_ip(name):
     result = run_differential(spec)
     assert all(verdict.status != "fail" for verdict in result.verdicts), result.verdicts
     run_comparison(spec)
+    lint_spec(spec, reach=True)
     assert all(compile_ip(ipdef) is entry for ipdef, entry in zip(spec.ips, compiled))
     assert [snapshot(entry) for entry in compiled] == before
+    if name == "B":
+        assert len(compiled) == 4
+        assert all(entry.power is compiled[0].power for entry in compiled)
 
 
 @pytest.mark.parametrize("name", platform_names())
@@ -106,6 +123,47 @@ def test_equal_content_shares_one_compile(cold_memo):
     assert compile_ip(thin) is compile_ip(explicit_defaults)
     reseeded = IpDef(name="cpu", workload=WorkloadDef(kind="random", task_count=4, seed=4))
     assert compile_ip(reseeded) is not compile_ip(thin)
+
+
+def test_ips_differing_outside_power_fields_share_one_model(cold_memo):
+    base = IpDef(name="cpu", workload=WorkloadDef(kind="periodic", task_count=2))
+    variants = [
+        IpDef(name="dsp", workload=base.workload),
+        IpDef(name="cpu", workload=WorkloadDef(kind="random", task_count=3, seed=9)),
+        IpDef(name="cpu", workload=base.workload, static_priority=3),
+        IpDef(name="cpu", workload=base.workload, initial_state="SL1"),
+        IpDef(name="cpu", workload=base.workload, bus_words_per_task=64, bus_priority=2),
+    ]
+    compiled = compile_ip(base)
+    for ipdef in variants:
+        other = compile_ip(ipdef)
+        assert other is not compiled
+        assert other.power is compiled.power
+
+
+@pytest.mark.parametrize("knob", [
+    {"psm": PsmDef(wakeup_latency_us={"SL2": 40.0})},
+    {"residual_fraction": {"SL1": 0.5}},
+])
+def test_one_differing_power_knob_gives_a_separate_model(cold_memo, knob):
+    workload = WorkloadDef(kind="periodic", task_count=2)
+    base = compile_ip(IpDef(name="cpu", workload=workload))
+    tuned = compile_ip(IpDef(name="cpu", workload=workload, **knob))
+    assert tuned.power is not base.power
+    assert (tuned.transitions.as_dict(), tuned.breakeven.summary()) != (
+        base.transitions.as_dict(), base.breakeven.summary())
+
+
+def test_a_model_lives_only_while_a_compiled_ip_holds_it(cold_memo):
+    # A power content no other test uses, so nothing else can hold the model.
+    ipdef = IpDef(name="cpu", workload=WorkloadDef(kind="periodic", task_count=2),
+                  residual_fraction={"SL4": 0.0123})
+    model = weakref.ref(compile_ip(ipdef).power)
+    gc.collect()
+    assert model() is compile_ip(ipdef).power  # held by the compiled-IP memo
+    platform_build._COMPILED.clear()
+    gc.collect()
+    assert model() is None
 
 
 def test_build_ip_spec_shares_nothing_with_the_memo(cold_memo):
