@@ -25,6 +25,8 @@ from repro.sim.simtime import SimTime
 
 __all__ = ["Battery", "BatteryConfig"]
 
+_INF = float("inf")
+
 
 @dataclass
 class BatteryConfig:
@@ -59,15 +61,14 @@ class Battery:
         self._remaining_j = self.config.capacity_j * self.config.initial_state_of_charge
         self._drawn_j = 0.0
         self._wasted_j = 0.0
-        # state_of_charge is a pure function of _remaining_j; the monitors
-        # read it several times per sample, so cache it per remaining value.
-        self._soc_cache_remaining_j: float = self._remaining_j
-        self._soc_cache: float = max(0.0, min(1.0, self._remaining_j / self.config.capacity_j))
-        # The quantised level is likewise a pure function of _remaining_j and
-        # is read far more often than the charge moves (every GEM evaluation
-        # and LEM estimate), so cache the classification per remaining value.
-        self._level_cache_remaining_j: float = float("nan")
-        self._level_cache: Optional[BatteryLevel] = None
+        # The state of charge and the quantised level follow every change of
+        # _remaining_j (see _set_remaining); the level is re-classified only
+        # when the charge leaves its band.  On mains the band is everything;
+        # otherwise it starts empty, so the first update classifies.
+        self._state_of_charge = 0.0
+        self._level = BatteryLevel.AC_POWER
+        self._band = (-_INF, _INF) if self.config.on_ac_power else (_INF, _INF)
+        self._set_remaining(self._remaining_j)
         # Fast accuracy mode installs a callback that lazily replays the
         # pending sampler windows before the state is observed; exact mode
         # leaves it None and pays one attribute check per read.
@@ -89,10 +90,7 @@ class Battery:
         """Remaining fraction of the nominal capacity, in [0, 1]."""
         if self._sync_hook is not None:
             self._sync_hook()
-        if self._remaining_j != self._soc_cache_remaining_j:
-            self._soc_cache_remaining_j = self._remaining_j
-            self._soc_cache = max(0.0, min(1.0, self._remaining_j / self.config.capacity_j))
-        return self._soc_cache
+        return self._state_of_charge
 
     @property
     def drawn_j(self) -> float:
@@ -116,16 +114,7 @@ class Battery:
             return BatteryLevel.AC_POWER
         if self._sync_hook is not None:
             self._sync_hook()
-        remaining = self._remaining_j
-        if remaining != self._level_cache_remaining_j:
-            self._level_cache_remaining_j = remaining
-            # Inline state_of_charge (the property would re-run the sync
-            # hook this method just ran).
-            if remaining != self._soc_cache_remaining_j:
-                self._soc_cache_remaining_j = remaining
-                self._soc_cache = max(0.0, min(1.0, remaining / self.config.capacity_j))
-            self._level_cache = self.config.thresholds.classify(self._soc_cache)
-        return self._level_cache
+        return self._level
 
     def level_if_drawn(self, energy_j: float) -> BatteryLevel:
         """Level the battery would have after drawing ``energy_j`` more joules.
@@ -143,12 +132,15 @@ class Battery:
         return self.config.thresholds.classify(min(1.0, projected))
 
     # -- dynamics --------------------------------------------------------------
-    def _rate_factor(self, power_w: float) -> float:
-        """Peukert-like efficiency factor: > 1 when drawing above nominal power."""
-        if power_w <= self.config.nominal_power_w:
-            return 1.0
-        ratio = power_w / self.config.nominal_power_w
-        return ratio ** (self.config.peukert_exponent - 1.0)
+    def _set_remaining(self, remaining_j: float) -> None:
+        """Store a new charge and update the state of charge and level."""
+        self._remaining_j = remaining_j
+        state_of_charge = max(0.0, min(1.0, remaining_j / self.config.capacity_j))
+        self._state_of_charge = state_of_charge
+        low, high = self._band
+        if not low <= state_of_charge < high:
+            self._level = self.config.thresholds.classify(state_of_charge)
+            self._band = self.config.thresholds.band(self._level)
 
     def draw_energy(self, energy_j: float, over: Optional[SimTime] = None) -> float:
         """Remove ``energy_j`` joules delivered to the load.
@@ -180,15 +172,18 @@ class Battery:
             self._drawn_j += energy_j
             return energy_j
         # over_fs / 10^15 is SimTime.seconds bit for bit.
-        power = 0.0
+        removed = energy_j
         if over_fs:
             power = energy_j / (over_fs / 1_000_000_000_000_000)
-        factor = self._rate_factor(power) if power > 0.0 else 1.0
-        removed = energy_j * factor
+            nominal = config.nominal_power_w
+            if power > nominal:
+                # Peukert-like efficiency: drawing above nominal power
+                # wastes part of the charge.
+                removed = energy_j * (power / nominal) ** (config.peukert_exponent - 1.0)
         if over_fs is not None and config.self_discharge_w > 0.0:
             leak = config.self_discharge_w * (over_fs / 1_000_000_000_000_000)
             removed += leak
-        self._remaining_j = max(0.0, self._remaining_j - removed)
+        self._set_remaining(max(0.0, self._remaining_j - removed))
         self._drawn_j += energy_j
         self._wasted_j += removed - energy_j
         return removed
@@ -218,7 +213,7 @@ class Battery:
             and self.config.self_discharge_w == 0.0
             and self._remaining_j > total
         ):
-            self._remaining_j -= total
+            self._set_remaining(self._remaining_j - total)
             self._drawn_j += total
             return
         for _ in range(count):
@@ -228,7 +223,7 @@ class Battery:
         """Add charge (clamped to the nominal capacity)."""
         if energy_j < 0.0:
             raise BatteryError("cannot recharge with negative energy")
-        self._remaining_j = min(self.config.capacity_j, self._remaining_j + energy_j)
+        self._set_remaining(min(self.config.capacity_j, self._remaining_j + energy_j))
 
     def snapshot(self) -> dict:
         """Plain-dict state summary (used by reports and tests)."""

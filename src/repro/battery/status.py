@@ -11,11 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Tuple
 
 from repro._enumtools import dense_index
 from repro.errors import BatteryError
 
 __all__ = ["BatteryLevel", "BatteryThresholds"]
+
+_INF = float("inf")
 
 
 class BatteryLevel(Enum):
@@ -87,6 +90,13 @@ class BatteryThresholds:
         if state_of_charge < self.high:
             return BatteryLevel.HIGH
         return BatteryLevel.FULL
+
+    def band(self, level: BatteryLevel) -> Tuple[float, float]:
+        """The states of charge ``[low, high)`` that :meth:`classify` maps to ``level``."""
+        edges = (-_INF, self.empty, self.low, self.medium, self.high, _INF)
+        if not level.is_battery:
+            raise BatteryError(f"{level} has no state-of-charge band")
+        return edges[level.rank], edges[level.rank + 1]
 
     def representative_soc(self, level: BatteryLevel) -> float:
         """A state of charge that maps back to ``level`` (mid-band value)."""

@@ -19,15 +19,19 @@ values once at the scheduling boundary and everything below runs on plain
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Union
 
-from repro.sim.simtime import SimTime, ZERO_TIME
+from repro.sim.simtime import SimTime
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.sim.kernel import Kernel
     from repro.sim.process import Process
 
-__all__ = ["Event", "TimedQueue"]
+__all__ = ["Event", "TimedHandle", "TimedQueue"]
+
+#: the cancellation handle :meth:`TimedQueue.push` returns (a heap item of
+#: the python queue, an entry object of the native one)
+TimedHandle = Any
 
 
 class Event:
@@ -85,6 +89,10 @@ class Event:
         a notification fires.
         """
         self._callbacks.append(callback)
+
+    def remove_callback(self, callback: Callable[[], None]) -> None:
+        """Detach a callback registered with :meth:`add_callback`."""
+        self._callbacks.remove(callback)
 
     # -- notification ----------------------------------------------------
     def notify(self, delay: Optional[SimTime] = None) -> None:
@@ -156,7 +164,7 @@ class TimedQueue:
         """Number of heap slots in use, including cancelled entries."""
         return len(self._heap)
 
-    def push(self, when_fs: int, payload) -> list:
+    def push(self, when_fs: int, payload: Union[Event, "Process"]) -> list:
         """Schedule ``payload`` at absolute time ``when_fs``; returns a handle.
 
         The returned handle may be passed to :meth:`cancel` to withdraw the
@@ -188,11 +196,6 @@ class TimedQueue:
             return None
         return heap[0][0]
 
-    def next_time(self) -> Optional[SimTime]:
-        """Absolute time of the earliest pending entry, or ``None`` if empty."""
-        when_fs = self.next_time_fs()
-        return None if when_fs is None else SimTime(when_fs)
-
     def pop_due(self, now_fs: int) -> list:
         """Pop and return all payloads whose time is exactly ``now_fs``."""
         due = []
@@ -222,7 +225,3 @@ class TimedQueue:
         self._heap = [entry for entry in self._heap if not entry[3]]
         heapq.heapify(self._heap)
         self._dead = 0
-
-
-def _zero() -> SimTime:  # pragma: no cover - kept for API symmetry
-    return ZERO_TIME

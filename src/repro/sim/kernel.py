@@ -18,29 +18,37 @@ The kernel is deliberately independent from the module system: it only knows
 about :class:`~repro.sim.event.Event` and
 :class:`~repro.sim.process.Process` objects, which keeps it easy to test in
 isolation and to reuse for non-hardware models (the battery and thermal
-models use plain processes, for instance).
+models are sampled by a plain process, for instance).
 
-Internally the hot path works on raw integer femtoseconds: the timed queue,
-:meth:`Kernel._advance_to` and the time comparisons in :meth:`Kernel.run`
-never build :class:`~repro.sim.simtime.SimTime` objects per event.  A cached
-``SimTime`` view of the current instant is refreshed once per time advance,
-so :attr:`Kernel.now` stays the public value type without per-read
-allocation.  Pure timed waits (``yield SimTime``) are resumed without any
-waiter-list or cancellation bookkeeping — the dominant activation in this
-library costs one generator ``next()`` plus one heap push.
+All four steps run in one loop in one frame per :meth:`Kernel.run` call
+(:meth:`Kernel._simulate`; :meth:`Kernel.initialize` runs the same loop
+without advancing time).  Its counters accumulate in locals and are added
+to :attr:`Kernel.stats` when the loop exits, also by an exception.  The
+loop works on raw integer femtoseconds and reaches the timed queue only
+through its bound ``push``, ``next_time_fs`` and ``pop_due``, so the python
+and native queues share it.  A cached ``SimTime`` view of the current
+instant is rebuilt on demand, so :attr:`Kernel.now` stays the public value
+type without per-advance allocation.  The dominant activation, a thread
+woken from a pure timed wait (``yield SimTime``), touches no waiter list and
+no cancellation: the loop resumes its generator directly and re-arms the
+next timed wait with one push.  :meth:`Kernel.end_run_by` lets code running
+inside a run pull its end in (never push it out).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, List, Optional, Set
+from typing import TYPE_CHECKING, Any, Callable, Deque, Generator, Iterable, List, Optional, Set
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim.event import Event, TimedQueue
+from repro.sim.event import Event, TimedHandle, TimedQueue
 from repro.sim.native import BackendResolution, load as _load_native_core, resolve_backend
-from repro.sim.process import MethodProcess, Process, ThreadProcess
+from repro.sim.process import MethodProcess, Process, ThreadProcess, WaitSpec
 from repro.sim.simtime import SimTime, ZERO_TIME
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (signal imports kernel)
+    from repro.sim.signal import Signal
 
 __all__ = ["Kernel", "KernelStatistics"]
 
@@ -91,19 +99,21 @@ class Kernel:
         self.backend_resolution: BackendResolution = resolution
         self.backend: str = resolution.backend
         self._now_fs: int = 0
-        self._now: SimTime = ZERO_TIME  # cached SimTime view of _now_fs
+        self._now: Optional[SimTime] = ZERO_TIME  # cached SimTime view of _now_fs
         self._runnable: Deque[Process] = deque()
         # The delta/update queues preserve insertion order (lists) but use
         # side sets for O(1) dedup — membership scans dominated the hot path.
         self._delta_events: List[Event] = []
         self._delta_scheduled: Set[Event] = set()
-        self._update_queue: List = []
-        self._update_scheduled: Set = set()
+        self._update_queue: List["Signal[Any]"] = []
+        self._update_scheduled: Set["Signal[Any]"] = set()
         if resolution.backend == "native":
             self._timed = _load_native_core().TimedQueue()
         else:
             self._timed = TimedQueue()
         self._processes: List[Process] = []
+        #: absolute end of the current run in femtoseconds (None: no end)
+        self._end_fs: Optional[int] = None
         self._initialized = False
         self._stop_requested = False
         self._running = False
@@ -118,13 +128,21 @@ class Kernel:
         self.stats.events_created += 1
         return Event(self, name)
 
-    def create_thread(self, func, name: str) -> ThreadProcess:
+    def create_thread(
+        self, func: Callable[[], Generator[WaitSpec, None, None]], name: str
+    ) -> ThreadProcess:
         """Create and register a thread process from a generator function."""
         process = ThreadProcess(self, name, func)
         self.register_process(process)
         return process
 
-    def create_method(self, func, sensitivity, name: str, dont_initialize: bool = False) -> MethodProcess:
+    def create_method(
+        self,
+        func: Callable[[], None],
+        sensitivity: Iterable[Event],
+        name: str,
+        dont_initialize: bool = False,
+    ) -> MethodProcess:
         """Create and register a method process with a static sensitivity list."""
         process = MethodProcess(self, name, func, dont_initialize=dont_initialize)
         process.set_sensitivity(list(sensitivity))
@@ -189,21 +207,21 @@ class Kernel:
             scheduled.add(event)
             self._delta_events.append(event)
 
-    def schedule_timed(self, event: Event, delay: SimTime):
+    def schedule_timed(self, event: Event, delay: SimTime) -> TimedHandle:
         """Timed notification of ``event`` after ``delay``."""
         self.stats.timed_notifications += 1
         return self._timed.push(self._now_fs + delay, event)
 
-    def schedule_process_timeout(self, process: Process, delay: SimTime):
+    def schedule_process_timeout(self, process: Process, delay: SimTime) -> TimedHandle:
         """Resume ``process`` after ``delay`` (a ``yield duration`` wait)."""
         self.stats.timed_notifications += 1
         return self._timed.push(self._now_fs + delay, process)
 
-    def cancel_timed(self, handle) -> None:
+    def cancel_timed(self, handle: TimedHandle) -> None:
         """Cancel a previously scheduled timed notification."""
         self._timed.cancel(handle)
 
-    def request_update(self, channel) -> None:
+    def request_update(self, channel: "Signal[Any]") -> None:
         """Queue a primitive channel for the next update phase."""
         scheduled = self._update_scheduled
         if channel not in scheduled:
@@ -218,6 +236,21 @@ class Kernel:
         """Request the simulation to stop at the end of the current delta."""
         self._stop_requested = True
 
+    def end_run_by(self, when_fs: int) -> None:
+        """Pull the end of the current :meth:`run` in to ``when_fs``.
+
+        The end only ever moves earlier: a time past the current end is
+        ignored.  Activity due exactly at the new end still runs, as at the
+        end of any ``run(duration)``.
+        """
+        if not self._running:
+            raise SimulationError("end_run_by() needs a running simulation")
+        if when_fs < self._now_fs:
+            raise SchedulingError("cannot end a run before the current time")
+        end_fs = self._end_fs
+        if end_fs is None or when_fs < end_fs:
+            self._end_fs = when_fs
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -230,7 +263,7 @@ class Kernel:
             process.start()
             self.stats.process_activations += 1
         # Resolve any activity generated during initialisation at time zero.
-        self._delta_loop()
+        self._simulate(False)
 
     def run(self, duration: Optional[SimTime] = None) -> SimTime:
         """Run the simulation.
@@ -255,93 +288,123 @@ class Kernel:
             )
         self._running = True
         self._stop_requested = False
+        self._end_fs = None if duration is None else self._now_fs + duration
         try:
             if not self._initialized:
                 self.initialize()
-            end_fs = None if duration is None else self._now_fs + duration
-            timed = self._timed
-            self._delta_loop()
-            while not self._stop_requested:
-                next_fs = timed.next_time_fs()
-                if next_fs is None:
-                    break
-                if end_fs is not None and next_fs > end_fs:
-                    self._set_now(end_fs)
-                    break
-                self._advance_to(next_fs)
-                self._delta_loop()
-            if end_fs is not None and not self._stop_requested:
-                if timed.next_time_fs() is None and self._now_fs < end_fs:
-                    # Starvation before the requested end time: report the
-                    # requested end so repeated run() calls stay monotonic.
-                    self._set_now(end_fs)
+            self._simulate(True)
             return self.now
         finally:
             self._running = False
+            self._end_fs = None
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _set_now(self, now_fs: int) -> None:
-        self._now_fs = now_fs
-        self._now = None  # SimTime view rebuilt on demand (see Kernel.now)
+    def _simulate(self, advance: bool) -> None:
+        """Run delta cycles until none is runnable, then (with ``advance``)
+        move to the next timed notification and repeat, until starvation,
+        the end of the run or :meth:`stop`.
 
-    def _advance_to(self, next_fs: int) -> None:
-        if next_fs < self._now_fs:  # pragma: no cover - defensive
-            raise SchedulingError("attempted to move simulated time backwards")
-        self._set_now(next_fs)
-        self.stats.time_advances += 1
+        A pure timed wake resumes its generator right here and re-arms a
+        ``yield SimTime`` with one push; every other wait goes through the
+        process's own methods.
+        """
         runnable = self._runnable
+        popleft = runnable.popleft
+        extend = runnable.extend
         append = runnable.append
-        for payload in self._timed.pop_due(next_fs):
-            if payload.__class__ is Event:
-                runnable.extend(payload.fire())
-            else:
-                # Pure timed wake of a process (the dominant case): drop the
-                # consumed handle so the wake skips all wait bookkeeping.
-                payload._pending_timeout = None
-                append(payload)
-
-    def _delta_loop(self) -> None:
-        """Run evaluate/update/delta cycles until no process is runnable."""
-        runnable = self._runnable
         callbacks = self._end_of_delta_callbacks
-        stats = self.stats
+        timed = self._timed
+        push = timed.push
+        next_time_fs = timed.next_time_fs
+        pop_due = timed.pop_due
+        now_fs = self._now_fs
         activations = 0
         delta_cycles = 0
         signal_updates = 0
+        timed_notifications = 0
+        time_advances = 0
         try:
-            while (runnable or self._delta_events or self._update_queue) and not self._stop_requested:
-                # Evaluate phase.
-                while runnable:
-                    process = runnable.popleft()
-                    if process.terminated:
-                        continue
-                    if process._waiting_events or process._pending_timeout is not None:
-                        # An event wake: withdraw the rest of the wait (the
-                        # other events of an AnyOf).  A timed wake arrives
-                        # with its handle already cleared and skips this.
-                        process._clear_waits()
-                    process._advance()
-                    activations += 1
-                # Update phase.
-                if self._update_queue:
-                    updates, self._update_queue = self._update_queue, []
-                    self._update_scheduled.clear()
-                    for channel in updates:
-                        channel.update()
-                    signal_updates += len(updates)
-                # Delta notification phase.
-                if self._delta_events:
-                    delta_events, self._delta_events = self._delta_events, []
-                    self._delta_scheduled.clear()
-                    for event in delta_events:
-                        runnable.extend(event.fire())
-                delta_cycles += 1
-                if callbacks:
-                    for callback in callbacks:
-                        callback()
+            while True:
+                while (runnable or self._delta_events or self._update_queue) and not self._stop_requested:
+                    # Evaluate phase.
+                    while runnable:
+                        process = popleft()
+                        if process.terminated:
+                            continue
+                        if process._waiting_events or process._pending_timeout is not None:
+                            # An event wake: withdraw the rest of the wait (the
+                            # other events of an AnyOf).  A timed wake arrives
+                            # with its handle already cleared and skips this.
+                            process._clear_waits()
+                        if type(process) is ThreadProcess and (generator := process._generator) is not None:
+                            try:
+                                spec = next(generator)
+                            except StopIteration:
+                                process.terminated = True
+                            else:
+                                if process.terminated:
+                                    # Self-kill: close the now suspended
+                                    # generator so its finally blocks run.
+                                    process._generator = None
+                                    generator.close()
+                                elif type(spec) is SimTime:
+                                    timed_notifications += 1
+                                    process._pending_timeout = push(now_fs + spec, process)
+                                else:
+                                    process._arm(spec)
+                        else:
+                            process._advance()
+                        activations += 1
+                    # Update phase.
+                    updates = self._update_queue
+                    if updates:
+                        self._update_queue = []
+                        self._update_scheduled.clear()
+                        for channel in updates:
+                            channel.update()
+                        signal_updates += len(updates)
+                    # Delta notification phase.
+                    delta_events = self._delta_events
+                    if delta_events:
+                        self._delta_events = []
+                        self._delta_scheduled.clear()
+                        for event in delta_events:
+                            extend(event.fire())
+                    delta_cycles += 1
+                    if callbacks:
+                        for callback in callbacks:
+                            callback()
+                if not advance or self._stop_requested:
+                    return
+                # Time advance.
+                next_fs = next_time_fs()
+                end_fs = self._end_fs
+                if next_fs is None or (end_fs is not None and next_fs > end_fs):
+                    if end_fs is not None and now_fs < end_fs:
+                        # The end of run(duration) (or starvation before
+                        # it): report the requested end, so repeated
+                        # run() calls stay monotonic.
+                        self._now_fs = end_fs
+                        self._now = None
+                    return
+                now_fs = self._now_fs = next_fs
+                self._now = None  # SimTime view rebuilt on demand (see now)
+                time_advances += 1
+                for payload in pop_due(next_fs):
+                    if payload.__class__ is Event:
+                        extend(payload.fire())
+                    else:
+                        # Pure timed wake of a process (the dominant case):
+                        # drop the consumed handle so the wake skips all
+                        # wait bookkeeping.
+                        payload._pending_timeout = None
+                        append(payload)
         finally:
+            stats = self.stats
             stats.process_activations += activations
             stats.delta_cycles += delta_cycles
             stats.signal_updates += signal_updates
+            stats.timed_notifications += timed_notifications
+            stats.time_advances += time_advances

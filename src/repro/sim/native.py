@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Any, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -49,10 +50,10 @@ BACKENDS = ("python", "native", "auto")
 ENV_VAR = "REPRO_SIM_BACKEND"
 
 # Cached import probe: (module or None, reason string when None).
-_probe = None
+_probe: Optional[Tuple[Any, str]] = None
 
 
-def load():
+def load() -> Any:
     """The compiled core module, or ``None`` when it is not importable.
 
     The import is probed once per process and cached — backend resolution

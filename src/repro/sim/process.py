@@ -16,8 +16,8 @@ Two kinds of processes exist, mirroring SystemC:
   is notified.  Method processes never suspend.
 
 The dominant wait in this library is ``yield SimTime`` (a pure timed wait):
-the arming logic and the kernel's wake path special-case it so a timed
-wake touches no waiter lists and no cancellation.
+the kernel's evaluate loop resumes such a thread and re-arms its next timed
+wait itself, so a timed wake touches no waiter lists and no cancellation.
 
 Users normally do not instantiate these classes directly; they call
 :meth:`repro.sim.module.Module.add_thread` and
@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Generator, Iterable, List, Optional, Sequence, Union
 
 from repro.errors import SchedulingError
-from repro.sim.event import Event
+from repro.sim.event import Event, TimedHandle
 from repro.sim.simtime import SimTime
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -72,7 +72,7 @@ class Process:
         self.name = name
         self.static_sensitivity: List[Event] = []
         self.terminated = False
-        self._pending_timeout = None  # TimedEntry handle for a pending timed wait
+        self._pending_timeout: TimedHandle = None  # handle of a pending timed wait
         self._waiting_events: List[Event] = []
 
     # -- wiring -----------------------------------------------------------
@@ -188,10 +188,6 @@ class ThreadProcess(Process):
             self._generator = None
             generator.close()
             return
-        if isinstance(spec, SimTime):
-            # Dominant wait: a plain timed delay, no event registration.
-            self._pending_timeout = self.kernel.schedule_process_timeout(self, spec)
-            return
         self._arm(spec)
 
     def _arm(self, spec: WaitSpec) -> None:
@@ -205,7 +201,8 @@ class ThreadProcess(Process):
                 event.add_waiter(self)
                 self._waiting_events.append(event)
             return
-        if isinstance(spec, SimTime):  # pragma: no cover - handled in _advance
+        if isinstance(spec, SimTime):
+            # A plain timed delay, no event registration.
             self._pending_timeout = self.kernel.schedule_process_timeout(self, spec)
             return
         if isinstance(spec, Event):

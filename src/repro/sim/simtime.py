@@ -7,7 +7,7 @@ instant compare equal regardless of how the instant was computed.
 
 :class:`SimTime` subclasses :class:`int`, so an instance *is* its
 femtosecond count.  That makes comparisons, hashing and heap ordering run at
-C speed and lets the kernel hot path (the timed queue, ``Kernel._advance_to``
+C speed and lets the kernel hot path (the timed queue, ``Kernel._simulate``
 and the signal timestamps) work on raw integers while ``SimTime`` stays the
 public value type at layer boundaries.  The SimTime-specific operators are
 preserved: ``+``/``-`` between two times (adding a unitless number raises
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Union
+from typing import Callable, NoReturn, Union
 
 from repro.errors import SimulationError
 
@@ -144,7 +144,7 @@ class SimTime(int):
             raise SimulationError("simulated time subtraction would be negative")
         return SimTime(int(self) - int(other))
 
-    def __rsub__(self, other):
+    def __rsub__(self, other: object) -> NoReturn:
         # Block int's reflected subtraction: ``3 - ns(1)`` would otherwise
         # silently produce a plain (possibly negative) femtosecond count.
         raise TypeError(
@@ -160,7 +160,7 @@ class SimTime(int):
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: Union["SimTime", int, float]):
+    def __truediv__(self, other: Union["SimTime", int, float]) -> Union[float, "SimTime"]:
         if isinstance(other, SimTime):
             if int(other) == 0:
                 raise ZeroDivisionError("division by zero simulated time")
@@ -202,7 +202,7 @@ class SimTime(int):
 ZERO_TIME = SimTime(0)
 
 
-def _unit_constructor(name: str, unit: TimeUnit, doc: str):
+def _unit_constructor(name: str, unit: TimeUnit, doc: str) -> Callable[..., SimTime]:
     """Build one unit constructor closure.
 
     The closure special-cases exact integer values: an ``int`` scaled by the

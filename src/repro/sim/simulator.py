@@ -9,12 +9,14 @@ run on :class:`~repro.experiments.runner.RunArtifacts`.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.errors import ElaborationError
 from repro.sim.accuracy import AccuracyMode
 from repro.sim.kernel import Kernel
 from repro.sim.module import Module
+from repro.sim.native import BackendResolution
+from repro.sim.signal import Signal
 from repro.sim.simtime import SimTime
 from repro.sim.trace import TraceRecorder
 
@@ -43,7 +45,7 @@ class Simulator:
         return self.kernel.backend
 
     @property
-    def backend_resolution(self):
+    def backend_resolution(self) -> BackendResolution:
         """Full :class:`~repro.sim.native.BackendResolution` of this run."""
         return self.kernel.backend_resolution
 
@@ -87,7 +89,7 @@ class Simulator:
         """Printable tree of the whole design."""
         return "\n".join(module.design_tree() for module in self._top_modules)
 
-    def watch(self, *signals) -> None:
+    def watch(self, *signals: "Signal[Any]") -> None:
         """Trace the given signals (enables tracing if it was off)."""
         if self.trace is None:
             self.trace = TraceRecorder()

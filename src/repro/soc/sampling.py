@@ -259,14 +259,14 @@ class FastSampleEngine:
                 while mark_index < len(pending) and pending[mark_index][0] < window_end:
                     state = pending[mark_index][1]
                     mark_index += 1
-                thermal._fan_on = state
+                thermal._set_fan_state(state)
                 thermal.step(delta / interval_s, interval_st)
                 battery.drain_windows(delta, interval_st, 1)
             while mark_index < len(pending):
                 state = pending[mark_index][1]
                 mark_index += 1
             self._fan_at_boundary = state
-            thermal._fan_on = current_fan
+            thermal._set_fan_state(current_fan)
             return
         count = len(deltas)
         index = 0
@@ -314,22 +314,21 @@ class FastSampleEngine:
 
     def _publish(self) -> None:
         """Write the monitor/sensor signals and histories (sparse in fast mode)."""
-        now = self._kernel.now
+        now_fs = self._kernel.now_fs
         battery = self._battery
         thermal = self._thermal
         monitor = self._monitor
         sensor = self._sensor
         soc_value = battery.state_of_charge
-        monitor._history.append((now, soc_value))
+        monitor._history.append((now_fs, soc_value))
         monitor.level_signal.write(battery.level)
         monitor.soc_signal.write(soc_value)
         temperature = thermal._temperature_c
-        sensor._history.append((now, temperature))
+        sensor._history.append((now_fs, temperature))
         sensor.temperature_signal.write(temperature)
         sensor.level_signal.write(thermal.level)
         tracer = self._tracer
         if tracer is not None:
-            now_fs = self._kernel.now_fs
             source = self._trace_source or self._name
             tracer.emit(now_fs, "sample.window", source,
                         state_of_charge=soc_value, temperature_c=temperature)

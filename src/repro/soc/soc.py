@@ -150,31 +150,26 @@ class SoC(Module):
         self.battery = Battery(config.battery)
         self.thermal = ThermalModel(config.thermal)
         # Both sensors sample on the same schedule, so the SoC drives them
-        # from one shared thread (monitor first, sensor second — the same
-        # order in which their autonomous loops would have been activated):
-        # one process activation, one books flush and one ledger read per
-        # sample instead of two, with an observable behaviour identical to
-        # independent samplers.
+        # from one shared thread: one activation, one books flush and one
+        # ledger read per sample window (see _sample_window).
         self.battery_monitor = BatteryMonitor(
             simulator.kernel,
             "battery_monitor",
             self.battery,
             self.ledger,
             sample_interval=config.sample_interval,
-            pre_sample=self.flush_power_books,
-            autonomous=False,
             parent=self,
         )
         self.temperature_sensor = TemperatureSensor(
             simulator.kernel,
             "temperature_sensor",
             self.thermal,
-            self.ledger,
             sample_interval=config.sample_interval,
-            pre_sample=self.flush_power_books,
-            autonomous=False,
             parent=self,
         )
+        self._interval_fs = int(config.sample_interval)
+        # interval_fs / 10^15 is SimTime.seconds bit for bit.
+        self._interval_s = self._interval_fs / 1_000_000_000_000_000
         self.fast_engine = None
         if simulator.accuracy.is_fast:
             # Fast accuracy mode: no periodic sampler process at all — the
@@ -266,18 +261,38 @@ class SoC(Module):
     ) -> SimTime:
         """Simulate until every IP finished (or ``max_time`` elapsed).
 
+        The run ends on the first ``check_interval`` boundary, counted from
+        the call's start, at or after the instant the last IP finished: at
+        least one interval after the start and never past ``max_time``.
         Returns the simulated time at the end of the run.  Energy books are
         flushed so the ledger reflects the full interval.
         """
         if max_time.is_zero:
             raise ConfigurationError("max_time must be positive")
         kernel = self.simulator.kernel
-        ips = self.ips
+        start_fs = kernel.now_fs
         end_fs = int(max_time)
         step_fs = int(check_interval)
-        while kernel._now_fs < end_fs and not all(ip.done for ip in ips):
-            remaining_fs = end_fs - kernel._now_fs
-            kernel.run(check_interval if step_fs < remaining_fs else SimTime(remaining_fs))
+        pending = [ip for ip in self.ips if not ip.done]
+        if start_fs < end_fs and pending:
+            # The callback rides on the done events, immediate
+            # notifications that are counted anyway: it schedules nothing.
+            remaining = [len(pending)]
+
+            def finished() -> None:
+                remaining[0] -= 1
+                if not remaining[0]:
+                    now_fs = kernel.now_fs
+                    windows = max(1, -(-(now_fs - start_fs) // step_fs))
+                    kernel.end_run_by(min(start_fs + windows * step_fs, end_fs))
+
+            for ip in pending:
+                ip.done_event.add_callback(finished)
+            try:
+                kernel.run(SimTime(end_fs - start_fs))
+            finally:
+                for ip in pending:
+                    ip.done_event.remove_callback(finished)
         self.flush()
         return kernel.now
 
@@ -290,12 +305,39 @@ class SoC(Module):
             sample_window()
 
     def _sample_window(self) -> None:
-        """One exact sample: post the books once, read the ledger once, then
-        drain the battery and step the thermal model on that reading."""
-        self.flush_power_books()
+        """One exact sample, in one frame: post the books once, read the
+        ledger once, drain the battery and step the thermal model on that
+        reading, then publish both sensors."""
+        for instance in self.instances:
+            instance.psm._integrate_background(False)
+        fan = self.fan
+        if fan is not None:
+            fan._account()
         total = self.ledger.total_j
-        self.battery_monitor.sample_total(total)
-        self.temperature_sensor.sample_total(total)
+        monitor = self.battery_monitor
+        now_fs = self.kernel._now_fs
+        delta = total - monitor._last_total_j
+        elapsed_fs = now_fs - monitor._last_sample_fs
+        monitor._last_total_j = total
+        monitor._last_sample_fs = now_fs
+        battery = self.battery
+        if delta > 0.0:
+            # The discharge rate comes from the actual elapsed time; a
+            # sample forced with no time elapsed drains at nominal rate.
+            battery.draw_energy_fs(delta, elapsed_fs or None)
+        state_of_charge = battery._state_of_charge
+        monitor._history.append((now_fs, state_of_charge))
+        monitor.level_signal.write(battery._level)
+        monitor.soc_signal.write(state_of_charge)
+        # The thermal model steps one whole interval at the window's
+        # average power.
+        thermal = self.thermal
+        thermal.step_fs((delta if delta > 0.0 else 0.0) / self._interval_s, self._interval_fs)
+        temperature = thermal._temperature_c
+        sensor = self.temperature_sensor
+        sensor._history.append((now_fs, temperature))
+        sensor.temperature_signal.write(temperature)
+        sensor.level_signal.write(thermal._level)
         if self._tracer is not None:
             self._trace_sample()
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Tuple
 
 from repro._enumtools import dense_index
 from repro.errors import ThermalError
@@ -63,6 +64,11 @@ class TemperatureThresholds:
         if temperature_c < self.high_c:
             return TemperatureLevel.MEDIUM
         return TemperatureLevel.HIGH
+
+    def band(self, level: TemperatureLevel) -> Tuple[float, float]:
+        """The temperatures ``[low, high)`` that :meth:`classify` maps to ``level``."""
+        edges = (-273.15, self.medium_c, self.high_c, float("inf"))
+        return edges[level.rank], edges[level.rank + 1]
 
     def representative_temperature(self, level: TemperatureLevel) -> float:
         """A temperature in Celsius that maps back to ``level``."""

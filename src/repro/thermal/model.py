@@ -27,6 +27,8 @@ from repro.thermal.level import TemperatureLevel, TemperatureThresholds
 
 __all__ = ["ThermalConfig", "ThermalModel"]
 
+_INF = float("inf")
+
 
 @dataclass
 class ThermalConfig:
@@ -56,7 +58,7 @@ class ThermalModel:
     def __init__(self, config: ThermalConfig = None) -> None:
         self.config = config or ThermalConfig()
         self._temperature_c = self.config.initial_c
-        self._fan_on = False
+        self._set_fan_state(False)
         self._peak_c = self.config.initial_c
         self._integral_c_s = 0.0
         self._integrated_time_s = 0.0
@@ -64,11 +66,11 @@ class ThermalModel:
         # interval, so the decay factor is almost always a cache hit.  The
         # cached value is the result of the identical exp() call.
         self._decay_cache: dict = {}
-        # The quantised level is a pure function of the temperature and is
-        # read far more often than the temperature moves (every GEM
-        # evaluation); cache the classification per temperature value.
-        self._level_cache_temperature_c: float = float("nan")
-        self._level_cache = None
+        # The quantised level follows every step; it is re-classified only
+        # when the temperature leaves the current level's band.
+        self._level = TemperatureLevel.LOW
+        self._band = (_INF, _INF)  # empty: classified just below
+        self._settle_level()
         # Fast accuracy mode installs a callback replaying pending sampler
         # windows before the state is observed, and a listener notified on
         # fan toggles (the replay needs the historical fan state per window).
@@ -100,10 +102,7 @@ class ThermalModel:
         """Quantised temperature class."""
         if self._sync_hook is not None:
             self._sync_hook()
-        if self._temperature_c != self._level_cache_temperature_c:
-            self._level_cache_temperature_c = self._temperature_c
-            self._level_cache = self.config.thresholds.classify(self._temperature_c)
-        return self._level_cache
+        return self._level
 
     @property
     def average_c(self) -> float:
@@ -121,12 +120,11 @@ class ThermalModel:
 
     def effective_resistance(self) -> float:
         """Thermal resistance including the fan effect."""
-        scale = self.config.fan_resistance_scale if self._fan_on else 1.0
-        return self.config.thermal_resistance_c_per_w * scale
+        return self._resistance
 
     def time_constant_s(self) -> float:
         """Current thermal time constant ``tau = R_th · C_th`` in seconds."""
-        return self.effective_resistance() * self.config.thermal_capacitance_j_per_c
+        return self._tau
 
     # -- control ---------------------------------------------------------------
     def set_fan(self, on: bool) -> None:
@@ -134,7 +132,23 @@ class ThermalModel:
         on = bool(on)
         if self._fan_listener is not None and on != self._fan_on:
             self._fan_listener(on)
+        self._set_fan_state(on)
+
+    def _set_fan_state(self, on: bool) -> None:
+        """Set the fan state and the resistance and time constant it implies."""
+        config = self.config
         self._fan_on = on
+        scale = config.fan_resistance_scale if on else 1.0
+        self._resistance = config.thermal_resistance_c_per_w * scale
+        self._tau = self._resistance * config.thermal_capacitance_j_per_c
+
+    def _settle_level(self) -> None:
+        """Re-classify the level if the temperature left the current band."""
+        low, high = self._band
+        if not low <= self._temperature_c < high:
+            thresholds = self.config.thresholds
+            self._level = thresholds.classify(self._temperature_c)
+            self._band = thresholds.band(self._level)
 
     # -- dynamics ----------------------------------------------------------------
     def step(self, power_w: float, dt: SimTime) -> float:
@@ -154,16 +168,16 @@ class ThermalModel:
             raise ThermalError("time step must be non-negative")
         if dt_s == 0.0:
             return self._temperature_c
-        config = self.config
-        resistance = self.effective_resistance()
-        tau = resistance * config.thermal_capacitance_j_per_c
-        steady = config.ambient_c + power_w * resistance
-        decay = self._decay(dt_s, tau)
+        steady = self.config.ambient_c + power_w * self._resistance
+        decay = self._decay(dt_s, self._tau)
         previous = self._temperature_c
         current = steady + (previous - steady) * decay
         self._temperature_c = current
         if current > self._peak_c:
             self._peak_c = current
+        low, high = self._band
+        if not low <= current < high:
+            self._settle_level()
         # Trapezoidal accumulation of the average temperature.
         self._integral_c_s += 0.5 * (previous + current) * dt_s
         self._integrated_time_s += dt_s
@@ -200,9 +214,8 @@ class ThermalModel:
         if power_w < 0.0:
             raise ThermalError("dissipated power must be non-negative")
         dt_s = dt.seconds
-        resistance = self.effective_resistance()
-        tau = resistance * self.config.thermal_capacitance_j_per_c
-        decay = self._decay(dt_s, tau)
+        resistance = self._resistance
+        decay = self._decay(dt_s, self._tau)
         if decay >= 1.0:  # pragma: no cover - defensive: dt/tau underflow
             for _ in range(count):
                 self.step(power_w, dt)
@@ -213,6 +226,7 @@ class ThermalModel:
         decay_k = decay ** count
         new = steady + offset * decay_k
         self._temperature_c = new
+        self._settle_level()
         self._peak_c = max(self._peak_c, previous, new)
         # Closed form of sum(0.5 * (T_i + T_{i+1}) * dt) with T_i geometric.
         self._integral_c_s += dt_s * (
@@ -225,7 +239,7 @@ class ThermalModel:
         """Temperature reached if ``power_w`` were dissipated forever."""
         if power_w < 0.0:
             raise ThermalError("dissipated power must be non-negative")
-        return self.config.ambient_c + power_w * self.effective_resistance()
+        return self.config.ambient_c + power_w * self._resistance
 
     def estimate_after(self, power_w: float, duration: SimTime) -> float:
         """Temperature the chip would reach after ``duration`` at ``power_w``.
@@ -237,11 +251,9 @@ class ThermalModel:
             raise ThermalError("dissipated power must be non-negative")
         if self._sync_hook is not None:
             self._sync_hook()
-        resistance = self.effective_resistance()
-        tau = resistance * self.config.thermal_capacitance_j_per_c
-        steady = self.config.ambient_c + power_w * resistance
+        steady = self.config.ambient_c + power_w * self._resistance
         duration_s = duration.seconds
-        decay = self._decay(duration_s, tau) if duration_s > 0 else 1.0
+        decay = self._decay(duration_s, self._tau) if duration_s > 0 else 1.0
         return steady + (self._temperature_c - steady) * decay
 
     def snapshot(self) -> dict:

@@ -156,50 +156,50 @@ class TestBatteryModel:
         assert by_time.wasted_j.hex() == by_fs.wasted_j.hex()
 
 
+def sampled_soc(battery_config):
+    """A one-IP SoC whose shared sampler drives the monitor every 1 ms."""
+    from repro.dpm import DpmSetup
+    from repro.soc import IpSpec, SocConfig, build_soc, periodic_workload
+
+    spec = IpSpec(name="ip0", workload=periodic_workload(1, cycles=1_000))
+    config = SocConfig(battery=battery_config, sample_interval=ms(1))
+    return build_soc([spec], config, DpmSetup.always_on())
+
+
+def run_with_load(soc, joules_per_ms, duration):
+    account = soc.ledger.account("load")
+
+    def consumer():
+        while True:
+            yield ms(1)
+            account.add_energy(joules_per_ms)
+
+    soc.simulator.kernel.create_thread(consumer, "consumer")
+    soc.simulator.kernel.run(duration)
+
+
 class TestBatteryMonitor:
     def test_monitor_drains_battery_from_ledger(self):
-        sim = Simulator()
-        ledger = EnergyLedger()
-        battery = Battery(BatteryConfig(capacity_j=10.0))
-        monitor = BatteryMonitor(sim.kernel, "battery", battery, ledger, sample_interval=ms(1))
-        sim.add_module(monitor)
-
-        def consumer():
-            while True:
-                yield ms(1)
-                ledger.account("ip0").add_energy(0.05)
-
-        sim.kernel.create_thread(consumer, "consumer")
-        sim.kernel.run(ms(100))
+        soc = sampled_soc(BatteryConfig(capacity_j=10.0))
+        run_with_load(soc, 0.05, ms(100))
+        battery, monitor = soc.battery, soc.battery_monitor
         assert battery.state_of_charge < 1.0
         assert monitor.level is battery.level
         assert len(monitor.history) >= 99
+        assert monitor.history[0] == (ms(1), monitor.history[0][1])
+        assert monitor.history[-1] == (ms(100), battery.state_of_charge)
 
     def test_monitor_level_signal_tracks_depletion(self):
-        sim = Simulator()
-        ledger = EnergyLedger()
-        battery = Battery(BatteryConfig(capacity_j=1.0))
-        monitor = BatteryMonitor(sim.kernel, "battery", battery, ledger, sample_interval=ms(1))
-        sim.add_module(monitor)
+        soc = sampled_soc(BatteryConfig(capacity_j=1.0))
+        run_with_load(soc, 0.02, ms(60))
+        assert soc.battery_monitor.level in (BatteryLevel.EMPTY, BatteryLevel.LOW)
 
-        def consumer():
-            while True:
-                yield ms(1)
-                ledger.account("ip0").add_energy(0.02)
-
-        sim.kernel.create_thread(consumer, "consumer")
-        sim.kernel.run(ms(60))
-        assert monitor.level in (BatteryLevel.EMPTY, BatteryLevel.LOW)
-
-    def test_sample_now_forces_update(self):
-        sim = Simulator()
-        ledger = EnergyLedger()
-        battery = Battery(BatteryConfig(capacity_j=10.0))
-        monitor = BatteryMonitor(sim.kernel, "battery", battery, ledger)
-        sim.add_module(monitor)
-        ledger.account("ip0").add_energy(5.0)
-        level = monitor.sample_now()
-        assert level is BatteryLevel.MEDIUM
+    def test_soc_flush_forces_a_sample(self):
+        soc = sampled_soc(BatteryConfig(capacity_j=10.0))
+        soc.ledger.account("load").add_energy(5.0)
+        soc.flush()
+        assert soc.battery.level is BatteryLevel.MEDIUM
+        assert soc.battery_monitor.history == [(ms(0), 0.5)]
 
     def test_zero_interval_rejected(self):
         sim = Simulator()

@@ -443,3 +443,173 @@ class TestProcessKill:
         assert log == ["before", "after-kill", "bystander"]
         assert cleanup == ["cleaned"]
         assert holder["p"].terminated
+
+
+class TestStatisticsByHand:
+    """Every ``KernelStatistics`` counter of small runs, counted by hand."""
+
+    def test_mixed_process_set(self, kernel):
+        from repro.sim import Signal
+
+        log = []
+        e2, e3, d = kernel.event("e2"), kernel.event("e3"), kernel.event("d")
+        watched = Signal(kernel, "watched", 0)
+        unwatched = Signal(kernel, "unwatched", 0)
+        extra = kernel.event("extra")  # 6 events: 4 here + 2 changed events
+
+        def driver():
+            yield ns(10)                 # timed 1
+            watched.write(1)             # update with a waiter (the method)
+            unwatched.write(1)           # update without waiters
+            e2.notify()                  # immediate: wakes the AnyOf waiter
+            d.notify(ZERO_TIME)          # delta: wakes the event waiter
+            yield ns(10)                 # timed 2
+            watched.write(2)
+            e3.notify(ns(5))             # timed 3: fires with nobody waiting
+            kernel.stop()                # the method wake is left runnable
+            yield ns(10)                 # timed 4
+
+        def event_waiter():
+            yield d
+            log.append(("d", kernel.now.nanoseconds))
+
+        def any_waiter():
+            yield AnyOf([e2, e3])
+            log.append(("any", kernel.now.nanoseconds, e3.waiter_count))
+
+        def method():
+            log.append(("method", kernel.now.nanoseconds, watched.read()))
+
+        kernel.create_thread(driver, "driver")
+        kernel.create_thread(event_waiter, "event_waiter")
+        kernel.create_thread(any_waiter, "any_waiter")
+        kernel.create_method(method, [watched.changed_event], "method", dont_initialize=True)
+        assert extra.waiter_count == 0
+
+        # initialise: 4 starts.  t=10: delta 1 runs driver and any_waiter and
+        # updates both signals; delta 2 runs event_waiter and the method.
+        # t=20: delta 3 runs driver, whose stop() ends the run with the
+        # method runnable again.
+        assert kernel.run() == ns(20)
+        assert kernel.stats.as_dict() == {
+            "process_activations": 9,
+            "delta_cycles": 3,
+            "timed_notifications": 4,
+            "immediate_notifications": 1,
+            "signal_updates": 3,
+            "events_created": 6,
+            "processes_created": 4,
+            "time_advances": 2,
+        }
+        # Resumed: delta 4 runs the method at t=20; t=25 fires e3 into no
+        # waiter (no delta cycle); t=30 delta 5 ends the driver.
+        assert kernel.run() == ns(30)
+        assert kernel.stats.as_dict() == {
+            "process_activations": 11,
+            "delta_cycles": 5,
+            "timed_notifications": 4,
+            "immediate_notifications": 1,
+            "signal_updates": 3,
+            "events_created": 6,
+            "processes_created": 4,
+            "time_advances": 4,
+        }
+        assert log == [
+            ("any", 10.0, 0),
+            ("d", 10.0),
+            ("method", 10.0, 1),
+            ("method", 20.0, 2),
+        ]
+
+    def test_a_delta_cycle_with_nothing_to_evaluate_is_counted(self, kernel):
+        from repro.sim import Signal
+
+        signal = Signal(kernel, "s", 0)
+        signal.write(1)                          # an update nobody watches
+        kernel.event("e").notify(ZERO_TIME)      # a delta nobody waits on
+        assert kernel.run() == ZERO_TIME
+        stats = kernel.stats
+        assert (stats.delta_cycles, stats.process_activations, stats.signal_updates) == (1, 0, 1)
+        assert stats.time_advances == 0
+
+    def test_counters_are_flushed_when_a_process_raises(self, kernel):
+        def ticker():
+            while True:
+                yield ns(1)
+
+        def failing():
+            yield ns(2)
+            raise RuntimeError("boom")
+
+        kernel.create_thread(ticker, "ticker")
+        kernel.create_thread(failing, "failing")
+        with pytest.raises(RuntimeError):
+            kernel.run()
+        # Starts (2) and t=1 (1); at t=2 the failing process, queued
+        # first, raises before the ticker runs.
+        assert kernel.now == ns(2)
+        assert kernel.stats.process_activations == 3
+        assert kernel.stats.delta_cycles == 1
+        assert kernel.stats.time_advances == 2
+        assert kernel.stats.timed_notifications == 3
+
+
+class TestEndRunBy:
+    """``Kernel.end_run_by`` can only pull the end of a run in."""
+
+    def make_ticker(self, kernel, ticks, hook=None):
+        def ticker():
+            while True:
+                yield ns(10)
+                ticks.append(kernel.now_fs)
+                if hook is not None:
+                    hook(len(ticks))
+
+        kernel.create_thread(ticker, "ticker")
+
+    def test_pulls_the_end_in_and_runs_activity_due_at_it(self, kernel):
+        ticks = []
+        self.make_ticker(kernel, ticks, lambda n: n == 2 and kernel.end_run_by(int(ns(40))))
+        assert kernel.run(ns(100)) == ns(40)
+        assert ticks == [int(ns(t)) for t in (10, 20, 30, 40)]
+
+    def test_a_later_end_is_ignored(self, kernel):
+        ticks = []
+
+        def hook(n):
+            if n == 1:
+                kernel.end_run_by(int(ns(30)))
+            elif n == 2:
+                kernel.end_run_by(int(ns(90)))  # later than the current end
+
+        self.make_ticker(kernel, ticks, hook)
+        assert kernel.run(ns(100)) == ns(30)
+        assert len(ticks) == 3
+
+    def test_ends_an_unbounded_run(self, kernel):
+        ticks = []
+        self.make_ticker(kernel, ticks, lambda n: n == 1 and kernel.end_run_by(int(ns(25))))
+        assert kernel.run() == ns(25)
+        assert len(ticks) == 2
+
+    def test_the_end_lasts_only_for_one_run(self, kernel):
+        ticks = []
+        self.make_ticker(kernel, ticks, lambda n: n == 1 and kernel.end_run_by(int(ns(10))))
+        assert kernel.run(ns(50)) == ns(10)
+        assert kernel.run(ns(50)) == ns(60)
+        assert len(ticks) == 6
+
+    def test_rejects_the_past_and_calls_outside_a_run(self, kernel):
+        seen = []
+
+        def proc():
+            yield ns(20)
+            with pytest.raises(SchedulingError):
+                kernel.end_run_by(int(ns(10)))
+            seen.append(kernel.now)
+
+        kernel.create_thread(proc, "proc")
+        with pytest.raises(SimulationError):
+            kernel.end_run_by(int(ns(5)))
+        assert kernel.run(ns(100)) == ns(100)
+        assert seen == [ns(20)]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ThermalError
-from repro.power import EnergyAccount, EnergyLedger
+from repro.power import EnergyAccount
 from repro.sim import Simulator, ms, sec
 from repro.thermal import (
     Fan,
@@ -140,36 +140,45 @@ class TestThermalModel:
 
 
 class TestSensorAndFan:
+    @staticmethod
+    def sampled_soc():
+        """A one-IP SoC whose shared sampler drives the sensor every 1 ms."""
+        from repro.dpm import DpmSetup
+        from repro.soc import IpSpec, SocConfig, build_soc, periodic_workload
+
+        spec = IpSpec(name="ip0", workload=periodic_workload(1, cycles=1_000))
+        config = SocConfig(
+            thermal=ThermalConfig(ambient_c=35.0, initial_c=35.0), sample_interval=ms(1)
+        )
+        return build_soc([spec], config, DpmSetup.always_on())
+
     def test_sensor_heats_up_with_consumption(self):
-        sim = Simulator()
-        ledger = EnergyLedger()
-        model = ThermalModel(ThermalConfig(ambient_c=35.0, initial_c=35.0))
-        sensor = TemperatureSensor(sim.kernel, "sensor", model, ledger, sample_interval=ms(1))
-        sim.add_module(sensor)
+        soc = self.sampled_soc()
+        account = soc.ledger.account("heater")
 
         def heater():
             while True:
                 yield ms(1)
-                ledger.account("ip0").add_energy(0.0005)  # 0.5 W average
+                account.add_energy(0.0005)  # 0.5 W average
 
-        sim.kernel.create_thread(heater, "heater")
-        sim.kernel.run(sec(2))
+        soc.simulator.kernel.create_thread(heater, "heater")
+        soc.simulator.kernel.run(sec(2))
+        sensor = soc.temperature_sensor
         assert sensor.temperature_c > 40.0
         assert sensor.level in (TemperatureLevel.MEDIUM, TemperatureLevel.HIGH)
         assert len(sensor.history) > 100
+        assert sensor.history[-1] == (sec(2), soc.thermal.temperature_c)
 
-    def test_sensor_sample_now(self):
-        sim = Simulator()
-        ledger = EnergyLedger()
-        model = ThermalModel()
-        sensor = TemperatureSensor(sim.kernel, "sensor", model, ledger)
-        sim.add_module(sensor)
-        assert sensor.sample_now() is model.level
+    def test_soc_flush_forces_a_sensor_sample(self):
+        soc = self.sampled_soc()
+        soc.flush()
+        assert soc.temperature_sensor.history == [(ms(0), soc.thermal.temperature_c)]
+        assert soc.thermal.level is TemperatureLevel.LOW
 
     def test_sensor_zero_interval_rejected(self):
         sim = Simulator()
         with pytest.raises(ThermalError):
-            TemperatureSensor(sim.kernel, "sensor", ThermalModel(), EnergyLedger(), sample_interval=ms(0))
+            TemperatureSensor(sim.kernel, "sensor", ThermalModel(), sample_interval=ms(0))
 
     def test_fan_charges_energy_while_on(self):
         sim = Simulator()
@@ -203,3 +212,18 @@ class TestSensorAndFan:
         sim.add_module(fan)
         fan.set_on(False)
         assert fan.switch_history == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: the end-of-run flush steps the thermal model by a "
+    "whole sample interval right after the boundary sample, integrating "
+    "time that was never simulated (86 ms for row A1's 85 ms)",
+)
+def test_thermal_model_integrates_exactly_the_simulated_time():
+    from repro.experiments import run_scenario
+
+    artifacts = run_scenario("A1")
+    assert artifacts.soc.thermal._integrated_time_s == pytest.approx(
+        artifacts.end_time.seconds, rel=1e-12
+    )
