@@ -13,22 +13,19 @@ without running a single simulation.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Callable, Dict, List
 
 from repro.errors import PlatformError
-from repro.platform.spec import PlatformSpec
+from repro.platform.spec import IpDef, PlatformSpec
 
 __all__ = ["minimize_spec"]
 
 #: optional top-level sections a minimal repro usually doesn't need
 _DROPPABLE_SECTIONS = ("gem", "policy", "thermal", "battery", "trace")
 
-#: per-IP optional fields worth clearing
-_DROPPABLE_IP_FIELDS = (
-    "psm", "idle_activity", "bus_priority", "operating_points",
-    "activity_by_class", "residual_fraction", "max_frequency_hz",
-    "max_voltage_v", "effective_capacitance_f", "leakage_coefficient",
-)
+#: per-IP optional fields (unset by default) worth clearing
+_DROPPABLE_IP_FIELDS = tuple(field.name for field in dataclasses.fields(IpDef) if field.default is None)
 
 #: workload count knobs to walk downward
 _COUNT_FIELDS = ("task_count", "burst_count", "tasks_per_burst")

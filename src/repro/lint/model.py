@@ -106,7 +106,7 @@ def _build_ip(index: int, ip: IpDef) -> IpModel:
     power = compiled.power
     initial = PowerState(ip.initial_state)
     # A validated spec can still describe an uninstantiable workload (e.g. a
-    # zero-cycle explicit task); the workload analyzer turns the recorded
+    # one-task scenario A sequence); the workload analyzer turns the recorded
     # error into a finding instead of the whole lint run crashing.
     workload_error = None if compiled.workload is not None else str(compiled.error)
     return IpModel(

@@ -4,9 +4,10 @@
   cycle at ON1 frequency plus the mandatory idle gaps — utilisation of
   the horizon > 1) exceeds ``max_time_ms``; even a perfect power manager
   cannot complete the run, so completion-gated metrics are meaningless.
-* ``WORKLOAD-EMPTY-TASK`` — an explicit item with a non-positive cycle
-  count; such a task cannot be instantiated and the build fails at run
-  time rather than at validation time.
+* ``WORKLOAD-EMPTY-TASK`` — a workload that cannot be instantiated, so
+  the build fails at run time: a valid spec whose generator rejects its
+  arguments, or (in a spec that skipped validation, which rejects it) an
+  explicit item with a non-positive cycle count.
 * ``WORKLOAD-NEVER-IDLE`` — a workload with zero idle time: the DPM has
   no window to ever act in, so the platform measures nothing but the
   baseline.

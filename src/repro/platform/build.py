@@ -38,7 +38,7 @@ from repro.dpm.predictor import (
     LastValuePredictor,
 )
 from repro.errors import PlatformError, ReproError
-from repro.platform.spec import BatteryDef, IpDef, PlatformSpec, PolicyDef, ThermalDef, WorkloadDef
+from repro.platform.spec import IP_ROLES, BatteryDef, IpDef, PlatformSpec, PolicyDef, ThermalDef, WorkloadDef
 from repro.power.breakeven import BreakEvenAnalyzer
 from repro.power.characterization import (
     DEFAULT_ACTIVITY,
@@ -102,7 +102,7 @@ def build_workload(wdef: WorkloadDef) -> Workload:
     """
     kwargs: Dict[str, object] = {}
 
-    def put(key: str, value) -> None:
+    def put(key: str, value: object) -> None:
         if value is not None:
             kwargs[key] = value
 
@@ -265,8 +265,7 @@ def build_transitions(
 #: Candidate low-power states in analysis order (shallow to deep).
 LOW_STATES: Tuple[PowerState, ...] = tuple(SLEEP_STATES) + (PowerState.OFF,)
 #: IpDef fields that do not shape the power model.
-_NON_POWER_FIELDS = frozenset(
-    ("name", "workload", "static_priority", "initial_state", "bus_words_per_task", "bus_priority"))
+_NON_POWER_FIELDS = frozenset(name for name, role in IP_ROLES.items() if role != "power")
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -16,32 +16,28 @@ reads better and validates at the end::
         .build()
     )
 
-Every method returns the builder, :meth:`build` returns the validated spec
-(raising :class:`~repro.errors.PlatformError` with a dotted path on
-mistakes) and :meth:`register` additionally publishes it in the named
-platform registry.
+The builder is a keyword layer over the spec reader: each method stores
+its keywords (``None`` meaning "unset") as the plain-data section of the
+spec, and :meth:`build` reads the whole document with
+:meth:`PlatformSpec.from_dict`, so a wrongly typed or unknown keyword
+raises :class:`~repro.errors.PlatformError` with a dotted path, exactly as
+in a spec file.  :meth:`register` additionally publishes the spec in the
+named platform registry.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.errors import PlatformError
-from repro.platform.spec import (
-    BatteryDef,
-    BusDef,
-    GemDef,
-    IpDef,
-    OperatingPointDef,
-    PlatformSpec,
-    PolicyDef,
-    PsmDef,
-    ThermalDef,
-    TraceDef,
-    WorkloadDef,
-)
+from repro.platform.spec import IP_ROLES, OperatingPointDef, PlatformSpec, PsmDef, WorkloadDef
 
 __all__ = ["PlatformBuilder"]
+
+
+def _section(**fields: Any) -> Dict[str, Any]:
+    """The plain-data form of keyword arguments, unset (``None``) ones dropped."""
+    return {key: value for key, value in fields.items() if value is not None}
 
 
 def _as_workload(value: Union[WorkloadDef, Mapping[str, Any], None], ip: str) -> WorkloadDef:
@@ -67,62 +63,62 @@ def _as_psm(value: Union[PsmDef, Mapping[str, Any], None], ip: str) -> Optional[
 
 
 class PlatformBuilder:
-    """Accumulates a :class:`PlatformSpec`, one fluent call at a time."""
+    """Accumulates a platform document, one fluent call at a time."""
 
     def __init__(self, name: str) -> None:
-        self._spec = PlatformSpec(name=name)
+        self._data: Dict[str, Any] = {"name": name, "ips": []}
 
     # -- metadata -------------------------------------------------------
     def describe(self, description: str) -> "PlatformBuilder":
         """Set the human-readable description."""
-        self._spec.description = description
+        self._data["description"] = description
         return self
 
     # -- SoC-level sections --------------------------------------------
     def battery(self, condition: Optional[str] = None, **fields: Any) -> "PlatformBuilder":
         """Battery condition preset and/or explicit :class:`BatteryDef` fields."""
-        self._spec.battery = BatteryDef(condition=condition, **fields)
+        self._data["battery"] = _section(condition=condition, **fields)
         return self
 
     def thermal(self, condition: Optional[str] = None, **fields: Any) -> "PlatformBuilder":
         """Thermal condition preset and/or explicit :class:`ThermalDef` fields."""
-        self._spec.thermal = ThermalDef(condition=condition, **fields)
+        self._data["thermal"] = _section(condition=condition, **fields)
         return self
 
     def gem(self, **fields: Any) -> "PlatformBuilder":
         """Enable the Global Energy Manager (optionally tuning it)."""
-        self._spec.gem = GemDef(enabled=True, **fields)
+        self._data["gem"] = _section(enabled=True, **fields)
         return self
 
     def no_gem(self) -> "PlatformBuilder":
         """Run the IPs under independent LEMs only (the default)."""
-        self._spec.gem = GemDef(enabled=False)
+        self._data.pop("gem", None)
         return self
 
     def policy(self, name: str = "paper", **fields: Any) -> "PlatformBuilder":
         """Set the platform's default power-management policy."""
-        self._spec.policy = PolicyDef(name=name, **fields)
+        self._data["policy"] = _section(name=name, **fields)
         return self
 
     def max_time_ms(self, value: float) -> "PlatformBuilder":
         """Simulation time budget in milliseconds."""
-        self._spec.max_time_ms = float(value)
+        self._data["max_time_ms"] = float(value)
         return self
 
     def sample_interval_us(self, value: float) -> "PlatformBuilder":
         """Battery/temperature sampling interval in microseconds."""
-        self._spec.sample_interval_us = float(value)
+        self._data["sample_interval_us"] = float(value)
         return self
 
     def fan(self, power_w: float = 0.05) -> "PlatformBuilder":
         """Fit the supplementary fan (the GEM's worst-case action)."""
-        self._spec.with_fan = True
-        self._spec.fan_power_w = float(power_w)
+        self._data["with_fan"] = True
+        self._data["fan_power_w"] = float(power_w)
         return self
 
     def no_fan(self) -> "PlatformBuilder":
         """Build the platform without a fan."""
-        self._spec.with_fan = False
+        self._data["with_fan"] = False
         return self
 
     def bus(
@@ -133,7 +129,7 @@ class PlatformBuilder:
         words_per_cycle: int = 1,
     ) -> "PlatformBuilder":
         """Fit the shared bus (see :class:`~repro.platform.spec.BusDef`)."""
-        self._spec.bus = BusDef(
+        self._data["bus"] = _section(
             enabled=True,
             words_per_second=float(words_per_second),
             arbitration=arbitration,
@@ -144,7 +140,7 @@ class PlatformBuilder:
 
     def no_bus(self) -> "PlatformBuilder":
         """Build the platform without a shared bus (the default)."""
-        self._spec.bus = BusDef(enabled=False)
+        self._data.pop("bus", None)
         return self
 
     def trace(
@@ -154,17 +150,17 @@ class PlatformBuilder:
         events: Optional[Any] = None,
     ) -> "PlatformBuilder":
         """Enable event tracing (see :class:`~repro.platform.spec.TraceDef`)."""
-        self._spec.trace = TraceDef(
+        self._data["trace"] = _section(
             enabled=True,
             format=format,
             path=path,
-            events=list(events) if events is not None else [],
+            events=list(events) if events is not None else None,
         )
         return self
 
     def no_trace(self) -> "PlatformBuilder":
         """Build the platform without event tracing (the default)."""
-        self._spec.trace = TraceDef(enabled=False)
+        self._data.pop("trace", None)
         return self
 
     # -- IPs ------------------------------------------------------------
@@ -190,34 +186,36 @@ class PlatformBuilder:
         points = None
         if operating_points is not None:
             points = [
-                point
-                if isinstance(point, OperatingPointDef)
-                else OperatingPointDef.from_dict(
-                    point, f"ip {name!r}: operating_points[{index}]"
-                )
+                (point if isinstance(point, OperatingPointDef)
+                 else OperatingPointDef.from_dict(point, f"ip {name!r}: operating_points[{index}]")
+                 ).to_dict()
                 for index, point in enumerate(operating_points)
             ]
-        try:
-            ipdef = IpDef(
-                name=name,
-                workload=_as_workload(workload, name),
-                static_priority=priority,
-                initial_state=initial_state,
-                bus_words_per_task=bus_words_per_task,
-                bus_priority=bus_priority,
-                operating_points=points,
-                psm=_as_psm(psm, name),
-                **characterization,
-            )
-        except TypeError as error:
-            raise PlatformError(f"ip {name!r}: {error}") from None
-        self._spec.ips.append(ipdef)
+        wdef = _as_workload(workload, name)
+        psm_def = _as_psm(psm, name)
+        for key in characterization:
+            if IP_ROLES.get(key) != "power":
+                # worded as the IpDef constructor's own error for the keyword
+                raise PlatformError(
+                    f"ip {name!r}: IpDef.__init__() got an unexpected keyword argument {key!r}"
+                )
+        self._data["ips"].append(_section(
+            name=name,
+            workload=wdef.to_dict(),
+            static_priority=priority,
+            initial_state=initial_state,
+            bus_words_per_task=bus_words_per_task,
+            bus_priority=bus_priority,
+            operating_points=points,
+            psm=psm_def.to_dict() if psm_def is not None else None,
+            **characterization,
+        ))
         return self
 
     # -- terminal operations -------------------------------------------
     def build(self) -> PlatformSpec:
-        """Validate and return the accumulated spec."""
-        return self._spec.validate()
+        """Read, validate and return the accumulated spec."""
+        return PlatformSpec.from_dict(self._data)
 
     def register(self, overwrite: bool = False) -> PlatformSpec:
         """Validate, publish under the spec's name, and return the spec."""

@@ -33,19 +33,33 @@ Layout of the tree::
     ├── bus: BusDef
     └── policy: PolicyDef                           (optional)
 
-All ``to_dict`` methods omit fields left at their defaults, so the canonical
+Each field is declared once, in its ``dataclasses.field`` metadata: its
+kind, its default, its check (positive, range or vocabulary) and, for
+:class:`IpDef`, its role.  One generic reader (``from_dict``), encoder
+(``to_dict``) and per-field validator (``validate``) work from that table;
+each class adds only a hook for the rules that span several fields.
+``to_dict`` omits fields left at their defaults, so the canonical
 dictionary of a spec is minimal and two equal specs always produce the same
 canonical encoding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+import functools
+import math
+import operator
+import re
+from collections import abc
+from dataclasses import MISSING, Field, dataclass, field, fields
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, NoReturn, Optional, Sequence, Tuple, Type,
+    TypeVar,
+)
 
 from repro.errors import PlatformError
 
 __all__ = [
+    "IP_ROLES",
     "SPEC_FORMAT",
     "BatteryDef",
     "BusDef",
@@ -97,28 +111,6 @@ WORKLOAD_KINDS = (
     "scenario_a",
 )
 
-#: WorkloadDef fields meaningful for each kind (beyond the common ones).
-_WORKLOAD_KIND_FIELDS: Dict[str, frozenset] = {
-    "periodic": frozenset(
-        {"task_count", "cycles", "idle_us", "priority", "instruction_class"}
-    ),
-    "random": frozenset(
-        {"task_count", "seed", "cycles_min", "cycles_max",
-         "idle_min_us", "idle_max_us", "priorities"}
-    ),
-    "high_activity": frozenset({"task_count", "seed", "priorities"}),
-    "low_activity": frozenset({"task_count", "seed", "priorities"}),
-    "bursty": frozenset(
-        {"burst_count", "tasks_per_burst", "seed", "cycles_min", "cycles_max",
-         "intra_burst_idle_us", "inter_burst_idle_us", "priorities"}
-    ),
-    "scenario_a": frozenset({"task_count", "seed"}),
-    "explicit": frozenset({"items"}),
-}
-_WORKLOAD_COMMON_FIELDS = frozenset({"kind", "name", "idle_scale", "force_priority"})
-
-_EXPLICIT_ITEM_KEYS = ("task", "cycles", "priority", "instruction_class", "idle_after_fs")
-
 #: The flat bus keys of an earlier format, rejected with what replaced them.
 _FLAT_BUS_KEYS = ("with_bus", "bus_words_per_second")
 
@@ -126,21 +118,21 @@ _FLAT_BUS_KEYS = ("with_bus", "bus_words_per_second")
 # ----------------------------------------------------------------------
 # Validation helpers (structural checks with dotted paths)
 # ----------------------------------------------------------------------
-def _fail(path: str, message: str) -> None:
+def _fail(path: str, message: str) -> NoReturn:
     raise PlatformError(f"{path}: {message}")
 
 
-def _choices(values: Sequence[str]) -> str:
+def _choices(values: Iterable[str]) -> str:
     return ", ".join(sorted(values))
 
 
 def _as_mapping(value: Any, path: str) -> Dict[str, Any]:
-    if not isinstance(value, Mapping):
+    if not isinstance(value, abc.Mapping):
         _fail(path, f"expected a mapping/table, got {type(value).__name__}")
     return dict(value)
 
 
-def _check_keys(mapping: Mapping[str, Any], path: str, allowed: Sequence[str]) -> None:
+def _check_keys(mapping: Mapping[str, Any], path: str, allowed: Iterable[str]) -> None:
     unknown = set(mapping) - set(allowed)
     if unknown:
         _fail(
@@ -150,162 +142,431 @@ def _check_keys(mapping: Mapping[str, Any], path: str, allowed: Sequence[str]) -
         )
 
 
-def _get_str(
-    mapping: Mapping[str, Any],
-    key: str,
-    path: str,
-    required: bool = False,
-    default: Optional[str] = None,
-) -> Optional[str]:
-    if key not in mapping:
-        if required:
-            _fail(path, f"missing required field '{key}'")
-        return default
-    value = mapping[key]
-    if not isinstance(value, str):
-        _fail(f"{path}.{key}", f"expected a string, got {type(value).__name__}")
-    return value
-
-
-def _get_bool(
-    mapping: Mapping[str, Any], key: str, path: str, default: Optional[bool] = None
-) -> Optional[bool]:
-    if key not in mapping:
-        return default
-    value = mapping[key]
-    if not isinstance(value, bool):
-        _fail(f"{path}.{key}", f"expected a boolean, got {type(value).__name__}")
-    return value
-
-
-def _get_int(
-    mapping: Mapping[str, Any], key: str, path: str, default: Optional[int] = None
-) -> Optional[int]:
-    if key not in mapping:
-        return default
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(f"{path}.{key}", f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _get_float(
-    mapping: Mapping[str, Any], key: str, path: str, default: Optional[float] = None
-) -> Optional[float]:
-    if key not in mapping:
-        return default
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(f"{path}.{key}", f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _get_list(
-    mapping: Mapping[str, Any], key: str, path: str
-) -> Optional[List[Any]]:
-    if key not in mapping:
-        return None
-    value = mapping[key]
-    if isinstance(value, (str, bytes)) or not isinstance(value, Sequence):
-        _fail(f"{path}.{key}", f"expected a list/array, got {type(value).__name__}")
-    return list(value)
-
-
 def _check_choice(value: Optional[str], path: str, choices: Sequence[str], what: str) -> None:
     if value is not None and value not in choices:
         _fail(path, f"unknown {what} {value!r} (expected one of: {_choices(choices)})")
 
 
-def _check_positive(value: Optional[float], path: str, what: str = "value") -> None:
-    if value is not None and value <= 0:
-        _fail(path, f"{what} must be positive, got {value!r}")
+#: Per value kind: does a value have it, and how a value without it is named.
+_TYPES: Dict[str, Tuple[Callable[[Any], bool], Callable[[Any], str]]] = {
+    "str": (lambda v: isinstance(v, str), lambda v: f"expected a string, got {type(v).__name__}"),
+    "bool": (lambda v: isinstance(v, bool), lambda v: f"expected a boolean, got {type(v).__name__}"),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool),
+            lambda v: f"expected an integer, got {v!r}"),
+    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+              lambda v: f"expected a number, got {v!r}"),
+    "list": (lambda v: type(v) is list or (isinstance(v, abc.Sequence) and not isinstance(v, (str, bytes))),
+             lambda v: f"expected a list/array, got {type(v).__name__}"),
+    "mapping": (lambda v: isinstance(v, abc.Mapping),
+                lambda v: f"expected a mapping/table, got {type(v).__name__}"),
+}
 
 
-def _float_map(value: Any, path: str, key_choices: Sequence[str], what: str) -> Dict[str, float]:
-    mapping = _as_mapping(value, path)
-    result: Dict[str, float] = {}
-    for key, item in mapping.items():
-        _check_choice(key, f"{path}.{key}", key_choices, what)
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            _fail(f"{path}.{key}", f"expected a number, got {item!r}")
-        result[key] = float(item)
-    return result
+def _expect(kind: str, value: Any, path: str, name: str = "") -> None:
+    """Fail unless ``value`` is of ``kind``, at ``path`` (``path.name`` given a name)."""
+    accepts, describe = _TYPES[kind]
+    if not accepts(value):
+        _fail(f"{path}.{name}" if name else path, describe(value))
+
+
+# ----------------------------------------------------------------------
+# Field declarations
+# ----------------------------------------------------------------------
+#: A range check: does a value pass, and the error message (``{value!r}``
+#: is filled in).
+Check = Tuple[Callable[[Any], bool], str]
+
+
+def _positive(what: str) -> Check:
+    return (lambda value: value > 0, what + " must be positive, got {value!r}")
+
+
+def _at_least(bound: float, message: str) -> Check:
+    return (lambda value: value >= bound, message)
+
+
+_IDLE_TIME = _at_least(0, "idle times must be >= 0, got {value!r}")
+
+
+def _declare(kind: str, default: Any = MISSING, *, factory: Any = MISSING, **spec: Any) -> Any:
+    """A dataclass field that carries its declaration in its metadata.
+
+    ``kind`` is one of ``str``, ``int``, ``float``, ``bool``, ``names`` (a
+    list of strings), ``float_map`` (state or class name to number),
+    ``node``/``nodes`` (one or a list of nested spec sections, class in
+    ``node``) or ``mappings`` (a list of plain mappings checked by the
+    class hook).  The other keys, all optional:
+
+    * ``required`` — the reader rejects a missing key: ``True`` for the
+      usual message, or a message template (``{name!r}`` is the section's
+      name).  Required fields are always written by ``to_dict``.
+    * ``always`` — ``to_dict`` writes the field even at its default.
+    * ``header`` — ``to_dict`` writes the field before the others.
+    * ``choices`` — ``(vocabulary, noun)`` a string (a list entry, a map
+      key) must come from.
+    * ``check`` — a :data:`Check` on a number (a map value).
+    * ``empty`` — the error for an empty string or list.
+    * ``entry`` — the error for a list entry that is not a string.
+    * ``kinds`` — the workload kinds a :class:`WorkloadDef` field applies to
+      (all when absent).
+    * ``role`` — an :class:`IpDef` field's role: ``power`` (shapes the power
+      model), ``workload`` or ``placement``.
+    """
+    metadata = {"kind": kind, **spec}
+    if factory is not MISSING:
+        return field(default_factory=factory, metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
+_str = functools.partial(_declare, "str")
+_int = functools.partial(_declare, "int")
+_float = functools.partial(_declare, "float")
+_bool = functools.partial(_declare, "bool")
+
+
+def _node(cls: type, default: Any = MISSING, **spec: Any) -> Any:
+    """A nested section, defaulting to ``cls()`` unless ``default`` is given."""
+    factory = cls if default is MISSING else MISSING
+    return _declare("node", default, factory=factory, node=cls, **spec)
+
+
+class _Field:
+    """One declared field, compiled once per class when the module is imported.
+
+    ``read(raw, path)`` converts a mapping value, ``check(value, path)``
+    validates an attribute; both take the *section's* path and only build
+    the field's dotted path to report an error.
+    """
+
+    __slots__ = ("name", "default", "required", "header", "meta", "read", "check", "encode", "mode")
+
+    def __init__(self, name: str, declared: Field) -> None:
+        meta = declared.metadata
+        kind = meta["kind"]
+        self.name = name
+        self.meta = meta
+        factory = declared.default_factory
+        self.default: Any = factory() if callable(factory) else declared.default
+        self.required = meta.get("required", False)
+        self.header = meta.get("header", False)
+        if self.required or meta.get("always", False):
+            self.mode = _ALWAYS
+        elif kind == "node":
+            self.mode = _UNLESS_EMPTY
+        else:
+            self.mode = _UNLESS_UNSET if self.default is None else _UNLESS_DEFAULT
+        self.read, self.check, self.encode = _COMPILERS[kind](name, meta)
+
+
+#: ``to_dict`` modes: always written, omitted when ``None`` (the default),
+#: omitted at the default, or (nested sections) omitted when unset or
+#: encoded empty.
+_ALWAYS, _UNLESS_UNSET, _UNLESS_DEFAULT, _UNLESS_EMPTY = range(4)
+
+Reader = Callable[[Any, str], Any]
+Validator = Callable[[Any, str], None]
+Encoder = Optional[Callable[[Any], Any]]
+Compiled = Tuple[Reader, Validator, Encoder]
+
+
+def _scalar(kind: str) -> Callable[[str, Mapping[str, Any]], Compiled]:
+    accepts, describe = _TYPES[kind]
+    exact = {"str": str, "int": int, "float": float, "bool": bool}[kind]
+    convert = {"int": int, "float": float}.get(kind)
+    finite = kind == "float"
+
+    def compile_scalar(name: str, meta: Mapping[str, Any]) -> Compiled:
+        vocabulary, noun = meta.get("choices", (None, None))
+        allowed = frozenset(vocabulary) if vocabulary is not None else None
+        empty = meta.get("empty")
+        ok, message = meta.get("check", (None, ""))
+
+        def read(raw: Any, path: str) -> Any:
+            if not accepts(raw):
+                _fail(f"{path}.{name}", describe(raw))
+            return raw if convert is None else convert(raw)
+
+        def check(value: Any, path: str) -> None:
+            if type(value) is not exact and not accepts(value):
+                _fail(f"{path}.{name}", describe(value))
+            if finite and not math.isfinite(value):
+                _fail(f"{path}.{name}", f"expected a finite number, got {value!r}")
+            if allowed is not None and value not in allowed:
+                _check_choice(value, f"{path}.{name}", vocabulary, noun)
+            if empty is not None and not value:
+                _fail(f"{path}.{name}", empty)
+            if ok is not None and not ok(value):
+                _fail(f"{path}.{name}", message.format(value=value))
+
+        return read, check, None
+
+    return compile_scalar
+
+
+def _names(name: str, meta: Mapping[str, Any]) -> Compiled:
+    vocabulary, noun = meta.get("choices", (None, None))
+    empty = meta.get("empty")
+    entry_error = meta["entry"]
+
+    def entries(value: Any, path: str) -> None:
+        for index, entry in enumerate(value):
+            if not isinstance(entry, str):
+                _fail(f"{path}.{name}[{index}]",
+                      entry_error.format(value=entry, type=type(entry).__name__))
+
+    def read(raw: Any, path: str) -> Any:
+        _expect("list", raw, path, name)
+        entries(raw, path)
+        return list(raw)
+
+    def check(value: Any, path: str) -> None:
+        if type(value) is not list:
+            _expect("list", value, path, name)
+        entries(value, path)
+        if empty is not None and not value:
+            _fail(f"{path}.{name}", empty)
+        if vocabulary is not None:
+            for index, entry in enumerate(value):
+                if entry not in vocabulary:
+                    _check_choice(entry, f"{path}.{name}[{index}]", vocabulary, noun)
+
+    return read, check, list
+
+
+def _number_map(name: str, meta: Mapping[str, Any]) -> Compiled:
+    vocabulary, noun = meta["choices"]
+    ok, message = meta["check"]
+
+    def read(raw: Any, path: str) -> Any:
+        result = {}
+        for key, item in _as_mapping(raw, f"{path}.{name}").items():
+            _check_choice(key, f"{path}.{name}.{key}", vocabulary, noun)
+            _expect("float", item, f"{path}.{name}.{key}")
+            result[key] = float(item)
+        return result
+
+    def check(value: Any, path: str) -> None:
+        if type(value) is not dict:
+            _expect("mapping", value, path, name)
+        for key, item in value.items():
+            if key in vocabulary and type(item) is float and math.isfinite(item) and ok(item):
+                continue
+            item_path = f"{path}.{name}.{key}"
+            _check_choice(key, item_path, vocabulary, noun)
+            _expect("float", item, item_path)
+            if not math.isfinite(item):
+                _fail(item_path, f"expected a finite number, got {item!r}")
+            if not ok(item):
+                _fail(item_path, message.format(value=item))
+
+    return read, check, lambda value: dict(sorted(value.items()))
+
+
+def _nested(name: str, meta: Mapping[str, Any]) -> Compiled:
+    cls = meta["node"]
+
+    def read(raw: Any, path: str) -> Any:
+        return cls._read(raw, f"{path}.{name}")
+
+    def check(value: Any, path: str) -> None:
+        if not isinstance(value, cls):
+            _fail(f"{path}.{name}", f"expected a {cls.__name__}, got {type(value).__name__}")
+        value.validate(f"{path}.{name}")
+
+    return read, check, lambda value: value.to_dict()
+
+
+def _nested_list(name: str, meta: Mapping[str, Any]) -> Compiled:
+    cls = meta["node"]
+
+    def read(raw: Any, path: str) -> Any:
+        _expect("list", raw, path, name)
+        return [cls._read(item, f"{path}.{name}[{index}]") for index, item in enumerate(raw)]
+
+    def check(value: Any, path: str) -> None:
+        if type(value) is not list:
+            _expect("list", value, path, name)
+        for index, item in enumerate(value):
+            if not isinstance(item, cls):
+                _fail(f"{path}.{name}[{index}]",
+                      f"expected a {cls.__name__}, got {type(item).__name__}")
+            item.validate(f"{path}.{name}[{index}]")
+
+    return read, check, lambda value: [item.to_dict() for item in value]
+
+
+def _mapping_list(name: str, meta: Mapping[str, Any]) -> Compiled:
+    def read(raw: Any, path: str) -> Any:
+        _expect("list", raw, path, name)
+        return [_as_mapping(item, f"{path}.{name}[{index}]") for index, item in enumerate(raw)]
+
+    def check(value: Any, path: str) -> None:
+        if type(value) is not list:
+            _expect("list", value, path, name)
+
+    return read, check, list
+
+
+_COMPILERS: Dict[str, Callable[[str, Mapping[str, Any]], Compiled]] = {
+    "str": _scalar("str"),
+    "int": _scalar("int"),
+    "float": _scalar("float"),
+    "bool": _scalar("bool"),
+    "names": _names,
+    "float_map": _number_map,
+    "node": _nested,
+    "nodes": _nested_list,
+    "mappings": _mapping_list,
+}
+
+_N = TypeVar("_N", bound="_Node")
+
+
+class _Node:
+    """Reading, encoding and validation of a spec class from its field table."""
+
+    #: the compiled fields, in declaration (constructor) order
+    _fields: Tuple[_Field, ...] = ()
+    #: ``(name, mode, default, encode)`` in ``to_dict`` order (header first)
+    _encoding: Tuple[Tuple[str, int, Any, Encoder], ...] = ()
+    #: ``(name, check, default)`` in declaration order
+    _checks: Tuple[Tuple[str, Validator, Any], ...] = ()
+    _keys: FrozenSet[str] = frozenset()
+    #: default path of :meth:`from_dict` errors
+    _path = ""
+
+    @classmethod
+    def _admit(cls, mapping: Dict[str, Any], path: str) -> None:
+        """Reject keys the section does not read (before any field is read)."""
+        _check_keys(mapping, path, cls._keys)
+
+    @classmethod
+    def _read(cls: Type[_N], value: Any, path: str) -> _N:
+        mapping = _as_mapping(value, path)
+        cls._admit(mapping, path)
+        values: Dict[str, Any] = {}
+        for spec in cls._fields:
+            if spec.name in mapping:
+                values[spec.name] = spec.read(mapping[spec.name], path)
+            elif spec.required:
+                message = (f"missing required field '{spec.name}'" if spec.required is True
+                           else spec.required.format(name=values.get("name")))
+                _fail(path, message)
+        return cls(**values)
+
+    @classmethod
+    def from_dict(cls: Type[_N], value: Any, path: Optional[str] = None) -> _N:
+        """Read the section from plain data (parsed JSON/TOML)."""
+        return cls._read(value, path or cls._path)
+
+    def to_dict(self) -> Dict[str, Any]:
+        """Canonical plain-data view: fields at their defaults are omitted."""
+        data: Dict[str, Any] = {}
+        attributes = self.__dict__
+        for name, mode, default, encode in self._encoding:
+            value = attributes[name]
+            if mode == _UNLESS_UNSET:
+                if value is None:
+                    continue
+            elif mode == _UNLESS_DEFAULT:
+                if value == default:
+                    continue
+            elif mode == _UNLESS_EMPTY:
+                if value is None:
+                    continue
+                value = value.to_dict()
+                if not value:
+                    continue
+                data[name] = value
+                continue
+            data[name] = value if encode is None or value is None else encode(value)
+        return data
+
+    def validate(self: _N, path: str) -> _N:
+        """Check every field, then the cross-field rules; raises with a path.
+
+        A field still holding its default object (``None`` for an unset
+        optional one) is valid by declaration and skipped.
+        """
+        attributes = self.__dict__
+        for name, check, default in self._checks:
+            value = attributes[name]
+            if value is not default:
+                check(value, path)
+        self._check_rules(path)
+        return self
+
+    def _check_rules(self, path: str) -> None:
+        """The class's rules that span several fields (none by default)."""
+
+
+class _Switched(_Node):
+    """A section whose other fields only apply while ``enabled`` is set."""
+
+    enabled: bool
+    #: what the other fields are called in the error for a disabled section
+    _knobs_noun = ""
+    #: a getter of the fields other than ``enabled``, and their defaults (set by ``_table``)
+    _knobs: Callable[[Any], Tuple[Any, ...]]
+    _knob_defaults: Tuple[Any, ...]
+
+    def has_overrides(self) -> bool:
+        """True when any knob other than ``enabled`` differs from its default."""
+        return self._knobs(self) != self._knob_defaults
+
+    def _check_rules(self, path: str) -> None:
+        if not self.enabled and self.has_overrides():
+            _fail(path, f"{self._knobs_noun} are set but 'enabled' is false")
+
+
+def _table(cls: Type[_N]) -> Type[_N]:
+    """Compile ``cls``'s field declarations (once, at import)."""
+    cls._fields = tuple(_Field(declared.name, declared) for declared in fields(cls))
+    cls._encoding = tuple((spec.name, spec.mode, spec.default, spec.encode)
+                          for spec in sorted(cls._fields, key=lambda spec: not spec.header))
+    cls._checks = tuple((spec.name, spec.check, spec.default) for spec in cls._fields)
+    cls._keys = frozenset(spec.name for spec in cls._fields)
+    if issubclass(cls, _Switched):
+        knobs = [spec for spec in cls._fields if spec.name != "enabled"]
+        cls._knobs = operator.attrgetter(*(spec.name for spec in knobs))
+        cls._knob_defaults = tuple(spec.default for spec in knobs)
+    cls._path = re.sub(r"(?<!^)(?=[A-Z])", "_", cls.__name__.removesuffix("Def")).lower()
+    return cls
 
 
 # ----------------------------------------------------------------------
 # Leaf definitions
 # ----------------------------------------------------------------------
+@_table
 @dataclass
-class OperatingPointDef:
+class OperatingPointDef(_Node):
     """One DVFS point of an IP: the voltage and frequency of an ON state."""
 
-    state: str
-    voltage_v: float
-    frequency_hz: float
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "state": self.state,
-            "voltage_v": self.voltage_v,
-            "frequency_hz": self.frequency_hz,
-        }
-
-    @classmethod
-    def from_dict(cls, value: Any, path: str = "operating_point") -> "OperatingPointDef":
-        mapping = _as_mapping(value, path)
-        _check_keys(mapping, path, ("state", "voltage_v", "frequency_hz"))
-        state = _get_str(mapping, "state", path, required=True)
-        voltage = _get_float(mapping, "voltage_v", path)
-        frequency = _get_float(mapping, "frequency_hz", path)
-        if voltage is None or frequency is None:
-            _fail(path, "an operating point needs both 'voltage_v' and 'frequency_hz'")
-        return cls(state=state, voltage_v=voltage, frequency_hz=frequency)
-
-    def validate(self, path: str) -> None:
-        _check_choice(self.state, f"{path}.state", ON_STATE_NAMES, "ON state")
-        _check_positive(self.voltage_v, f"{path}.voltage_v", "supply voltage")
-        _check_positive(self.frequency_hz, f"{path}.frequency_hz", "clock frequency")
+    state: str = _str(required=True, choices=(ON_STATE_NAMES, "ON state"))
+    voltage_v: float = _float(
+        required="an operating point needs both 'voltage_v' and 'frequency_hz'",
+        check=_positive("supply voltage"))
+    frequency_hz: float = _float(
+        required="an operating point needs both 'voltage_v' and 'frequency_hz'",
+        check=_positive("clock frequency"))
 
 
+@_table
 @dataclass
-class TransitionDef:
+class TransitionDef(_Node):
     """One entry of a user-defined PSM transition table.
 
     Overrides (or, with ``allowed: false``, removes) the generated default
     cost of the ``source -> target`` transition.
     """
 
-    source: str
-    target: str
-    energy_j: Optional[float] = None
-    latency_us: Optional[float] = None
-    allowed: bool = True
+    source: str = _str(required=True, choices=(ALL_STATE_NAMES, "power state"))
+    target: str = _str(required=True, choices=(ALL_STATE_NAMES, "power state"))
+    energy_j: Optional[float] = _float(None)
+    latency_us: Optional[float] = _float(None)
+    allowed: bool = _bool(True)
 
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"source": self.source, "target": self.target}
-        if self.energy_j is not None:
-            data["energy_j"] = self.energy_j
-        if self.latency_us is not None:
-            data["latency_us"] = self.latency_us
-        if not self.allowed:
-            data["allowed"] = False
-        return data
-
-    @classmethod
-    def from_dict(cls, value: Any, path: str = "transition") -> "TransitionDef":
-        mapping = _as_mapping(value, path)
-        _check_keys(mapping, path, ("source", "target", "energy_j", "latency_us", "allowed"))
-        return cls(
-            source=_get_str(mapping, "source", path, required=True),
-            target=_get_str(mapping, "target", path, required=True),
-            energy_j=_get_float(mapping, "energy_j", path),
-            latency_us=_get_float(mapping, "latency_us", path),
-            allowed=_get_bool(mapping, "allowed", path, default=True),
-        )
-
-    def validate(self, path: str) -> None:
-        _check_choice(self.source, f"{path}.source", ALL_STATE_NAMES, "power state")
-        _check_choice(self.target, f"{path}.target", ALL_STATE_NAMES, "power state")
+    def _check_rules(self, path: str) -> None:
         if self.source == self.target:
             _fail(path, f"self-transition {self.source}->{self.target} cannot be customised")
         if self.allowed:
@@ -323,8 +584,9 @@ class TransitionDef:
             _fail(path, "a forbidden transition ('allowed': false) cannot carry costs")
 
 
+@_table
 @dataclass
-class PsmDef:
+class PsmDef(_Node):
     """A user-defined power-state machine (transition cost table).
 
     The table starts from the library defaults (scaled to the IP's
@@ -332,64 +594,18 @@ class PsmDef:
     ``transitions`` entries override or remove individual pairs.
     """
 
-    dvfs_latency_us: Optional[float] = None
-    entry_latency_us: Dict[str, float] = field(default_factory=dict)
-    wakeup_latency_us: Dict[str, float] = field(default_factory=dict)
-    transitions: List[TransitionDef] = field(default_factory=list)
+    dvfs_latency_us: Optional[float] = _float(None, check=_positive("DVFS latency"))
+    entry_latency_us: Dict[str, float] = _declare(
+        "float_map", factory=dict, choices=(LOW_STATE_NAMES, "sleep/off state"),
+        check=_positive("entry latency"))
+    wakeup_latency_us: Dict[str, float] = _declare(
+        "float_map", factory=dict, choices=(LOW_STATE_NAMES, "sleep/off state"),
+        check=_positive("wake-up latency"))
+    transitions: List[TransitionDef] = _declare("nodes", factory=list, node=TransitionDef)
 
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {}
-        if self.dvfs_latency_us is not None:
-            data["dvfs_latency_us"] = self.dvfs_latency_us
-        if self.entry_latency_us:
-            data["entry_latency_us"] = dict(sorted(self.entry_latency_us.items()))
-        if self.wakeup_latency_us:
-            data["wakeup_latency_us"] = dict(sorted(self.wakeup_latency_us.items()))
-        if self.transitions:
-            data["transitions"] = [entry.to_dict() for entry in self.transitions]
-        return data
-
-    @classmethod
-    def from_dict(cls, value: Any, path: str = "psm") -> "PsmDef":
-        mapping = _as_mapping(value, path)
-        _check_keys(
-            mapping, path,
-            ("dvfs_latency_us", "entry_latency_us", "wakeup_latency_us", "transitions"),
-        )
-        entry = mapping.get("entry_latency_us")
-        wake = mapping.get("wakeup_latency_us")
-        transitions = _get_list(mapping, "transitions", path) or []
-        return cls(
-            dvfs_latency_us=_get_float(mapping, "dvfs_latency_us", path),
-            entry_latency_us=(
-                {} if entry is None
-                else _float_map(entry, f"{path}.entry_latency_us", LOW_STATE_NAMES,
-                                "sleep/off state")
-            ),
-            wakeup_latency_us=(
-                {} if wake is None
-                else _float_map(wake, f"{path}.wakeup_latency_us", LOW_STATE_NAMES,
-                                "sleep/off state")
-            ),
-            transitions=[
-                TransitionDef.from_dict(item, f"{path}.transitions[{index}]")
-                for index, item in enumerate(transitions)
-            ],
-        )
-
-    def validate(self, path: str) -> None:
-        _check_positive(self.dvfs_latency_us, f"{path}.dvfs_latency_us", "DVFS latency")
-        for key, value in self.entry_latency_us.items():
-            _check_choice(key, f"{path}.entry_latency_us.{key}", LOW_STATE_NAMES,
-                          "sleep/off state")
-            _check_positive(value, f"{path}.entry_latency_us.{key}", "entry latency")
-        for key, value in self.wakeup_latency_us.items():
-            _check_choice(key, f"{path}.wakeup_latency_us.{key}", LOW_STATE_NAMES,
-                          "sleep/off state")
-            _check_positive(value, f"{path}.wakeup_latency_us.{key}", "wake-up latency")
+    def _check_rules(self, path: str) -> None:
         seen = set()
         for index, transition in enumerate(self.transitions):
-            transition.validate(f"{path}.transitions[{index}]")
             pair = (transition.source, transition.target)
             if pair in seen:
                 _fail(
@@ -399,8 +615,16 @@ class PsmDef:
             seen.add(pair)
 
 
+_PRIORITY = (PRIORITY_NAMES, "task priority")
+_INSTRUCTION_CLASS = (INSTRUCTION_CLASS_NAMES, "instruction class")
+_SEEDED = ("random", "high_activity", "low_activity", "bursty", "scenario_a")
+_COUNTED = ("periodic", "random", "high_activity", "low_activity", "scenario_a")
+_POOLED = ("random", "high_activity", "low_activity", "bursty")
+
+
+@_table
 @dataclass
-class WorkloadDef:
+class WorkloadDef(_Node):
     """Declarative workload: a generator reference or an explicit task list.
 
     ``kind`` selects one of the generators of :mod:`repro.soc.workload`
@@ -411,54 +635,44 @@ class WorkloadDef:
     use the generator's own defaults, so thin specs stay thin.
     """
 
-    kind: str = "high_activity"
-    name: Optional[str] = None
-    task_count: Optional[int] = None
-    seed: Optional[int] = None
+    kind: str = _str("high_activity", always=True, choices=(WORKLOAD_KINDS, "workload kind"))
+    name: Optional[str] = _str(None)
+    task_count: Optional[int] = _int(None, check=_positive("task count"), kinds=_COUNTED)
+    seed: Optional[int] = _int(None, kinds=_SEEDED)
     # periodic
-    cycles: Optional[int] = None
-    idle_us: Optional[float] = None
-    priority: Optional[str] = None
-    instruction_class: Optional[str] = None
+    cycles: Optional[int] = _int(None, check=_positive("cycle count"), kinds=("periodic",))
+    idle_us: Optional[float] = _float(None, check=_IDLE_TIME, kinds=("periodic",))
+    priority: Optional[str] = _str(None, choices=_PRIORITY, kinds=("periodic",))
+    instruction_class: Optional[str] = _str(None, choices=_INSTRUCTION_CLASS, kinds=("periodic",))
     # random / bursty
-    cycles_min: Optional[int] = None
-    cycles_max: Optional[int] = None
-    idle_min_us: Optional[float] = None
-    idle_max_us: Optional[float] = None
-    priorities: Optional[List[str]] = None
+    cycles_min: Optional[int] = _int(None, kinds=("random", "bursty"))
+    cycles_max: Optional[int] = _int(None, kinds=("random", "bursty"))
+    idle_min_us: Optional[float] = _float(None, check=_IDLE_TIME, kinds=("random",))
+    idle_max_us: Optional[float] = _float(None, check=_IDLE_TIME, kinds=("random",))
+    priorities: Optional[List[str]] = _declare(
+        "names", None, choices=_PRIORITY, empty="the priority pool must not be empty",
+        entry="expected a priority name, got {value!r}", kinds=_POOLED)
     # bursty
-    burst_count: Optional[int] = None
-    tasks_per_burst: Optional[int] = None
-    intra_burst_idle_us: Optional[float] = None
-    inter_burst_idle_us: Optional[float] = None
+    burst_count: Optional[int] = _int(None, check=_positive("burst count"), kinds=("bursty",))
+    tasks_per_burst: Optional[int] = _int(
+        None, check=_positive("tasks per burst"), kinds=("bursty",))
+    intra_burst_idle_us: Optional[float] = _float(None, check=_IDLE_TIME, kinds=("bursty",))
+    inter_burst_idle_us: Optional[float] = _float(None, check=_IDLE_TIME, kinds=("bursty",))
     # explicit
-    items: Optional[List[Dict[str, Any]]] = None
+    items: Optional[List[Dict[str, Any]]] = _declare("mappings", None, kinds=("explicit",))
     # post-transforms (any kind)
-    idle_scale: Optional[float] = None
-    force_priority: Optional[str] = None
-
-    _FIELD_ORDER = (
-        "name", "task_count", "seed", "cycles", "idle_us", "priority",
-        "instruction_class", "cycles_min", "cycles_max", "idle_min_us",
-        "idle_max_us", "priorities", "burst_count", "tasks_per_burst",
-        "intra_burst_idle_us", "inter_burst_idle_us", "items",
-        "idle_scale", "force_priority",
-    )
-
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"kind": self.kind}
-        for key in self._FIELD_ORDER:
-            value = getattr(self, key)
-            if value is not None:
-                data[key] = value
-        return data
+    idle_scale: Optional[float] = _float(
+        None, check=_at_least(0, "idle scale must be >= 0, got {value!r}"))
+    force_priority: Optional[str] = _str(None, choices=_PRIORITY)
 
     @classmethod
-    def from_dict(cls, value: Any, path: str = "workload") -> "WorkloadDef":
-        mapping = _as_mapping(value, path)
-        kind = _get_str(mapping, "kind", path, required=True)
+    def _admit(cls, mapping: Dict[str, Any], path: str) -> None:
+        if "kind" not in mapping:
+            _fail(path, "missing required field 'kind'")
+        kind = mapping["kind"]
+        _expect("str", kind, f"{path}.kind")
         _check_choice(kind, f"{path}.kind", WORKLOAD_KINDS, "workload kind")
-        allowed = _WORKLOAD_COMMON_FIELDS | _WORKLOAD_KIND_FIELDS[kind]
+        allowed = _WORKLOAD_FIELDS[kind]
         unknown = set(mapping) - allowed
         if unknown:
             _fail(
@@ -466,71 +680,20 @@ class WorkloadDef:
                 f"field(s) {_choices(sorted(unknown))} do not apply to workload "
                 f"kind {kind!r} (allowed: {_choices(sorted(allowed))})",
             )
-        priorities = _get_list(mapping, "priorities", path)
-        items = _get_list(mapping, "items", path)
-        if priorities is not None:
-            for index, entry in enumerate(priorities):
-                if not isinstance(entry, str):
-                    _fail(f"{path}.priorities[{index}]",
-                          f"expected a priority name, got {entry!r}")
-        if items is not None:
-            items = [
-                _as_mapping(item, f"{path}.items[{index}]")
-                for index, item in enumerate(items)
-            ]
-        return cls(
-            kind=kind,
-            name=_get_str(mapping, "name", path),
-            task_count=_get_int(mapping, "task_count", path),
-            seed=_get_int(mapping, "seed", path),
-            cycles=_get_int(mapping, "cycles", path),
-            idle_us=_get_float(mapping, "idle_us", path),
-            priority=_get_str(mapping, "priority", path),
-            instruction_class=_get_str(mapping, "instruction_class", path),
-            cycles_min=_get_int(mapping, "cycles_min", path),
-            cycles_max=_get_int(mapping, "cycles_max", path),
-            idle_min_us=_get_float(mapping, "idle_min_us", path),
-            idle_max_us=_get_float(mapping, "idle_max_us", path),
-            priorities=priorities,
-            burst_count=_get_int(mapping, "burst_count", path),
-            tasks_per_burst=_get_int(mapping, "tasks_per_burst", path),
-            intra_burst_idle_us=_get_float(mapping, "intra_burst_idle_us", path),
-            inter_burst_idle_us=_get_float(mapping, "inter_burst_idle_us", path),
-            items=items,
-            idle_scale=_get_float(mapping, "idle_scale", path),
-            force_priority=_get_str(mapping, "force_priority", path),
-        )
 
-    def validate(self, path: str) -> None:
+    def validate(self, path: str) -> "WorkloadDef":
         _check_choice(self.kind, f"{path}.kind", WORKLOAD_KINDS, "workload kind")
-        allowed = _WORKLOAD_COMMON_FIELDS | _WORKLOAD_KIND_FIELDS[self.kind]
-        for key in self._FIELD_ORDER:
-            if getattr(self, key) is not None and key not in allowed and key != "name":
+        attributes = self.__dict__
+        for name in _FOREIGN_FIELDS[self.kind]:
+            if attributes[name] is not None:
                 _fail(
                     path,
-                    f"field {key!r} does not apply to workload kind {self.kind!r} "
-                    f"(allowed: {_choices(sorted(allowed))})",
+                    f"field {name!r} does not apply to workload kind {self.kind!r} "
+                    f"(allowed: {_choices(sorted(_WORKLOAD_FIELDS[self.kind]))})",
                 )
-        _check_positive(self.task_count, f"{path}.task_count", "task count")
-        _check_positive(self.cycles, f"{path}.cycles", "cycle count")
-        _check_positive(self.burst_count, f"{path}.burst_count", "burst count")
-        _check_positive(self.tasks_per_burst, f"{path}.tasks_per_burst", "tasks per burst")
-        for key in ("idle_us", "idle_min_us", "idle_max_us",
-                    "intra_burst_idle_us", "inter_burst_idle_us"):
-            value = getattr(self, key)
-            if value is not None and value < 0:
-                _fail(f"{path}.{key}", f"idle times must be >= 0, got {value!r}")
-        _check_choice(self.priority, f"{path}.priority", PRIORITY_NAMES, "task priority")
-        _check_choice(self.force_priority, f"{path}.force_priority",
-                      PRIORITY_NAMES, "task priority")
-        _check_choice(self.instruction_class, f"{path}.instruction_class",
-                      INSTRUCTION_CLASS_NAMES, "instruction class")
-        if self.priorities is not None:
-            if not self.priorities:
-                _fail(f"{path}.priorities", "the priority pool must not be empty")
-            for index, name in enumerate(self.priorities):
-                _check_choice(name, f"{path}.priorities[{index}]",
-                              PRIORITY_NAMES, "task priority")
+        return super().validate(path)
+
+    def _check_rules(self, path: str) -> None:
         if (self.cycles_min is None) != (self.cycles_max is None):
             _fail(path, "'cycles_min' and 'cycles_max' must be given together")
         if self.cycles_min is not None and not 0 < self.cycles_min <= self.cycles_max:
@@ -539,34 +702,58 @@ class WorkloadDef:
             _fail(path, "'idle_min_us' and 'idle_max_us' must be given together")
         if self.idle_min_us is not None and self.idle_min_us > self.idle_max_us:
             _fail(path, f"invalid idle range [{self.idle_min_us}, {self.idle_max_us}]")
-        if self.idle_scale is not None and self.idle_scale < 0:
-            _fail(f"{path}.idle_scale", f"idle scale must be >= 0, got {self.idle_scale!r}")
         if self.kind == "explicit":
             if not self.items:
                 _fail(f"{path}.items", "an explicit workload needs at least one item")
             for index, item in enumerate(self.items):
-                item_path = f"{path}.items[{index}]"
-                for key in item:
-                    if key.startswith("idle_after_") and key != "idle_after_fs":
-                        _fail(f"{item_path}.{key}", f"{key!r} is not read; the idle gap "
-                              "is 'idle_after_fs' (integer femtoseconds)")
-                _check_keys(item, item_path, _EXPLICIT_ITEM_KEYS)
-                for required in ("task", "cycles"):
-                    if required not in item:
-                        _fail(item_path, f"missing required item field {required!r}")
-                _check_choice(item.get("priority"), f"{item_path}.priority",
-                              PRIORITY_NAMES, "task priority")
-                _check_choice(item.get("instruction_class"),
-                              f"{item_path}.instruction_class",
-                              INSTRUCTION_CLASS_NAMES, "instruction class")
+                _check_item(item, f"{path}.items[{index}]")
         elif self.kind == "periodic" and self.task_count is None:
             _fail(path, "a periodic workload needs 'task_count'")
         elif self.kind == "random" and self.task_count is None:
             _fail(path, "a random workload needs 'task_count'")
 
 
+#: WorkloadDef fields allowed for each kind, and the others (in field order).
+_WORKLOAD_FIELDS: Dict[str, FrozenSet[str]] = {
+    kind: frozenset(spec.name for spec in WorkloadDef._fields
+                    if kind in spec.meta.get("kinds", (kind,)))
+    for kind in WORKLOAD_KINDS
+}
+_FOREIGN_FIELDS: Dict[str, Tuple[str, ...]] = {
+    kind: tuple(spec.name for spec in WorkloadDef._fields if spec.name not in allowed)
+    for kind, allowed in _WORKLOAD_FIELDS.items()
+}
+
+#: The fields of one explicit workload item (a ``Workload.as_dicts`` entry).
+_ITEM_FIELDS = (
+    _Field("task", _str()),
+    _Field("cycles", _int(check=_positive("cycle count"))),
+    _Field("idle_after_fs", _int(None, check=_IDLE_TIME)),
+)
+_EXPLICIT_ITEM_KEYS = ("task", "cycles", "priority", "instruction_class", "idle_after_fs")
+
+
+def _check_item(item: Any, path: str) -> None:
+    _expect("mapping", item, path)
+    for key in item:
+        if key.startswith("idle_after_") and key != "idle_after_fs":
+            _fail(f"{path}.{key}", f"{key!r} is not read; the idle gap "
+                  "is 'idle_after_fs' (integer femtoseconds)")
+    _check_keys(item, path, _EXPLICIT_ITEM_KEYS)
+    for required in ("task", "cycles"):
+        if required not in item:
+            _fail(path, f"missing required item field {required!r}")
+    _check_choice(item.get("priority"), f"{path}.priority", *_PRIORITY)
+    _check_choice(item.get("instruction_class"), f"{path}.instruction_class",
+                  *_INSTRUCTION_CLASS)
+    for spec in _ITEM_FIELDS:
+        if spec.name in item:
+            spec.check(item[spec.name], path)
+
+
+@_table
 @dataclass
-class IpDef:
+class IpDef(_Node):
     """Declarative description of one IP block.
 
     The power characterisation fields (``max_frequency_hz`` ...
@@ -576,165 +763,71 @@ class IpDef:
     ``residual_fraction`` are partial overrides merged over the defaults.
     """
 
-    name: str
-    workload: WorkloadDef = field(default_factory=WorkloadDef)
-    static_priority: int = 1
-    initial_state: str = "ON1"
-    bus_words_per_task: int = 0
-    bus_priority: Optional[int] = None
-    max_frequency_hz: Optional[float] = None
-    max_voltage_v: Optional[float] = None
-    effective_capacitance_f: Optional[float] = None
-    idle_activity: Optional[float] = None
-    leakage_coefficient: Optional[float] = None
-    activity_by_class: Optional[Dict[str, float]] = None
-    residual_fraction: Optional[Dict[str, float]] = None
-    operating_points: Optional[List[OperatingPointDef]] = None
-    psm: Optional[PsmDef] = None
+    name: str = _str(required=True, empty="IP name must be non-empty", role="placement")
+    workload: WorkloadDef = _node(
+        WorkloadDef, required="IP {name!r} is missing its 'workload'", role="workload")
+    static_priority: int = _int(
+        1, check=_at_least(1, "static priority must be >= 1, got {value!r}"), role="placement")
+    initial_state: str = _str(
+        "ON1", choices=(ALL_STATE_NAMES, "power state"), role="placement")
+    bus_words_per_task: int = _int(
+        0, check=_at_least(0, "bus words per task must be >= 0"), role="placement")
+    bus_priority: Optional[int] = _int(
+        None, check=_at_least(0, "bus priority must be >= 0, got {value!r}"), role="placement")
+    max_frequency_hz: Optional[float] = _float(None, check=_positive("frequency"), role="power")
+    max_voltage_v: Optional[float] = _float(None, check=_positive("voltage"), role="power")
+    effective_capacitance_f: Optional[float] = _float(
+        None, check=_positive("capacitance"), role="power")
+    idle_activity: Optional[float] = _float(
+        None, check=(lambda v: 0.0 < v < 1.0,
+                     "idle activity must be a fraction in (0, 1), got {value!r}"),
+        role="power")
+    leakage_coefficient: Optional[float] = _float(
+        None, check=_at_least(0, "leakage coefficient must be >= 0"), role="power")
+    activity_by_class: Optional[Dict[str, float]] = _declare(
+        "float_map", None, choices=_INSTRUCTION_CLASS, check=_positive("activity"), role="power")
+    residual_fraction: Optional[Dict[str, float]] = _declare(
+        "float_map", None, choices=(LOW_STATE_NAMES, "sleep/off state"),
+        check=(lambda v: 0.0 <= v <= 1.0, "residual fraction must be in [0, 1], got {value!r}"),
+        role="power")
+    operating_points: Optional[List[OperatingPointDef]] = _declare(
+        "nodes", None, node=OperatingPointDef, role="power")
+    psm: Optional[PsmDef] = _node(PsmDef, None, role="power")
 
     def has_custom_characterization(self) -> bool:
         """True when any characterisation knob differs from the defaults."""
-        return any(
-            getattr(self, key) is not None
-            for key in (
-                "max_frequency_hz", "max_voltage_v", "effective_capacitance_f",
-                "idle_activity", "leakage_coefficient", "activity_by_class",
-                "residual_fraction", "operating_points",
-            )
-        )
+        return any(getattr(self, name) is not None for name in _CHARACTERIZATION_FIELDS)
 
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"name": self.name, "workload": self.workload.to_dict()}
-        if self.static_priority != 1:
-            data["static_priority"] = self.static_priority
-        if self.initial_state != "ON1":
-            data["initial_state"] = self.initial_state
-        if self.bus_words_per_task:
-            data["bus_words_per_task"] = self.bus_words_per_task
-        if self.bus_priority is not None:
-            data["bus_priority"] = self.bus_priority
-        for key in ("max_frequency_hz", "max_voltage_v", "effective_capacitance_f",
-                    "idle_activity", "leakage_coefficient"):
-            value = getattr(self, key)
-            if value is not None:
-                data[key] = value
-        if self.activity_by_class is not None:
-            data["activity_by_class"] = dict(sorted(self.activity_by_class.items()))
-        if self.residual_fraction is not None:
-            data["residual_fraction"] = dict(sorted(self.residual_fraction.items()))
-        if self.operating_points is not None:
-            data["operating_points"] = [p.to_dict() for p in self.operating_points]
-        if self.psm is not None:
-            psm = self.psm.to_dict()
-            if psm:
-                data["psm"] = psm
-        return data
-
-    @classmethod
-    def from_dict(cls, value: Any, path: str = "ip") -> "IpDef":
-        mapping = _as_mapping(value, path)
-        _check_keys(
-            mapping, path,
-            ("name", "workload", "static_priority", "initial_state",
-             "bus_words_per_task", "bus_priority", "max_frequency_hz",
-             "max_voltage_v", "effective_capacitance_f", "idle_activity",
-             "leakage_coefficient", "activity_by_class", "residual_fraction",
-             "operating_points", "psm"),
-        )
-        name = _get_str(mapping, "name", path, required=True)
-        if "workload" not in mapping:
-            _fail(path, f"IP {name!r} is missing its 'workload'")
-        activity = mapping.get("activity_by_class")
-        residual = mapping.get("residual_fraction")
-        points = _get_list(mapping, "operating_points", path)
-        return cls(
-            name=name,
-            workload=WorkloadDef.from_dict(mapping["workload"], f"{path}.workload"),
-            static_priority=_get_int(mapping, "static_priority", path, default=1),
-            initial_state=_get_str(mapping, "initial_state", path, default="ON1"),
-            bus_words_per_task=_get_int(mapping, "bus_words_per_task", path, default=0),
-            bus_priority=_get_int(mapping, "bus_priority", path),
-            max_frequency_hz=_get_float(mapping, "max_frequency_hz", path),
-            max_voltage_v=_get_float(mapping, "max_voltage_v", path),
-            effective_capacitance_f=_get_float(mapping, "effective_capacitance_f", path),
-            idle_activity=_get_float(mapping, "idle_activity", path),
-            leakage_coefficient=_get_float(mapping, "leakage_coefficient", path),
-            activity_by_class=(
-                None if activity is None
-                else _float_map(activity, f"{path}.activity_by_class",
-                                INSTRUCTION_CLASS_NAMES, "instruction class")
-            ),
-            residual_fraction=(
-                None if residual is None
-                else _float_map(residual, f"{path}.residual_fraction",
-                                LOW_STATE_NAMES, "sleep/off state")
-            ),
-            operating_points=(
-                None if points is None
-                else [
-                    OperatingPointDef.from_dict(item, f"{path}.operating_points[{index}]")
-                    for index, item in enumerate(points)
-                ]
-            ),
-            psm=(
-                None if "psm" not in mapping
-                else PsmDef.from_dict(mapping["psm"], f"{path}.psm")
-            ),
-        )
-
-    def validate(self, path: str) -> None:
-        if not self.name:
-            _fail(f"{path}.name", "IP name must be non-empty")
-        if self.static_priority < 1:
-            _fail(f"{path}.static_priority",
-                  f"static priority must be >= 1, got {self.static_priority!r}")
-        _check_choice(self.initial_state, f"{path}.initial_state",
-                      ALL_STATE_NAMES, "power state")
-        if self.bus_words_per_task < 0:
-            _fail(f"{path}.bus_words_per_task", "bus words per task must be >= 0")
-        if self.bus_priority is not None and self.bus_priority < 0:
-            _fail(f"{path}.bus_priority",
-                  f"bus priority must be >= 0, got {self.bus_priority!r}")
-        self.workload.validate(f"{path}.workload")
-        _check_positive(self.max_frequency_hz, f"{path}.max_frequency_hz", "frequency")
-        _check_positive(self.max_voltage_v, f"{path}.max_voltage_v", "voltage")
-        _check_positive(self.effective_capacitance_f,
-                        f"{path}.effective_capacitance_f", "capacitance")
-        if self.idle_activity is not None and not 0.0 < self.idle_activity < 1.0:
-            _fail(f"{path}.idle_activity",
-                  f"idle activity must be a fraction in (0, 1), got {self.idle_activity!r}")
-        if self.leakage_coefficient is not None and self.leakage_coefficient < 0:
-            _fail(f"{path}.leakage_coefficient", "leakage coefficient must be >= 0")
-        if self.activity_by_class is not None:
-            for key, value in self.activity_by_class.items():
-                _check_positive(value, f"{path}.activity_by_class.{key}", "activity")
-        if self.residual_fraction is not None:
-            for key, value in self.residual_fraction.items():
-                if not 0.0 <= value <= 1.0:
-                    _fail(f"{path}.residual_fraction.{key}",
-                          f"residual fraction must be in [0, 1], got {value!r}")
-        if self.operating_points is not None:
-            states = []
-            for index, point in enumerate(self.operating_points):
-                point.validate(f"{path}.operating_points[{index}]")
-                states.append(point.state)
-            if len(states) != len(set(states)):
-                _fail(f"{path}.operating_points", "duplicate operating-point states")
-            missing = [s for s in ON_STATE_NAMES if s not in states]
-            if missing:
-                _fail(f"{path}.operating_points",
-                      f"missing operating point(s) for {_choices(missing)} "
-                      "(the table must cover ON1..ON4)")
-            if self.max_frequency_hz is not None or self.max_voltage_v is not None:
-                _fail(path,
-                      "'operating_points' already fixes the DVFS table; drop "
-                      "'max_frequency_hz'/'max_voltage_v'")
-        if self.psm is not None:
-            self.psm.validate(f"{path}.psm")
+    def _check_rules(self, path: str) -> None:
+        if self.operating_points is None:
+            return
+        states = [point.state for point in self.operating_points]
+        if len(states) != len(set(states)):
+            _fail(f"{path}.operating_points", "duplicate operating-point states")
+        missing = [s for s in ON_STATE_NAMES if s not in states]
+        if missing:
+            _fail(f"{path}.operating_points",
+                  f"missing operating point(s) for {_choices(missing)} "
+                  "(the table must cover ON1..ON4)")
+        if self.max_frequency_hz is not None or self.max_voltage_v is not None:
+            _fail(path,
+                  "'operating_points' already fixes the DVFS table; drop "
+                  "'max_frequency_hz'/'max_voltage_v'")
 
 
+#: Role of each IpDef field: ``power`` (shapes the power model),
+#: ``workload`` or ``placement`` (name, priorities, initial state, bus).
+IP_ROLES: Mapping[str, str] = {spec.name: spec.meta["role"] for spec in IpDef._fields}
+#: The power fields that shape the characterisation (the PSM shapes the
+#: transition table only).
+_CHARACTERIZATION_FIELDS = tuple(
+    name for name, role in IP_ROLES.items() if role == "power" and name != "psm"
+)
+
+
+@_table
 @dataclass
-class BusDef:
+class BusDef(_Switched):
     """The shared on-chip bus: presence, bandwidth, arbitration and timing.
 
     ``timing`` selects the bus model: ``event_driven`` (immediate grants,
@@ -744,64 +837,19 @@ class BusDef:
     edge with ``Clock.next_posedge_fs``; no toggling process runs.
     """
 
-    enabled: bool = False
-    words_per_second: float = 50e6
-    arbitration: str = "priority"
-    timing: str = "event_driven"
-    words_per_cycle: int = 1
+    enabled: bool = _bool(False)
+    words_per_second: float = _float(50e6, check=_positive("bus throughput"))
+    arbitration: str = _str("priority", choices=(BUS_ARBITRATION_NAMES, "arbitration policy"))
+    timing: str = _str("event_driven", choices=(BUS_TIMING_NAMES, "bus timing mode"))
+    words_per_cycle: int = _int(
+        1, check=_at_least(1, "words per cycle must be an integer >= 1, got {value!r}"))
 
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {}
-        if self.enabled:
-            data["enabled"] = True
-        if self.words_per_second != 50e6:
-            data["words_per_second"] = self.words_per_second
-        if self.arbitration != "priority":
-            data["arbitration"] = self.arbitration
-        if self.timing != "event_driven":
-            data["timing"] = self.timing
-        if self.words_per_cycle != 1:
-            data["words_per_cycle"] = self.words_per_cycle
-        return data
-
-    @classmethod
-    def from_dict(cls, value: Any, path: str = "bus") -> "BusDef":
-        mapping = _as_mapping(value, path)
-        _check_keys(
-            mapping, path,
-            ("enabled", "words_per_second", "arbitration", "timing", "words_per_cycle"),
-        )
-        return cls(
-            enabled=_get_bool(mapping, "enabled", path, default=False),
-            words_per_second=_get_float(mapping, "words_per_second", path, default=50e6),
-            arbitration=_get_str(mapping, "arbitration", path, default="priority"),
-            timing=_get_str(mapping, "timing", path, default="event_driven"),
-            words_per_cycle=_get_int(mapping, "words_per_cycle", path, default=1),
-        )
-
-    def has_overrides(self) -> bool:
-        """True when any bus knob differs from the library defaults."""
-        return (self.words_per_second != 50e6 or self.arbitration != "priority"
-                or self.timing != "event_driven" or self.words_per_cycle != 1)
-
-    def validate(self, path: str) -> None:
-        _check_positive(self.words_per_second, f"{path}.words_per_second",
-                        "bus throughput")
-        _check_choice(self.arbitration, f"{path}.arbitration",
-                      BUS_ARBITRATION_NAMES, "arbitration policy")
-        _check_choice(self.timing, f"{path}.timing", BUS_TIMING_NAMES,
-                      "bus timing mode")
-        if (isinstance(self.words_per_cycle, bool)
-                or not isinstance(self.words_per_cycle, int)
-                or self.words_per_cycle < 1):
-            _fail(f"{path}.words_per_cycle",
-                  f"words per cycle must be an integer >= 1, got {self.words_per_cycle!r}")
-        if not self.enabled and self.has_overrides():
-            _fail(path, "bus parameters are set but 'enabled' is false")
+    _knobs_noun = "bus parameters"
 
 
+@_table
 @dataclass
-class TraceDef:
+class TraceDef(_Switched):
     """Structured tracing (:mod:`repro.obs`): sink format, path and filter.
 
     ``format`` selects the sink: ``jsonl`` (one typed event per line),
@@ -813,48 +861,14 @@ class TraceDef:
     ``<scenario>_trace.<ext>`` next to the working directory.
     """
 
-    enabled: bool = False
-    format: str = "jsonl"
-    path: Optional[str] = None
-    events: List[str] = field(default_factory=list)
+    enabled: bool = _bool(False)
+    format: str = _str("jsonl", choices=(TRACE_FORMAT_NAMES, "trace format"))
+    path: Optional[str] = _str(None, empty="trace path must be non-empty")
+    events: List[str] = _declare("names", factory=list, entry="expected a string, got {type}")
 
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {}
-        if self.enabled:
-            data["enabled"] = True
-        if self.format != "jsonl":
-            data["format"] = self.format
-        if self.path is not None:
-            data["path"] = self.path
-        if self.events:
-            data["events"] = list(self.events)
-        return data
+    _knobs_noun = "trace parameters"
 
-    @classmethod
-    def from_dict(cls, value: Any, path: str = "trace") -> "TraceDef":
-        mapping = _as_mapping(value, path)
-        _check_keys(mapping, path, ("enabled", "format", "path", "events"))
-        events = _get_list(mapping, "events", path)
-        if events is not None:
-            for index, entry in enumerate(events):
-                if not isinstance(entry, str):
-                    _fail(f"{path}.events[{index}]",
-                          f"expected a string, got {type(entry).__name__}")
-        return cls(
-            enabled=_get_bool(mapping, "enabled", path, default=False),
-            format=_get_str(mapping, "format", path, default="jsonl"),
-            path=_get_str(mapping, "path", path),
-            events=list(events or []),
-        )
-
-    def has_overrides(self) -> bool:
-        """True when any trace knob differs from the library defaults."""
-        return (self.format != "jsonl" or self.path is not None
-                or bool(self.events))
-
-    def validate(self, path: str) -> None:
-        _check_choice(self.format, f"{path}.format", TRACE_FORMAT_NAMES,
-                      "trace format")
+    def _check_rules(self, path: str) -> None:
         if self.events:
             # The event vocabulary lives with the tracing subsystem; imported
             # lazily (and only when a filter is set) so validating untraced
@@ -867,17 +881,15 @@ class TraceDef:
                           f"unknown event kind or category {entry!r} (expected "
                           f"a kind such as {_choices(tuple(EVENT_TYPES)[:3])}... "
                           f"or a category: {_choices(EVENT_CATEGORIES)})")
-        if self.events and self.format == "vcd":
-            _fail(f"{path}.events",
-                  "event filters only apply to jsonl/perfetto traces")
-        if self.path is not None and not self.path:
-            _fail(f"{path}.path", "trace path must be non-empty")
-        if not self.enabled and self.has_overrides():
-            _fail(path, "trace parameters are set but 'enabled' is false")
+            if self.format == "vcd":
+                _fail(f"{path}.events",
+                      "event filters only apply to jsonl/perfetto traces")
+        super()._check_rules(path)
 
 
+@_table
 @dataclass
-class BatteryDef:
+class BatteryDef(_Node):
     """Battery condition: a named preset, explicit parameters, or both.
 
     ``condition`` references the presets of
@@ -885,51 +897,21 @@ class BatteryDef:
     "Full"/"Low" classes); explicit fields override the preset.
     """
 
-    condition: Optional[str] = None
-    capacity_j: Optional[float] = None
-    state_of_charge: Optional[float] = None
-    nominal_power_w: Optional[float] = None
-    peukert_exponent: Optional[float] = None
-    self_discharge_w: Optional[float] = None
-    on_ac_power: Optional[bool] = None
-
-    _FIELDS = ("condition", "capacity_j", "state_of_charge", "nominal_power_w",
-               "peukert_exponent", "self_discharge_w", "on_ac_power")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {key: getattr(self, key) for key in self._FIELDS
-                if getattr(self, key) is not None}
-
-    @classmethod
-    def from_dict(cls, value: Any, path: str = "battery") -> "BatteryDef":
-        mapping = _as_mapping(value, path)
-        _check_keys(mapping, path, cls._FIELDS)
-        return cls(
-            condition=_get_str(mapping, "condition", path),
-            capacity_j=_get_float(mapping, "capacity_j", path),
-            state_of_charge=_get_float(mapping, "state_of_charge", path),
-            nominal_power_w=_get_float(mapping, "nominal_power_w", path),
-            peukert_exponent=_get_float(mapping, "peukert_exponent", path),
-            self_discharge_w=_get_float(mapping, "self_discharge_w", path),
-            on_ac_power=_get_bool(mapping, "on_ac_power", path),
-        )
-
-    def validate(self, path: str) -> None:
-        _check_choice(self.condition, f"{path}.condition",
-                      BATTERY_CONDITIONS, "battery condition")
-        _check_positive(self.capacity_j, f"{path}.capacity_j", "battery capacity")
-        if self.state_of_charge is not None and not 0.0 <= self.state_of_charge <= 1.0:
-            _fail(f"{path}.state_of_charge",
-                  f"state of charge must be in [0, 1], got {self.state_of_charge!r}")
-        _check_positive(self.nominal_power_w, f"{path}.nominal_power_w", "nominal power")
-        if self.peukert_exponent is not None and self.peukert_exponent < 1.0:
-            _fail(f"{path}.peukert_exponent", "Peukert exponent must be >= 1")
-        if self.self_discharge_w is not None and self.self_discharge_w < 0:
-            _fail(f"{path}.self_discharge_w", "self-discharge power must be >= 0")
+    condition: Optional[str] = _str(None, choices=(BATTERY_CONDITIONS, "battery condition"))
+    capacity_j: Optional[float] = _float(None, check=_positive("battery capacity"))
+    state_of_charge: Optional[float] = _float(
+        None, check=(lambda v: 0.0 <= v <= 1.0, "state of charge must be in [0, 1], got {value!r}"))
+    nominal_power_w: Optional[float] = _float(None, check=_positive("nominal power"))
+    peukert_exponent: Optional[float] = _float(
+        None, check=_at_least(1.0, "Peukert exponent must be >= 1"))
+    self_discharge_w: Optional[float] = _float(
+        None, check=_at_least(0, "self-discharge power must be >= 0"))
+    on_ac_power: Optional[bool] = _bool(None)
 
 
+@_table
 @dataclass
-class ThermalDef:
+class ThermalDef(_Node):
     """Thermal condition: a named preset, explicit parameters, or both.
 
     ``condition`` references
@@ -937,102 +919,38 @@ class ThermalDef:
     the platform's IP count); explicit fields override the preset.
     """
 
-    condition: Optional[str] = None
-    ambient_c: Optional[float] = None
-    initial_c: Optional[float] = None
-    resistance_c_per_w: Optional[float] = None
-    capacitance_j_per_c: Optional[float] = None
-    fan_resistance_scale: Optional[float] = None
+    condition: Optional[str] = _str(None, choices=(THERMAL_CONDITIONS, "thermal condition"))
+    ambient_c: Optional[float] = _float(None)
+    initial_c: Optional[float] = _float(None)
+    resistance_c_per_w: Optional[float] = _float(None, check=_positive("thermal resistance"))
+    capacitance_j_per_c: Optional[float] = _float(None, check=_positive("thermal capacitance"))
+    fan_resistance_scale: Optional[float] = _float(
+        None, check=(lambda v: 0.0 < v <= 1.0,
+                     "fan resistance scale must be in (0, 1], got {value!r}"))
 
-    _FIELDS = ("condition", "ambient_c", "initial_c", "resistance_c_per_w",
-               "capacitance_j_per_c", "fan_resistance_scale")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {key: getattr(self, key) for key in self._FIELDS
-                if getattr(self, key) is not None}
-
-    @classmethod
-    def from_dict(cls, value: Any, path: str = "thermal") -> "ThermalDef":
-        mapping = _as_mapping(value, path)
-        _check_keys(mapping, path, cls._FIELDS)
-        return cls(
-            condition=_get_str(mapping, "condition", path),
-            ambient_c=_get_float(mapping, "ambient_c", path),
-            initial_c=_get_float(mapping, "initial_c", path),
-            resistance_c_per_w=_get_float(mapping, "resistance_c_per_w", path),
-            capacitance_j_per_c=_get_float(mapping, "capacitance_j_per_c", path),
-            fan_resistance_scale=_get_float(mapping, "fan_resistance_scale", path),
-        )
-
-    def validate(self, path: str) -> None:
-        _check_choice(self.condition, f"{path}.condition",
-                      THERMAL_CONDITIONS, "thermal condition")
-        _check_positive(self.resistance_c_per_w, f"{path}.resistance_c_per_w",
-                        "thermal resistance")
-        _check_positive(self.capacitance_j_per_c, f"{path}.capacitance_j_per_c",
-                        "thermal capacitance")
-        if self.fan_resistance_scale is not None and not 0.0 < self.fan_resistance_scale <= 1.0:
-            _fail(f"{path}.fan_resistance_scale",
-                  f"fan resistance scale must be in (0, 1], got {self.fan_resistance_scale!r}")
+    def _check_rules(self, path: str) -> None:
         if (self.ambient_c is not None and self.initial_c is not None
                 and self.initial_c < self.ambient_c - 1e-9):
             _fail(f"{path}.initial_c", "initial temperature cannot be below ambient")
 
 
+@_table
 @dataclass
-class GemDef:
+class GemDef(_Switched):
     """Global Energy Manager: presence plus its tunables."""
 
-    enabled: bool = False
-    high_priority_count: Optional[int] = None
-    evaluation_interval_us: Optional[float] = None
-    forced_state: Optional[str] = None
+    enabled: bool = _bool(False)
+    high_priority_count: Optional[int] = _int(
+        None, check=_at_least(1, "at least one priority rank must stay enabled"))
+    evaluation_interval_us: Optional[float] = _float(None, check=_positive("evaluation interval"))
+    forced_state: Optional[str] = _str(None, choices=(LOW_STATE_NAMES, "sleep/off state"))
 
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {}
-        if self.enabled:
-            data["enabled"] = True
-        if self.high_priority_count is not None:
-            data["high_priority_count"] = self.high_priority_count
-        if self.evaluation_interval_us is not None:
-            data["evaluation_interval_us"] = self.evaluation_interval_us
-        if self.forced_state is not None:
-            data["forced_state"] = self.forced_state
-        return data
-
-    @classmethod
-    def from_dict(cls, value: Any, path: str = "gem") -> "GemDef":
-        mapping = _as_mapping(value, path)
-        _check_keys(mapping, path,
-                    ("enabled", "high_priority_count", "evaluation_interval_us",
-                     "forced_state"))
-        return cls(
-            enabled=_get_bool(mapping, "enabled", path, default=False),
-            high_priority_count=_get_int(mapping, "high_priority_count", path),
-            evaluation_interval_us=_get_float(mapping, "evaluation_interval_us", path),
-            forced_state=_get_str(mapping, "forced_state", path),
-        )
-
-    def has_overrides(self) -> bool:
-        """True when any GEM tunable differs from the library defaults."""
-        return (self.high_priority_count is not None
-                or self.evaluation_interval_us is not None
-                or self.forced_state is not None)
-
-    def validate(self, path: str) -> None:
-        if self.high_priority_count is not None and self.high_priority_count < 1:
-            _fail(f"{path}.high_priority_count",
-                  "at least one priority rank must stay enabled")
-        _check_positive(self.evaluation_interval_us,
-                        f"{path}.evaluation_interval_us", "evaluation interval")
-        _check_choice(self.forced_state, f"{path}.forced_state",
-                      LOW_STATE_NAMES, "sleep/off state")
-        if not self.enabled and self.has_overrides():
-            _fail(path, "GEM tunables are set but 'enabled' is false")
+    _knobs_noun = "GEM tunables"
 
 
+@_table
 @dataclass
-class PolicyDef:
+class PolicyDef(_Node):
     """Default power-management policy of the platform.
 
     Optional: a platform without a policy runs under whatever
@@ -1047,51 +965,17 @@ class PolicyDef:
     ``buses`` lists (``null``/omitted meaning "don't care") and a ``label``.
     """
 
-    name: str = "paper"
-    predictor: Optional[str] = None
-    allow_off: Optional[bool] = None
-    timeout_ms: Optional[float] = None
-    reevaluation_interval_us: Optional[float] = None
-    defer_state: Optional[str] = None
-    estimation_state: Optional[str] = None
-    rules: Optional[List[Dict[str, Any]]] = None
+    name: str = _str("paper", always=True, choices=(POLICY_NAMES, "policy"))
+    predictor: Optional[str] = _str(None, choices=(PREDICTOR_NAMES, "predictor"))
+    allow_off: Optional[bool] = _bool(None)
+    timeout_ms: Optional[float] = _float(None, check=_positive("timeout"))
+    reevaluation_interval_us: Optional[float] = _float(
+        None, check=_positive("re-evaluation interval"))
+    defer_state: Optional[str] = _str(None, choices=(LOW_STATE_NAMES, "sleep/off state"))
+    estimation_state: Optional[str] = _str(None, choices=(ON_STATE_NAMES, "ON state"))
+    rules: Optional[List[Dict[str, Any]]] = _declare("mappings", None)
 
-    _FIELDS = ("name", "predictor", "allow_off", "timeout_ms",
-               "reevaluation_interval_us", "defer_state", "estimation_state",
-               "rules")
-
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"name": self.name}
-        for key in self._FIELDS[1:]:
-            value = getattr(self, key)
-            if value is not None:
-                data[key] = value
-        return data
-
-    @classmethod
-    def from_dict(cls, value: Any, path: str = "policy") -> "PolicyDef":
-        mapping = _as_mapping(value, path)
-        _check_keys(mapping, path, cls._FIELDS)
-        rules = _get_list(mapping, "rules", path)
-        if rules is not None:
-            rules = [
-                dict(_as_mapping(item, f"{path}.rules[{index}]"))
-                for index, item in enumerate(rules)
-            ]
-        return cls(
-            name=_get_str(mapping, "name", path, default="paper"),
-            predictor=_get_str(mapping, "predictor", path),
-            allow_off=_get_bool(mapping, "allow_off", path),
-            timeout_ms=_get_float(mapping, "timeout_ms", path),
-            reevaluation_interval_us=_get_float(mapping, "reevaluation_interval_us", path),
-            defer_state=_get_str(mapping, "defer_state", path),
-            estimation_state=_get_str(mapping, "estimation_state", path),
-            rules=rules,
-        )
-
-    def validate(self, path: str) -> None:
-        _check_choice(self.name, f"{path}.name", POLICY_NAMES, "policy")
-        _check_choice(self.predictor, f"{path}.predictor", PREDICTOR_NAMES, "predictor")
+    def _check_rules(self, path: str) -> None:
         if self.predictor is not None and self.name != "paper":
             _fail(f"{path}.predictor",
                   f"a predictor can only be chosen for the 'paper' policy, not {self.name!r}")
@@ -1101,13 +985,6 @@ class PolicyDef:
         if self.timeout_ms is not None and self.name != "fixed-timeout":
             _fail(f"{path}.timeout_ms",
                   f"'timeout_ms' only applies to 'fixed-timeout', not {self.name!r}")
-        _check_positive(self.timeout_ms, f"{path}.timeout_ms", "timeout")
-        _check_positive(self.reevaluation_interval_us,
-                        f"{path}.reevaluation_interval_us", "re-evaluation interval")
-        _check_choice(self.defer_state, f"{path}.defer_state",
-                      LOW_STATE_NAMES, "sleep/off state")
-        _check_choice(self.estimation_state, f"{path}.estimation_state",
-                      ON_STATE_NAMES, "ON state")
         if self.rules is not None:
             if self.name != "paper":
                 _fail(f"{path}.rules",
@@ -1121,7 +998,7 @@ class PolicyDef:
     @staticmethod
     def _validate_rule(entry: Mapping[str, Any], path: str) -> None:
         """Structural check of one custom rule entry (string vocabulary)."""
-        if not isinstance(entry, Mapping):
+        if not isinstance(entry, abc.Mapping):
             _fail(path, f"expected a rule mapping, got {type(entry).__name__}")
         _check_keys(entry, path, _RULE_ENTRY_KEYS)
         if "state" not in entry:
@@ -1153,142 +1030,69 @@ class PolicyDef:
 # ----------------------------------------------------------------------
 # The platform specification
 # ----------------------------------------------------------------------
+@_table
 @dataclass
-class PlatformSpec:
+class PlatformSpec(_Node):
     """Complete declarative description of a simulatable platform."""
 
-    name: str
-    ips: List[IpDef] = field(default_factory=list)
-    description: str = ""
-    battery: BatteryDef = field(default_factory=BatteryDef)
-    thermal: ThermalDef = field(default_factory=ThermalDef)
-    gem: GemDef = field(default_factory=GemDef)
-    bus: BusDef = field(default_factory=BusDef)
-    trace: TraceDef = field(default_factory=TraceDef)
-    policy: Optional[PolicyDef] = None
-    max_time_ms: float = 5000.0
-    sample_interval_us: float = 1000.0
-    with_fan: bool = True
-    fan_power_w: float = 0.05
-
-    _TOP_FIELDS = ("format", "name", "description", "ips", "battery", "thermal",
-                   "gem", "bus", "trace", "policy", "max_time_ms",
-                   "sample_interval_us", "with_fan", "fan_power_w")
+    name: str = _str(required=True, header=True, empty="the platform needs a non-empty name")
+    ips: List[IpDef] = _declare(
+        "nodes", factory=list, node=IpDef, required="platform {name!r} is missing its 'ips' list")
+    description: str = _str("", header=True)
+    battery: BatteryDef = _node(BatteryDef)
+    thermal: ThermalDef = _node(ThermalDef)
+    gem: GemDef = _node(GemDef)
+    bus: BusDef = _node(BusDef)
+    trace: TraceDef = _node(TraceDef)
+    policy: Optional[PolicyDef] = _node(PolicyDef, None)
+    max_time_ms: float = _float(5000.0, check=_positive("max time"))
+    sample_interval_us: float = _float(1000.0, check=_positive("sample interval"))
+    with_fan: bool = _bool(True)
+    fan_power_w: float = _float(0.05, check=_at_least(0, "fan power must be >= 0"))
 
     # -- (de)serialisation ---------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """Canonical plain-data view (defaults omitted, hash-stable)."""
-        data: Dict[str, Any] = {"format": SPEC_FORMAT, "name": self.name}
-        if self.description:
-            data["description"] = self.description
-        data["ips"] = [ip.to_dict() for ip in self.ips]
-        for key, section in (("battery", self.battery), ("thermal", self.thermal),
-                             ("gem", self.gem), ("bus", self.bus),
-                             ("trace", self.trace)):
-            encoded = section.to_dict()
-            if encoded:
-                data[key] = encoded
-        if self.policy is not None:
-            data["policy"] = self.policy.to_dict()
-        if self.max_time_ms != 5000.0:
-            data["max_time_ms"] = self.max_time_ms
-        if self.sample_interval_us != 1000.0:
-            data["sample_interval_us"] = self.sample_interval_us
-        if not self.with_fan:
-            data["with_fan"] = False
-        if self.fan_power_w != 0.05:
-            data["fan_power_w"] = self.fan_power_w
+        data: Dict[str, Any] = {"format": SPEC_FORMAT}
+        data.update(super().to_dict())
         return data
 
     @classmethod
-    def from_dict(cls, value: Any, path: str = "platform") -> "PlatformSpec":
-        """Build and validate a spec from a plain dictionary (parsed JSON/TOML)."""
-        mapping = _as_mapping(value, path)
+    def _admit(cls, mapping: Dict[str, Any], path: str) -> None:
         for key in _FLAT_BUS_KEYS:
             if key in mapping:
                 _fail(f"{path}.{key}", f"{key!r} is no longer read; declare the bus as "
                       "a 'bus' section: bus: {enabled: true, words_per_second: ...}")
-        _check_keys(mapping, path, cls._TOP_FIELDS)
-        fmt = _get_str(mapping, "format", path, default=SPEC_FORMAT)
+        _check_keys(mapping, path, cls._keys | {"format"})
+        fmt = mapping.get("format", SPEC_FORMAT)
+        _expect("str", fmt, f"{path}.format")
         if fmt != SPEC_FORMAT:
             _fail(f"{path}.format",
                   f"unsupported spec format {fmt!r} (this library reads {SPEC_FORMAT!r})")
-        name = _get_str(mapping, "name", path, required=True)
-        ips = _get_list(mapping, "ips", path)
-        if ips is None:
-            _fail(path, f"platform {name!r} is missing its 'ips' list")
-        spec = cls(
-            name=name,
-            description=_get_str(mapping, "description", path, default=""),
-            ips=[
-                IpDef.from_dict(item, f"{path}.ips[{index}]")
-                for index, item in enumerate(ips)
-            ],
-            battery=(
-                BatteryDef() if "battery" not in mapping
-                else BatteryDef.from_dict(mapping["battery"], f"{path}.battery")
-            ),
-            thermal=(
-                ThermalDef() if "thermal" not in mapping
-                else ThermalDef.from_dict(mapping["thermal"], f"{path}.thermal")
-            ),
-            gem=(
-                GemDef() if "gem" not in mapping
-                else GemDef.from_dict(mapping["gem"], f"{path}.gem")
-            ),
-            bus=(
-                BusDef() if "bus" not in mapping
-                else BusDef.from_dict(mapping["bus"], f"{path}.bus")
-            ),
-            trace=(
-                TraceDef() if "trace" not in mapping
-                else TraceDef.from_dict(mapping["trace"], f"{path}.trace")
-            ),
-            policy=(
-                None if "policy" not in mapping
-                else PolicyDef.from_dict(mapping["policy"], f"{path}.policy")
-            ),
-            max_time_ms=_get_float(mapping, "max_time_ms", path, default=5000.0),
-            sample_interval_us=_get_float(mapping, "sample_interval_us", path,
-                                          default=1000.0),
-            with_fan=_get_bool(mapping, "with_fan", path, default=True),
-            fan_power_w=_get_float(mapping, "fan_power_w", path, default=0.05),
-        )
-        spec.validate()
-        return spec
+
+    @classmethod
+    def from_dict(cls, value: Any, path: Optional[str] = "platform") -> "PlatformSpec":
+        """Build and validate a spec from a plain dictionary (parsed JSON/TOML)."""
+        return cls._read(value, path or "platform").validate()
 
     # -- validation -----------------------------------------------------
-    def validate(self) -> "PlatformSpec":
+    def validate(self, path: str = "platform") -> "PlatformSpec":
         """Check the whole tree; raises :class:`PlatformError` with a path."""
-        if not self.name:
-            _fail("platform.name", "the platform needs a non-empty name")
+        return super().validate(path)
+
+    def _check_rules(self, path: str) -> None:
         if not self.ips:
-            _fail("platform.ips", f"platform {self.name!r} defines no IPs")
+            _fail(f"{path}.ips", f"platform {self.name!r} defines no IPs")
         names = [ip.name for ip in self.ips]
         if len(names) != len(set(names)):
             duplicates = sorted({n for n in names if names.count(n) > 1})
-            _fail("platform.ips", f"duplicate IP name(s): {_choices(duplicates)}")
-        for index, ip in enumerate(self.ips):
-            ip.validate(f"platform.ips[{index}]")
-        self.battery.validate("platform.battery")
-        self.thermal.validate("platform.thermal")
-        self.gem.validate("platform.gem")
-        self.bus.validate("platform.bus")
-        self.trace.validate("platform.trace")
-        if self.policy is not None:
-            self.policy.validate("platform.policy")
-        _check_positive(self.max_time_ms, "platform.max_time_ms", "max time")
-        _check_positive(self.sample_interval_us, "platform.sample_interval_us",
-                        "sample interval")
-        if self.fan_power_w < 0:
-            _fail("platform.fan_power_w", "fan power must be >= 0")
+            _fail(f"{path}.ips", f"duplicate IP name(s): {_choices(duplicates)}")
         if not self.bus.enabled:
             for index, ip in enumerate(self.ips):
                 if ip.bus_words_per_task or ip.bus_priority is not None:
-                    _fail("platform.bus",
+                    _fail(f"{path}.bus",
                           f"ips[{index}] ({ip.name!r}) sets bus traffic but the "
                           "platform has no bus (set bus.enabled: true)")
-        return self
 
     def validation_error(self) -> Optional[str]:
         """Non-raising :meth:`validate`: the error message, or ``None`` if valid.

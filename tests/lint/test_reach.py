@@ -225,9 +225,8 @@ class TestDegradation:
     def test_uninstantiable_workload_assumes_worst_case(self):
         spec = PlatformSpec(
             name="unknown-workload",
-            ips=[IpDef(name="cpu", workload=WorkloadDef(
-                kind="explicit", items=[{"task": "t0", "cycles": 0}],
-            ))],
+            # one task: valid, but scenario A needs a busy and an idle half
+            ips=[IpDef(name="cpu", workload=WorkloadDef(kind="scenario_a", task_count=1))],
             max_time_ms=10.0,
         )
         spec.validate()  # validates, but the workload cannot instantiate

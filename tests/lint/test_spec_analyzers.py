@@ -8,7 +8,7 @@ contract: lint must not cry wolf on the specs the repo actually ships.
 
 import pytest
 
-from repro.errors import InvalidTransitionError
+from repro.errors import InvalidTransitionError, PlatformError
 from repro.experiments import run_scenario
 from repro.lint import CODES, Severity, lint_spec, spec_rule_table
 from repro.platform import (
@@ -228,11 +228,23 @@ class TestBusAnalyzer:
 
 class TestWorkloadAnalyzer:
     def test_zero_cycle_explicit_item(self):
-        report = lint(PlatformSpec(name="wzero", ips=[IpDef(
+        spec = PlatformSpec(name="wzero", ips=[IpDef(
             name="cpu",
             workload=WorkloadDef(kind="explicit", items=[{"task": "t0", "cycles": 0}]),
+        )])
+        # Validation rejects the item with its path; the analyzer still
+        # flags it in a spec that skipped validation.
+        with pytest.raises(PlatformError, match=r"items\[0\]\.cycles: cycle count"):
+            spec.validate()
+        assert by_code(lint_spec(spec), "WORKLOAD-EMPTY-TASK").severity is Severity.ERROR
+
+    def test_uninstantiable_workload(self):
+        report = lint(PlatformSpec(name="wone", ips=[IpDef(
+            name="cpu", workload=WorkloadDef(kind="scenario_a", task_count=1),
         )]))
-        assert by_code(report, "WORKLOAD-EMPTY-TASK").severity is Severity.ERROR
+        finding = by_code(report, "WORKLOAD-EMPTY-TASK")
+        assert finding.severity is Severity.ERROR
+        assert "cannot be instantiated" in finding.message
 
     def test_unfinishable_workload(self):
         report = lint(PlatformSpec(name="wunfin", max_time_ms=0.01, ips=[IpDef(

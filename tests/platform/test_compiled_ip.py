@@ -180,7 +180,7 @@ def test_build_ip_spec_shares_nothing_with_the_memo(cold_memo):
 def test_failed_workload_is_raised_by_runs_and_reported_by_lint(cold_memo):
     ipdef = IpDef(
         name="cpu",
-        workload=WorkloadDef(kind="explicit", items=[{"task": "t0", "cycles": 0}]),
+        workload=WorkloadDef(kind="scenario_a", task_count=1),
     )
     compiled = compile_ip(ipdef)
     assert compiled.workload is None
