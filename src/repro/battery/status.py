@@ -49,7 +49,7 @@ class BatteryLevel(Enum):
         return self._str
 
 
-dense_index(BatteryLevel)  # _idx doubles as rank; _str for hot-path __str__
+dense_index(BatteryLevel)  # _idx doubles as rank, _str for __str__; identity hash
 
 
 @dataclass(frozen=True)

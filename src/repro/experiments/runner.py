@@ -92,8 +92,10 @@ class RunArtifacts:
     setup: str
     soc: SoC
     end_time: SimTime
-    #: Host seconds of the whole :func:`run_scenario` call: resolve, build,
-    #: simulate and collect (the span perfbench's ``sim_kcycles_per_s`` times).
+    #: Host seconds of the run itself: resolve the setup and trace, build,
+    #: simulate and collect.  Validating the spec, done once per public
+    #: runner call before the run (once for both runs of
+    #: :func:`run_comparison`), is outside the span.
     wall_clock_s: float
     executions: List[TaskExecution] = field(default_factory=list)
     accuracy: AccuracyMode = AccuracyMode.EXACT
@@ -229,10 +231,19 @@ def run_scenario(
     backend — and the fallback reason, when a native request could not be
     honoured — is recorded on the returned :class:`RunArtifacts`.
     """
+    return _run(_as_scenario(scenario), setup, AccuracyMode.from_name(accuracy), trace, backend)
+
+
+def _run(
+    spec: PlatformSpec,
+    setup: Optional[DpmSetup],
+    mode: AccuracyMode,
+    trace,
+    backend: Optional[str],
+) -> RunArtifacts:
+    """:func:`run_scenario` of an already validated ``spec``."""
     wall_start = _wallclock.perf_counter()  # repro-lint: allow[DET-WALLCLOCK]
-    spec = _as_scenario(scenario)
     setup = platform_setup(spec, setup, DpmSetup.paper, use_policy=True)
-    mode = AccuracyMode.from_name(accuracy)
     request = _resolve_trace_request(spec, trace)
     soc = build_soc(
         [compile_ip(ipdef).ip_spec(ipdef) for ipdef in spec.ips],
@@ -281,12 +292,20 @@ def run_baseline(
     backend: Optional[str] = None,
 ) -> BaselineFigures:
     """Run the reference configuration once and reduce it to plain figures."""
-    spec = _as_scenario(scenario)
+    return _baseline(_as_scenario(scenario), baseline, AccuracyMode.from_name(accuracy), backend)
+
+
+def _baseline(
+    spec: PlatformSpec,
+    baseline: Optional[DpmSetup],
+    mode: AccuracyMode,
+    backend: Optional[str],
+) -> BaselineFigures:
+    """:func:`run_baseline` of an already validated ``spec``."""
     baseline = platform_setup(spec, baseline, DpmSetup.always_on)
-    mode = AccuracyMode.from_name(accuracy)
     # The baseline never traces: a spec-enabled trace would clobber the DPM
     # run's output file and the reference run is not the run under study.
-    run = run_scenario(spec, baseline, accuracy=mode, trace=False, backend=backend)
+    run = _run(spec, baseline, mode, False, backend)
     return BaselineFigures(
         scenario=spec.name,
         setup=baseline.name,
@@ -321,9 +340,9 @@ def run_comparison(
     dpm = platform_setup(spec, dpm, DpmSetup.paper, use_policy=True)
     baseline = platform_setup(spec, baseline, DpmSetup.always_on)
     mode = AccuracyMode.from_name(accuracy)
-    dpm_run = run_scenario(spec, dpm, accuracy=mode, trace=trace, backend=backend)
+    dpm_run = _run(spec, dpm, mode, trace, backend)
     if baseline_figures is None:
-        baseline_figures = run_baseline(spec, baseline, accuracy=mode, backend=backend)
+        baseline_figures = _baseline(spec, baseline, mode, backend)
     if not dpm_run.all_tasks_completed:
         raise ExperimentError(
             f"scenario {spec.name!r}: the DPM run did not finish within the time budget"

@@ -51,10 +51,10 @@ def analyze_bus(model: SpecModel) -> List[Finding]:
                 suggestion="pad or trim the transfer to a whole-cycle multiple",
             ))
         duration_s = ip_model.min_duration_s()
-        if ip_model.workload is None or not duration_s:
+        if ip_model.facts is None or not duration_s:
             continue
         demand_w_per_s += (
-            words_per_task * ip_model.workload.task_count / duration_s
+            words_per_task * ip_model.facts.task_count / duration_s
         )
     if talkers == 0:
         findings.append(Finding(

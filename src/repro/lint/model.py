@@ -1,12 +1,13 @@
 """Shared analysis model: one build of the spec's derived objects.
 
-Every spec analyzer needs the same derived artifacts — the instantiated
-workloads, the power characterisation, the transition table, its PSM graph
-facts and break-even analysis per IP, plus the active selection rule table.
-Gathering them in :func:`build_model` keeps the analyzers cheap and
-guarantees they reason about the *same* objects the simulator runs: each
-IP's workload and :class:`~repro.platform.build.PowerModel`, PSM facts
-included, come from the memoised :func:`repro.platform.build.compile_ip`.
+Every spec analyzer needs the same derived artifacts — the facts of the
+instantiated workloads, the power characterisation, the transition table,
+its PSM graph facts and break-even analysis per IP, plus the active
+selection rule table.  Gathering them in :func:`build_model` keeps the
+analyzers cheap and guarantees they reason about the *same* objects the
+simulator runs: each IP's workload facts and its
+:class:`~repro.platform.build.PowerModel`, PSM facts included, come from the
+memoised :func:`repro.platform.build.compile_ip`.
 """
 
 from __future__ import annotations
@@ -15,13 +16,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, FrozenSet, List, Optional, Sequence
 
 from repro.dpm.rules import RuleTable, paper_rule_table
-from repro.platform.build import LOW_STATES, PowerModel, compile_ip
+from repro.platform.build import LOW_STATES, PowerModel, WorkloadFacts, compile_ip
 from repro.platform.spec import IpDef, PlatformSpec
 from repro.power.breakeven import BreakEvenAnalyzer
 from repro.power.characterization import PowerCharacterization
 from repro.power.states import PowerState
 from repro.power.transitions import StateGraph, TransitionTable
-from repro.soc.workload import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (reach imports us)
     from repro.lint.reach import ReachResult
@@ -64,7 +64,9 @@ class IpModel:
     complete_states: Sequence[PowerState]
     #: break-even analysis over ``complete_states``
     breakeven: Optional[BreakEvenAnalyzer]
-    workload: Optional[Workload]
+    #: the compiled IP's workload facts (``None`` when the workload cannot
+    #: be built)
+    facts: Optional[WorkloadFacts]
     workload_error: Optional[str] = None
 
     @property
@@ -79,10 +81,10 @@ class IpModel:
     def min_duration_s(self) -> Optional[float]:
         """Lower bound on the workload's wall time: full speed, zero DPM
         overhead — busy cycles at ON1 frequency plus the mandatory idle gaps."""
-        if self.workload is None:
+        if self.facts is None:
             return None
-        busy_s = self.workload.total_cycles / self.max_frequency_hz
-        return busy_s + self.workload.total_idle.seconds
+        busy_s = self.facts.total_cycles / self.max_frequency_hz
+        return busy_s + self.facts.total_idle.seconds
 
 
 @dataclass
@@ -105,9 +107,9 @@ def _build_ip(index: int, ip: IpDef) -> IpModel:
     compiled = compile_ip(ip)
     power = compiled.power
     initial = PowerState(ip.initial_state)
-    # A validated spec can still describe an uninstantiable workload (e.g. a
-    # one-task scenario A sequence); the workload analyzer turns the recorded
-    # error into a finding instead of the whole lint run crashing.
+    # A spec that skipped validation can describe an uninstantiable workload
+    # (e.g. a one-task scenario A sequence); the workload analyzer turns the
+    # recorded error into a finding instead of the whole lint run crashing.
     workload_error = None if compiled.workload is not None else str(compiled.error)
     return IpModel(
         index=index,
@@ -120,7 +122,7 @@ def _build_ip(index: int, ip: IpDef) -> IpModel:
         forward=power.reachable[initial],
         complete_states=power.complete_states,
         breakeven=power.lint_breakeven,
-        workload=compiled.workload,
+        facts=compiled.facts,
         workload_error=workload_error,
     )
 

@@ -295,20 +295,13 @@ def _build_statics(ip_model: IpModel, notes: List[str]) -> _IpStatics:
     forward = ip_model.forward
     on_states = tuple(s for s in ON_STATES if s in forward)
 
-    workload = ip_model.workload
-    workload_known = workload is not None
-    tasks = list(workload.items) if workload is not None else []
-    has_tasks = bool(tasks) or not workload_known
-    if workload is not None:
-        classes = tuple(sorted(
-            {item.task.instruction_class for item in tasks}, key=lambda c: c.value,
-        )) or ()
-        priorities = tuple(sorted(
-            {item.task.priority for item in tasks}, key=lambda p: p.value,
-        ))
-        max_idle_gap_s: Optional[float] = max(
-            (item.idle_after.seconds for item in tasks), default=0.0,
-        )
+    facts = ip_model.facts
+    workload_known = facts is not None
+    has_tasks = facts is None or facts.task_count > 0
+    if facts is not None:
+        classes = facts.classes
+        priorities = facts.priorities
+        max_idle_gap_s: Optional[float] = facts.max_idle_gap_s
     else:
         # The workload failed to instantiate; assume the worst on every axis.
         classes = tuple(InstructionClass)
@@ -323,17 +316,14 @@ def _build_statics(ip_model: IpModel, notes: List[str]) -> _IpStatics:
     f_min = min(
         char.operating_points.point(state).frequency_hz for state in ON_STATES
     )
-    if workload is not None and tasks:
+    if facts is not None and facts.task_count:
         # Task estimates use the policy's estimation state; ON1 has the
         # highest voltage (max energy/cycle) and frequency (min duration),
         # making these ceilings valid for any estimation-state override.
-        max_task_energy_j = max(
-            char.task_energy_j(PowerState.ON1, item.task.cycles, item.task.instruction_class)
-            for item in tasks
-        )
-        min_task_duration_s = min(item.task.cycles for item in tasks) / f_on1
-        max_task_duration_s = max(item.task.cycles for item in tasks) / f_min
-    elif workload is not None:  # instantiated but empty: the IP never decides
+        max_task_energy_j = facts.max_task_energy_j
+        min_task_duration_s = facts.min_cycles / f_on1
+        max_task_duration_s = facts.max_cycles / f_min
+    elif facts is not None:  # instantiated but empty: the IP never decides
         max_task_energy_j = 0.0
         min_task_duration_s = math.inf
         max_task_duration_s = 0.0

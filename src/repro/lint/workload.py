@@ -5,8 +5,9 @@
   the horizon > 1) exceeds ``max_time_ms``; even a perfect power manager
   cannot complete the run, so completion-gated metrics are meaningless.
 * ``WORKLOAD-EMPTY-TASK`` — a workload that cannot be instantiated, so
-  the build fails at run time: a valid spec whose generator rejects its
-  arguments, or (in a spec that skipped validation, which rejects it) an
+  the build fails at run time.  Validation rejects the known cases, so
+  this flags a spec that skipped it: a generator that rejects its
+  arguments (one scenario A task, an unnamed explicit task) or an
   explicit item with a non-positive cycle count.
 * ``WORKLOAD-NEVER-IDLE`` — a workload with zero idle time: the DPM has
   no window to ever act in, so the platform measures nothing but the
@@ -44,7 +45,8 @@ def _analyze_ip(model: SpecModel, ip_model: IpModel) -> List[Finding]:
                     suggestion="give the task real work or delete the item",
                 ))
 
-    if ip_model.workload is None:
+    facts = ip_model.facts
+    if facts is None:
         if ip_model.workload_error and not findings:
             # The build failed for a reason the explicit-item check did not
             # already explain; surface it rather than silently skipping.
@@ -71,7 +73,7 @@ def _analyze_ip(model: SpecModel, ip_model: IpModel) -> List[Finding]:
             ),
             suggestion="raise max_time_ms or shrink the workload",
         ))
-    if ip_model.workload.task_count and ip_model.workload.total_idle.is_zero:
+    if facts.task_count and facts.total_idle.is_zero:
         findings.append(Finding(
             code="WORKLOAD-NEVER-IDLE",
             severity=Severity.INFO,

@@ -8,9 +8,10 @@ objects (:class:`~repro.soc.soc.IpSpec`, :class:`~repro.soc.soc.SocConfig`,
 :func:`repro.experiments.runner.run_scenario` assembles into a SoC.
 
 What no run changes is built by :func:`compile_ip` and shared by every run
-and lint in the process: an IP's generated workload once per IP content, its
-:class:`PowerModel` (characterisation, transitions, break-even analyses and
-PSM facts) once per power content, whatever the IP's name or workload.
+and lint in the process: an IP's generated workload (and, on first use, the
+workload facts lint reads) once per IP content, its :class:`PowerModel`
+(characterisation, transitions, break-even analyses and PSM facts) once per
+power content, whatever the IP's name or workload.
 
 Defaults contract: an optional knob left unset builds exactly what the
 library would build without it (``None`` characterisation and transitions,
@@ -22,6 +23,7 @@ thin while the pinned goldens stay bit-identical.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import weakref
 from collections import OrderedDict
@@ -50,7 +52,7 @@ from repro.power.characterization import (
 from repro.power.operating_point import OperatingPoint, OperatingPointTable
 from repro.power.states import SLEEP_STATES, PowerState
 from repro.power.transitions import StateGraph, TransitionCost, TransitionTable, default_transition_table
-from repro.sim.simtime import ms, us
+from repro.sim.simtime import SimTime, ms, us
 from repro.soc.soc import IpSpec, SocConfig, resolve_power_model
 from repro.soc.task import TaskPriority
 from repro.soc.workload import (
@@ -66,9 +68,11 @@ from repro.thermal.model import ThermalConfig
 
 __all__ = [
     "COMPILED_IP_LIMIT",
+    "COMPILED_ITEM_LIMIT",
     "CompiledIp",
     "LOW_STATES",
     "PowerModel",
+    "WorkloadFacts",
     "battery_condition",
     "build_battery_config",
     "build_characterization",
@@ -337,6 +341,45 @@ def _build_power_model(ipdef: IpDef) -> PowerModel:
     )
 
 
+@dataclasses.dataclass(frozen=True)
+class WorkloadFacts:
+    """What lint reads of a built workload, derived once per compiled IP."""
+
+    task_count: int
+    #: instruction classes and priorities the tasks use, each sorted by value
+    classes: Tuple[InstructionClass, ...]
+    priorities: Tuple[TaskPriority, ...]
+    #: largest idle gap in seconds (0.0 without tasks)
+    max_idle_gap_s: float
+    #: largest ON1 energy of one task, smallest and largest cycle count of one
+    #: task (0 without tasks)
+    max_task_energy_j: float
+    min_cycles: int
+    max_cycles: int
+    total_cycles: int
+    total_idle: SimTime
+
+
+def _workload_facts(workload: Workload, characterization: PowerCharacterization) -> WorkloadFacts:
+    tasks = workload.items
+    classes = tuple(sorted({item.task.instruction_class for item in tasks}, key=lambda c: c.value))
+    priorities = tuple(sorted({item.task.priority for item in tasks}, key=lambda p: p.value))
+    max_idle_gap_s = max((item.idle_after.seconds for item in tasks), default=0.0)
+    max_task_energy_j = 0.0
+    min_cycles = max_cycles = 0
+    if tasks:
+        max_task_energy_j = max(
+            characterization.task_energy_j(PowerState.ON1, item.task.cycles, item.task.instruction_class)
+            for item in tasks
+        )
+        min_cycles = min(item.task.cycles for item in tasks)
+        max_cycles = max(item.task.cycles for item in tasks)
+    return WorkloadFacts(
+        len(tasks), classes, priorities, max_idle_gap_s, max_task_energy_j,
+        min_cycles, max_cycles, workload.total_cycles, workload.total_idle,
+    )
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class CompiledIp:
     """The run-independent values of one IP, shared by every run of it.
@@ -354,6 +397,13 @@ class CompiledIp:
     workload: Optional[Workload]
     breakeven: Optional[BreakEvenAnalyzer]
     error: Optional[Exception] = None
+
+    @functools.cached_property
+    def facts(self) -> Optional[WorkloadFacts]:
+        """The workload's lint facts (``None`` without a workload), on first use."""
+        if self.workload is None:
+            return None
+        return _workload_facts(self.workload, self.characterization)
 
     def ip_spec(self, ipdef: IpDef) -> IpSpec:
         """A fresh :class:`IpSpec` of ``ipdef`` over these values."""
@@ -385,9 +435,13 @@ def _compile_ip(ipdef: IpDef, power: PowerModel) -> CompiledIp:
 
 #: Compiled IPs by canonical IpDef content, least recently used first.
 _COMPILED: "OrderedDict[str, CompiledIp]" = OrderedDict()
-#: Bound of :data:`_COMPILED`: the IPs of a few platforms, so a process that
-#: sweeps many specs holds a handful of workloads, not all of them.
-COMPILED_IP_LIMIT = 16
+#: Bounds of :data:`_COMPILED`, both kept by evicting the least recently used
+#: entry: enough IPs for a whole lint sweep of the registered and example
+#: platforms (30 distinct IPs, 514 workload items, 0.55 MB), and few enough
+#: workload items that at ~360 bytes an item the memo stays near 6 MB
+#: however long the workloads.
+COMPILED_IP_LIMIT = 64
+COMPILED_ITEM_LIMIT = 16_384
 #: Power models by canonical power content.  Weak values: a model lives only
 #: while a compiled IP or a run holds it, so the memo adds no bound of its own.
 _POWER_MODELS: "weakref.WeakValueDictionary[str, PowerModel]" = weakref.WeakValueDictionary()
@@ -416,9 +470,14 @@ def compile_ip(ipdef: IpDef) -> CompiledIp:
     compiled = _compile_ip(ipdef, power)
     if compiled.error is None:
         _COMPILED[key] = compiled
-        if len(_COMPILED) > COMPILED_IP_LIMIT:
-            _COMPILED.popitem(last=False)
+        items = sum(_item_count(entry) for entry in _COMPILED.values())
+        while len(_COMPILED) > COMPILED_IP_LIMIT or items > COMPILED_ITEM_LIMIT:
+            items -= _item_count(_COMPILED.popitem(last=False)[1])
     return compiled
+
+
+def _item_count(compiled: CompiledIp) -> int:
+    return len(compiled.workload.items) if compiled.workload is not None else 0
 
 
 def build_ip_spec(ipdef: IpDef) -> IpSpec:

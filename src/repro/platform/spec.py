@@ -711,6 +711,9 @@ class WorkloadDef(_Node):
             _fail(path, "a periodic workload needs 'task_count'")
         elif self.kind == "random" and self.task_count is None:
             _fail(path, "a random workload needs 'task_count'")
+        elif self.kind == "scenario_a" and self.task_count is not None and self.task_count < 2:
+            _fail(f"{path}.task_count", "the scenario A workload needs at least two tasks "
+                  f"(a busy and an idle half), got {self.task_count!r}")
 
 
 #: WorkloadDef fields allowed for each kind, and the others (in field order).
@@ -726,7 +729,7 @@ _FOREIGN_FIELDS: Dict[str, Tuple[str, ...]] = {
 
 #: The fields of one explicit workload item (a ``Workload.as_dicts`` entry).
 _ITEM_FIELDS = (
-    _Field("task", _str()),
+    _Field("task", _str(empty="task name must be non-empty")),
     _Field("cycles", _int(check=_positive("cycle count"))),
     _Field("idle_after_fs", _int(None, check=_IDLE_TIME)),
 )

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Mapping, Optional, Tuple
 
+from repro._enumtools import dense_index
 from repro.errors import PowerModelError
 from repro.power.operating_point import OperatingPointTable, default_operating_points
 from repro.power.states import ON_STATES, SLEEP_STATES, PowerState
@@ -41,9 +42,7 @@ class InstructionClass(Enum):
         return self.value
 
 
-for _index, _member in enumerate(InstructionClass):
-    _member._idx = _index  # dense index for hot-path cache keys
-del _index, _member
+dense_index(InstructionClass)  # dense _idx for hot-path cache keys, identity hash
 
 # The packed cache key below strides instruction classes by 8; growing the
 # enum past that would silently alias cache slots.

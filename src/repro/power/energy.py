@@ -14,12 +14,20 @@ Two small classes keep the books:
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List
+from typing import Dict, List, Optional, Protocol
 
 from repro.errors import PowerModelError
 from repro.sim.simtime import SimTime
 
-__all__ = ["EnergyAccount", "EnergyLedger", "EnergyCategory"]
+__all__ = ["DepositRecorder", "EnergyAccount", "EnergyLedger", "EnergyCategory"]
+
+
+class DepositRecorder(Protocol):
+    """What an account mirrors each deposit into (fast accuracy mode)."""
+
+    def record(self, energy_j: float, span_fs: int, end_fs: int = 0) -> None:
+        """``span_fs``: the interval integrated over (0 for a point deposit);
+        ``end_fs``: its end time (0 meaning "now")."""
 
 
 class EnergyCategory:
@@ -51,7 +59,7 @@ class EnergyAccount:
         self._deposits = 0
         self._total_cache = 0.0
         self._total_dirty = False
-        self._recorder = None
+        self._recorder: Optional[DepositRecorder] = None
         #: the ledger aggregating this account, told about every deposit
         self._ledger = None
 
@@ -138,15 +146,12 @@ class EnergyLedger:
         # Set by every deposit into (and every registration of) an account.
         self._dirty = True
         self._total_cache = 0.0
-        self._recorder = None
+        self._recorder: Optional[DepositRecorder] = None
 
-    def attach_recorder(self, recorder) -> None:
+    def attach_recorder(self, recorder: DepositRecorder) -> None:
         """Mirror every deposit of every (current and future) account.
 
-        Used by the fast accuracy mode; ``recorder`` must expose
-        ``record(energy_j, span_fs, end_fs)`` where ``span_fs`` is the
-        femtosecond interval the energy was integrated over (0 for a point
-        deposit) and ``end_fs`` its end time (0 meaning "now").
+        Used by the fast accuracy mode.
         """
         self._recorder = recorder
         for account in self._accounts.values():

@@ -17,7 +17,7 @@ overheads are relative quantities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Iterable, Iterator, Mapping, Optional
 
 from repro.errors import PowerModelError
 from repro.power.states import ON_STATES, PowerState
@@ -126,7 +126,7 @@ class OperatingPointTable:
     def __getitem__(self, state: PowerState) -> OperatingPoint:
         return self.point(state)
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[OperatingPoint]:
         return (self._points[state] for state in ON_STATES)
 
     @property

@@ -17,15 +17,17 @@ switches it between the ACPI-style power states.  It is deliberately dumb:
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Optional
+from typing import Dict, Generator, Iterator, Optional
 
 from repro.errors import InvalidTransitionError, PowerModelError
 from repro.power.characterization import PowerCharacterization
 from repro.power.energy import EnergyAccount, EnergyCategory
 from repro.power.states import PowerState
-from repro.power.transitions import TransitionTable
+from repro.power.transitions import TransitionCost, TransitionTable
+from repro.sim.event import Event
 from repro.sim.kernel import Kernel
 from repro.sim.module import Module
+from repro.sim.process import WaitSpec
 from repro.sim.simtime import SimTime
 
 __all__ = ["PowerStateMachine"]
@@ -177,7 +179,7 @@ class PowerStateMachine(Module):
             return
         self._request_event.notify()
 
-    def wait_for_state(self, target: PowerState):
+    def wait_for_state(self, target: PowerState) -> Iterator[Event]:
         """Generator helper: ``yield from psm.wait_for_state(ON2)``."""
         while self.state is not target or self.is_transitioning:
             yield self.transition_complete
@@ -288,7 +290,7 @@ class PowerStateMachine(Module):
         if self._requested_state is not None:
             self._serve_fast()
 
-    def _complete_transition(self, source: PowerState, target: PowerState, cost) -> None:
+    def _complete_transition(self, source: PowerState, target: PowerState, cost: TransitionCost) -> None:
         """Transition-completion bookkeeping, shared by both modes.
 
         In fast mode the quantised integration first bills any
@@ -339,7 +341,7 @@ class PowerStateMachine(Module):
     # ------------------------------------------------------------------
     # Internal transition process
     # ------------------------------------------------------------------
-    def _transition_process(self):
+    def _transition_process(self) -> Generator[WaitSpec, None, None]:
         while True:
             if self._requested_state is None:
                 yield self._request_event

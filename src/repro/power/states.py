@@ -13,6 +13,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import List, Sequence
 
+from repro._enumtools import dense_index
 from repro.errors import PowerModelError
 
 __all__ = ["PowerState", "ON_STATES", "SLEEP_STATES", "ALL_STATES"]
@@ -100,16 +101,16 @@ class PowerState(Enum):
         return self.value
 
 
-for _index, _member in enumerate(PowerState):
+# Small dense index used by hot-path caches (list indexing and integer dict
+# keys are cheaper than hashing enum members); identity hash for the rest.
+dense_index(PowerState)
+for _member in PowerState:
     _member._is_on = _member.name.startswith("ON")
     _member._is_sleep = _member.name.startswith("SL")
     _member._is_off = _member is PowerState.OFF
     _member._performance_rank = 5 - int(_member.name[2]) if _member._is_on else 0
     _member._depth = 0 if _member._is_on else (5 if _member._is_off else int(_member.name[2]))
-    # Small dense index used by hot-path caches (list indexing and integer
-    # dict keys are much cheaper than hashing enum members).
-    _member._idx = _index
-del _index, _member
+del _member
 
 # Hot-path caches pack (source, target) state pairs as idx*16 + idx; growing
 # the enum past 16 members would silently alias cache slots.

@@ -83,7 +83,7 @@ class BusLevel(Enum):
         return self._str
 
 
-dense_index(BusLevel)  # _idx doubles as rank; _str for hot-path __str__
+dense_index(BusLevel)  # _idx doubles as rank, _str for __str__; identity hash
 
 
 @dataclass(frozen=True)

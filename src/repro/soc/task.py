@@ -47,7 +47,7 @@ class TaskPriority(Enum):
         return self._str
 
 
-dense_index(TaskPriority)  # _idx doubles as rank; _str for hot-path __str__
+dense_index(TaskPriority)  # _idx doubles as rank, _str for __str__; identity hash
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ class TemperatureLevel(Enum):
         return self._str
 
 
-dense_index(TemperatureLevel)  # _idx doubles as rank; _str for hot-path __str__
+dense_index(TemperatureLevel)  # _idx doubles as rank, _str for __str__; identity hash
 
 
 @dataclass(frozen=True)

@@ -82,17 +82,18 @@ class TestCliReportCommand:
 
     def test_report_with_speed_runs_each_scenario_once(self, tmp_path, monkeypatch):
         from repro.cli import main
-        from repro.experiments import runner, table2
+        from repro.experiments import runner
 
         calls = []
-        original = runner.run_scenario
+        original = runner._run
 
-        def counted_run_scenario(*args, **kwargs):
+        def counted_run(*args, **kwargs):
             calls.append(args[0])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(runner, "run_scenario", counted_run_scenario)
-        monkeypatch.setattr(table2, "run_scenario", counted_run_scenario)
+        # Every run, whether reached through run_scenario, run_baseline or
+        # run_comparison, goes through the runner's one private body.
+        monkeypatch.setattr(runner, "_run", counted_run)
         output = tmp_path / "report.md"
         assert main(["report", "A1", "B", "--with-speed", "-o", str(output)]) == 0
         assert len(calls) == 4  # one DPM and one baseline run per row

@@ -7,10 +7,11 @@ import pytest
 from repro.battery import BatteryLevel
 from repro.dpm import DpmSetup
 from repro.errors import ExperimentError, PlatformError, WorkloadError
-from repro.experiments import run_comparison, run_scenario
+from repro.experiments import run_baseline, run_comparison, run_scenario
 from repro.experiments.runner import _as_scenario
 from repro.experiments.table2 import simulation_speed_report, table2_report
 from repro.platform import (
+    PlatformSpec,
     build_ip_spec,
     build_soc_config,
     multi_ip_platform,
@@ -108,8 +109,8 @@ class TestRunner:
         assert summary["ip1"]["tasks"] == 10.0
 
     def test_wall_clock_covers_the_build(self, monkeypatch):
-        # Kcycle/s is simulated cycles per host second of the whole call,
-        # the same span perfbench's sim_kcycles_per_s times.
+        # Kcycle/s is simulated cycles per host second of the whole run,
+        # build included.
         from repro.experiments import runner
 
         original = runner.build_soc
@@ -139,6 +140,21 @@ class TestRunner:
         assert metrics.average_delay_overhead_pct >= 0.0
         assert metrics.tasks_executed == 10
         assert metrics.baseline_energy_j > metrics.dpm_energy_j
+
+    def test_one_comparison_validates_the_spec_once(self, small_scenario, monkeypatch):
+        calls = []
+        original = PlatformSpec.validate
+
+        def counted(spec, *args, **kwargs):
+            calls.append(spec.name)
+            return original(spec, *args, **kwargs)
+
+        monkeypatch.setattr(PlatformSpec, "validate", counted)
+        run_comparison(small_scenario)
+        assert calls == ["small"]
+        run_scenario(small_scenario)
+        run_baseline(small_scenario)
+        assert calls == ["small"] * 3
 
     def test_baseline_against_itself_saves_nothing(self, small_scenario):
         metrics = run_comparison(small_scenario, dpm=DpmSetup.always_on())

@@ -225,11 +225,11 @@ class TestDegradation:
     def test_uninstantiable_workload_assumes_worst_case(self):
         spec = PlatformSpec(
             name="unknown-workload",
-            # one task: valid, but scenario A needs a busy and an idle half
+            # one task: scenario A needs a busy and an idle half
             ips=[IpDef(name="cpu", workload=WorkloadDef(kind="scenario_a", task_count=1))],
             max_time_ms=10.0,
         )
-        spec.validate()  # validates, but the workload cannot instantiate
+        # Validation rejects it; lint still meets it in an unvalidated spec.
         reach = compute_reach(build_model(spec))
         assert any("uninstantiable" in note for note in reach.assumptions)
         # Worst case on every axis: all priorities, no idle-gap bound.

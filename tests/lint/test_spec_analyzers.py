@@ -239,7 +239,9 @@ class TestWorkloadAnalyzer:
         assert by_code(lint_spec(spec), "WORKLOAD-EMPTY-TASK").severity is Severity.ERROR
 
     def test_uninstantiable_workload(self):
-        report = lint(PlatformSpec(name="wone", ips=[IpDef(
+        # Validation rejects one scenario A task; an unvalidated spec still
+        # reaches the analyzer.
+        report = lint_spec(PlatformSpec(name="wone", ips=[IpDef(
             name="cpu", workload=WorkloadDef(kind="scenario_a", task_count=1),
         )]))
         finding = by_code(report, "WORKLOAD-EMPTY-TASK")

@@ -17,13 +17,14 @@ import weakref
 import pytest
 
 from repro.errors import WorkloadError
-from repro.experiments import run_comparison, run_differential, run_scenario
+from repro.experiments import run_comparison, run_differential, run_scenario, runner
 from repro.lint import lint_spec
 from repro.platform import IpDef, PlatformSpec, PsmDef, WorkloadDef
 from repro.platform import build as platform_build
-from repro.platform.build import COMPILED_IP_LIMIT, build_ip_spec, compile_ip
+from repro.platform.build import COMPILED_IP_LIMIT, COMPILED_ITEM_LIMIT, build_ip_spec, compile_ip
 from repro.platform.registry import platform_by_name, platform_names
 from repro.power.states import SLEEP_STATES, PowerState
+from repro.sim.accuracy import AccuracyMode
 
 
 @pytest.fixture
@@ -99,19 +100,52 @@ def test_warm_memo_run_is_bit_identical_to_cold(name, cold_memo):
     assert warm == cold
 
 
-def test_memo_never_holds_more_than_its_bound(cold_memo):
-    ipdefs = [
-        IpDef(name=f"ip{index}", workload=WorkloadDef(kind="periodic", task_count=2))
-        for index in range(COMPILED_IP_LIMIT + 5)
+def held_items():
+    return sum(len(entry.workload.items) for entry in platform_build._COMPILED.values())
+
+
+def periodic_ips(count, tasks):
+    return [
+        IpDef(name=f"ip{index}", workload=WorkloadDef(kind="periodic", task_count=tasks))
+        for index in range(count)
     ]
+
+
+def test_memo_never_holds_more_than_its_entry_bound(cold_memo):
+    ipdefs = periodic_ips(COMPILED_IP_LIMIT + 5, tasks=2)
     compiled = []
-    for ipdef in ipdefs:
+    for ipdef in ipdefs[:COMPILED_IP_LIMIT]:
+        compiled.append(compile_ip(ipdef))
+    assert len(platform_build._COMPILED) == COMPILED_IP_LIMIT
+    # Using the oldest entry makes the second oldest the least recently used.
+    assert compile_ip(ipdefs[0]) is compiled[0]
+    for ipdef in ipdefs[COMPILED_IP_LIMIT:]:
         compiled.append(compile_ip(ipdef))
         assert len(platform_build._COMPILED) <= COMPILED_IP_LIMIT
-    assert len(platform_build._COMPILED) == COMPILED_IP_LIMIT
-    # The least recently used go first; the newest stay shared.
-    assert compile_ip(ipdefs[-1]) is compiled[-1]
-    assert compile_ip(ipdefs[0]) is not compiled[0]
+    # The least recently used went first: ip1 ... ip5, never ip0.
+    held = compiled[6:COMPILED_IP_LIMIT] + [compiled[0]] + compiled[COMPILED_IP_LIMIT:]
+    assert list(platform_build._COMPILED.values()) == held
+    assert compile_ip(ipdefs[1]) is not compiled[1]
+
+
+def test_memo_never_holds_more_than_its_item_bound(cold_memo):
+    tasks = COMPILED_ITEM_LIMIT // 4 + 1  # four of them are one item too many
+    ipdefs = periodic_ips(5, tasks=tasks)
+    compiled = []
+    for ipdef in ipdefs[:3]:
+        compiled.append(compile_ip(ipdef))
+    assert held_items() == 3 * tasks
+    assert compile_ip(ipdefs[0]) is compiled[0]
+    for ipdef in ipdefs[3:]:
+        compiled.append(compile_ip(ipdef))
+        assert held_items() <= COMPILED_ITEM_LIMIT
+    # The least recently used went first: ip1, then ip2.
+    assert list(platform_build._COMPILED.values()) == [compiled[0], compiled[3], compiled[4]]
+    assert compile_ip(ipdefs[1]) is not compiled[1]
+    # A workload larger than the whole bound is built but not kept.
+    huge = IpDef(name="huge", workload=WorkloadDef(kind="periodic", task_count=COMPILED_ITEM_LIMIT + 1))
+    assert compile_ip(huge).workload.task_count == COMPILED_ITEM_LIMIT + 1
+    assert held_items() <= COMPILED_ITEM_LIMIT
 
 
 def test_equal_content_shares_one_compile(cold_memo):
@@ -178,6 +212,8 @@ def test_build_ip_spec_shares_nothing_with_the_memo(cold_memo):
 
 
 def test_failed_workload_is_raised_by_runs_and_reported_by_lint(cold_memo):
+    # Validation rejects one scenario A task; the run body and lint meet it
+    # in an unvalidated spec.
     ipdef = IpDef(
         name="cpu",
         workload=WorkloadDef(kind="scenario_a", task_count=1),
@@ -187,6 +223,6 @@ def test_failed_workload_is_raised_by_runs_and_reported_by_lint(cold_memo):
     assert isinstance(compiled.error, WorkloadError)
     assert not platform_build._COMPILED  # failures are not kept
     with pytest.raises(WorkloadError, match=re.escape(str(compiled.error))):
-        run_scenario(PlatformSpec(name="wzero", ips=[ipdef]), trace=False)
+        runner._run(PlatformSpec(name="wzero", ips=[ipdef]), None, AccuracyMode.EXACT, False, None)
     report = lint_spec(PlatformSpec(name="wzero", ips=[ipdef]))
     assert any(finding.code == "WORKLOAD-EMPTY-TASK" for finding in report.findings)

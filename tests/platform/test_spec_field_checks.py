@@ -217,6 +217,28 @@ class TestExplicitItems:
             "task": "t0", "cycles": 2500, "idle_after_fs": 0, "priority": "high"}
 
 
+class TestWorkloadsThatCannotBeBuilt:
+    """What validation accepts, the build can instantiate."""
+
+    @pytest.mark.parametrize("workload,message", [
+        (WorkloadDef(kind="scenario_a", task_count=1),
+         "platform.ips[1].workload.task_count: the scenario A workload needs at least two tasks"),
+        (WorkloadDef(kind="explicit", items=[{"task": "t0", "cycles": 10}, {"task": "", "cycles": 10}]),
+         "platform.ips[1].workload.items[1].task: task name must be non-empty"),
+    ])
+    def test_rejected_at_validation_with_their_path(self, workload, message):
+        spec = PlatformSpec(name="p", ips=[IpDef(name="a"), IpDef(name="b", workload=workload)])
+        with pytest.raises(PlatformError, match=re.escape(message)):
+            spec.validate()
+        with pytest.raises(PlatformError, match=re.escape(message)):
+            PlatformSpec.from_dict(spec.to_dict())
+
+    def test_two_scenario_a_tasks_still_build(self):
+        spec = PlatformSpec(name="p", ips=[IpDef(
+            name="a", workload=WorkloadDef(kind="scenario_a", task_count=2))]).validate()
+        assert run_scenario(spec, trace=False).all_tasks_completed
+
+
 _PERIODIC = {"kind": "periodic", "task_count": 1}
 
 
