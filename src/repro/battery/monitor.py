@@ -3,27 +3,34 @@
 The monitor closes the loop between the energy ledger and the battery model.
 It publishes the quantised :class:`~repro.battery.status.BatteryLevel` and
 the state of charge on signals that the LEMs and the GEM read.  The SoC's
-sampler drains the battery once per ``sample_interval`` and publishes the
-result here (see :meth:`repro.soc.soc.SoC._sample_window`).
+sampler drains the battery once per sample window and publishes the result
+here (see :meth:`repro.soc.soc.SoC._sample_window`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from array import array
+from typing import List, Optional, Sequence, Tuple
 
 from repro.battery.model import Battery
 from repro.battery.status import BatteryLevel
-from repro.errors import BatteryError
 from repro.power.energy import EnergyLedger
 from repro.sim.kernel import Kernel
 from repro.sim.module import Module
-from repro.sim.simtime import SimTime, ms
+from repro.sim.simtime import SimTime
 
 __all__ = ["BatteryMonitor"]
 
 
 class BatteryMonitor(Module):
-    """Publishes the battery level sampled from the SoC's energy ledger."""
+    """Publishes the battery level sampled from the SoC's energy ledger.
+
+    The sample record is kept as columns: ``sample_times`` holds the exact
+    integer femtoseconds of each sampled instant (the SoC shares one such
+    list with its temperature sensor) and a float array holds the state of
+    charge at each.  A list of the kernel's own time ints keeps simulated
+    time unbounded, which a 64-bit integer array would not.
+    """
 
     def __init__(
         self,
@@ -31,21 +38,19 @@ class BatteryMonitor(Module):
         name: str,
         battery: Battery,
         ledger: EnergyLedger,
-        sample_interval: Optional[SimTime] = None,
+        sample_times: Optional[List[int]] = None,
         parent: Optional[Module] = None,
     ) -> None:
         super().__init__(kernel, name, parent)
-        if sample_interval is not None and sample_interval.is_zero:
-            raise BatteryError("battery sample interval must be positive")
         self.battery = battery
-        self.sample_interval = sample_interval or ms(1)
         self.level_signal = self.signal("level", battery.level)
         self.soc_signal = self.signal("state_of_charge", battery.state_of_charge)
         # Ledger total and time of the previous sample.
         self._last_total_j = ledger.total_j
         self._last_sample_fs = kernel.now_fs
-        #: sampled ``(time_fs, state_of_charge)`` pairs
-        self._history: List[Tuple[int, float]] = []
+        #: sampled instants (fs) and the state of charge at each
+        self._sample_times: List[int] = [] if sample_times is None else sample_times
+        self._state_of_charge = array("d")
 
     @property
     def level(self) -> BatteryLevel:
@@ -53,6 +58,19 @@ class BatteryMonitor(Module):
         return self.level_signal.read()
 
     @property
+    def times_fs(self) -> Sequence[int]:
+        """Sampled instants in femtoseconds (read-only view by convention)."""
+        return self._sample_times
+
+    @property
+    def states_of_charge(self) -> Sequence[float]:
+        """State of charge at each sampled instant, in ``times_fs`` order."""
+        return self._state_of_charge
+
+    @property
     def history(self) -> List[Tuple[SimTime, float]]:
         """Sampled ``(time, state_of_charge)`` pairs."""
-        return [(SimTime(when_fs), value) for when_fs, value in self._history]
+        return [
+            (SimTime(when_fs), value)
+            for when_fs, value in zip(self._sample_times, self._state_of_charge)
+        ]

@@ -25,7 +25,8 @@ import signal
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Union
+from types import FrameType
+from typing import Any, Callable, Dict, List, Mapping, NoReturn, Optional, Tuple, Union
 
 from repro.campaign.spec import CampaignSpec, JobSpec, build_scenario, build_setup
 from repro.campaign.store import ResultStore
@@ -87,7 +88,7 @@ def _run_with_timeout(func: Callable[[], Any], timeout_s: Optional[float]) -> An
         return func()
     fired = False
 
-    def _alarm(_signum, _frame):
+    def _alarm(_signum: int, _frame: Optional[FrameType]) -> NoReturn:
         nonlocal fired
         fired = True
         raise _JobTimeout()
@@ -272,13 +273,17 @@ def preflight_campaign(spec: CampaignSpec) -> List[str]:
     return lines
 
 
-def _execute_job_star(payload) -> Dict[str, Any]:
+def _execute_job_star(
+    payload: Tuple[
+        Mapping[str, Any], Optional[float], Optional[Mapping[str, Any]], Optional[Mapping[str, Any]]
+    ],
+) -> Dict[str, Any]:
     """Pool adapter: unpack ``(job_dict, timeout_s, baseline_figures, trace)``."""
     job_dict, timeout_s, baseline_figures, trace = payload
     return execute_job(job_dict, timeout_s, baseline_figures, trace)
 
 
-def _execute_baseline_star(payload) -> Dict[str, Any]:
+def _execute_baseline_star(payload: Tuple[Mapping[str, Any], Optional[float]]) -> Dict[str, Any]:
     """Pool adapter: unpack ``(job_dict, timeout_s)``."""
     job_dict, timeout_s = payload
     return execute_baseline(job_dict, timeout_s)

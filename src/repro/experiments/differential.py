@@ -68,6 +68,7 @@ from repro.experiments.runner import RunArtifacts, run_scenario
 from repro.platform.serialize import spec_hash
 from repro.platform.spec import PlatformSpec
 from repro.power.states import PowerState
+from repro.sim.simtime import SimTime
 
 __all__ = [
     "ALL_ORACLES",
@@ -470,9 +471,11 @@ def _oracle_structural(spec: PlatformSpec, base: RunArtifacts) -> OracleVerdict:
     soc = base.soc
     # Battery: state-of-charge must never rise while discharging.
     if not soc.battery.config.on_ac_power:
-        history = soc.battery_monitor.history
-        for (t_prev, soc_prev), (t_next, soc_next) in zip(history, history[1:]):
+        monitor = soc.battery_monitor
+        values = monitor.states_of_charge
+        for index, (soc_prev, soc_next) in enumerate(zip(values, values[1:]), 1):
             if soc_next > soc_prev + 1e-15:
+                t_next = SimTime(monitor.times_fs[index])
                 problems.append(
                     f"battery SoC rose while discharging: {soc_prev!r} -> "
                     f"{soc_next!r} at {t_next!r}"

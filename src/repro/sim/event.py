@@ -75,11 +75,15 @@ class Event:
             self._waiters.append(process)
 
     def remove_waiter(self, process: "Process") -> None:
-        """Remove ``process`` from the waiter list if present."""
-        try:
-            self._waiters.remove(process)
-        except ValueError:
-            pass
+        """Remove ``process`` from the waiter list if present.
+
+        A woken process withdraws from every event it waited on, including
+        the one that fired, whose waiter list is already swapped out; the
+        membership test keeps that common case free of a raised exception.
+        """
+        waiters = self._waiters
+        if process in waiters:
+            waiters.remove(process)
 
     def add_callback(self, callback: Callable[[], None]) -> None:
         """Register a permanent callback invoked at every notification.

@@ -320,11 +320,12 @@ class FastSampleEngine:
         monitor = self._monitor
         sensor = self._sensor
         soc_value = battery.state_of_charge
-        monitor._history.append((now_fs, soc_value))
+        monitor._sample_times.append(now_fs)
+        monitor._state_of_charge.append(soc_value)
         monitor.level_signal.write(battery.level)
         monitor.soc_signal.write(soc_value)
         temperature = thermal._temperature_c
-        sensor._history.append((now_fs, temperature))
+        sensor._temperatures.append(temperature)
         sensor.temperature_signal.write(temperature)
         sensor.level_signal.write(thermal.level)
         tracer = self._tracer

@@ -151,20 +151,22 @@ class SoC(Module):
         self.thermal = ThermalModel(config.thermal)
         # Both sensors sample on the same schedule, so the SoC drives them
         # from one shared thread: one activation, one books flush and one
-        # ledger read per sample window (see _sample_window).
+        # ledger read per sample window (see _sample_window).  Their sample
+        # records share one time column, appended once per sampled instant.
+        sample_times: List[int] = []
         self.battery_monitor = BatteryMonitor(
             simulator.kernel,
             "battery_monitor",
             self.battery,
             self.ledger,
-            sample_interval=config.sample_interval,
+            sample_times=sample_times,
             parent=self,
         )
         self.temperature_sensor = TemperatureSensor(
             simulator.kernel,
             "temperature_sensor",
             self.thermal,
-            sample_interval=config.sample_interval,
+            sample_times=sample_times,
             parent=self,
         )
         self._interval_fs = int(config.sample_interval)
@@ -326,7 +328,8 @@ class SoC(Module):
             # sample forced with no time elapsed drains at nominal rate.
             battery.draw_energy_fs(delta, elapsed_fs or None)
         state_of_charge = battery._state_of_charge
-        monitor._history.append((now_fs, state_of_charge))
+        monitor._sample_times.append(now_fs)
+        monitor._state_of_charge.append(state_of_charge)
         monitor.level_signal.write(battery._level)
         monitor.soc_signal.write(state_of_charge)
         # The thermal model steps one whole interval at the window's
@@ -335,7 +338,7 @@ class SoC(Module):
         thermal.step_fs((delta if delta > 0.0 else 0.0) / self._interval_s, self._interval_fs)
         temperature = thermal._temperature_c
         sensor = self.temperature_sensor
-        sensor._history.append((now_fs, temperature))
+        sensor._temperatures.append(temperature)
         sensor.temperature_signal.write(temperature)
         sensor.level_signal.write(thermal._level)
         if self._tracer is not None:

@@ -2,19 +2,19 @@
 
 The sensor publishes the raw chip temperature and the quantised
 :class:`~repro.thermal.level.TemperatureLevel`.  The SoC's sampler converts
-the energy consumed in each ``sample_interval`` into an average power,
-advances the lumped-RC thermal model by one step and publishes the result
-here (see :meth:`repro.soc.soc.SoC._sample_window`).
+the energy consumed in each sample window into an average power, advances
+the lumped-RC thermal model by one step and publishes the result here (see
+:meth:`repro.soc.soc.SoC._sample_window`).
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import List, Optional, Tuple
 
-from repro.errors import ThermalError
 from repro.sim.kernel import Kernel
 from repro.sim.module import Module
-from repro.sim.simtime import SimTime, ms
+from repro.sim.simtime import SimTime
 from repro.thermal.level import TemperatureLevel
 from repro.thermal.model import ThermalModel
 
@@ -22,25 +22,28 @@ __all__ = ["TemperatureSensor"]
 
 
 class TemperatureSensor(Module):
-    """Publishes the chip temperature sampled from the SoC's power."""
+    """Publishes the chip temperature sampled from the SoC's power.
+
+    Like :class:`~repro.battery.monitor.BatteryMonitor`, the sample record
+    is a time column of integer femtoseconds (shared with the monitor when
+    the SoC passes ``sample_times``) plus a float array of temperatures.
+    """
 
     def __init__(
         self,
         kernel: Kernel,
         name: str,
         model: ThermalModel,
-        sample_interval: Optional[SimTime] = None,
+        sample_times: Optional[List[int]] = None,
         parent: Optional[Module] = None,
     ) -> None:
         super().__init__(kernel, name, parent)
-        if sample_interval is not None and sample_interval.is_zero:
-            raise ThermalError("temperature sample interval must be positive")
         self.model = model
-        self.sample_interval = sample_interval or ms(1)
         self.temperature_signal = self.signal("temperature_c", model.temperature_c)
         self.level_signal = self.signal("level", model.level)
-        #: sampled ``(time_fs, temperature_c)`` pairs
-        self._history: List[Tuple[int, float]] = []
+        #: sampled instants (fs) and the temperature at each
+        self._sample_times: List[int] = [] if sample_times is None else sample_times
+        self._temperatures = array("d")
 
     @property
     def level(self) -> TemperatureLevel:
@@ -55,4 +58,7 @@ class TemperatureSensor(Module):
     @property
     def history(self) -> List[Tuple[SimTime, float]]:
         """Sampled ``(time, temperature_c)`` pairs."""
-        return [(SimTime(when_fs), value) for when_fs, value in self._history]
+        return [
+            (SimTime(when_fs), value)
+            for when_fs, value in zip(self._sample_times, self._temperatures)
+        ]

@@ -3,10 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.battery import Battery, BatteryConfig, BatteryLevel, BatteryMonitor, BatteryThresholds
-from repro.errors import BatteryError
-from repro.power import EnergyLedger
-from repro.sim import Simulator, ms, sec
+from repro.battery import Battery, BatteryConfig, BatteryLevel, BatteryThresholds
+from repro.errors import BatteryError, ConfigurationError
+from repro.sim import ms, sec
 
 
 class TestThresholds:
@@ -202,6 +201,9 @@ class TestBatteryMonitor:
         assert soc.battery_monitor.history == [(ms(0), 0.5)]
 
     def test_zero_interval_rejected(self):
-        sim = Simulator()
-        with pytest.raises(BatteryError):
-            BatteryMonitor(sim.kernel, "battery", Battery(), EnergyLedger(), sample_interval=ms(0))
+        # The SoC's shared sampler drives the monitor, so the SoC config is
+        # where a zero sample interval is rejected.
+        from repro.soc import SocConfig
+
+        with pytest.raises(ConfigurationError):
+            SocConfig(sample_interval=ms(0))

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event kernel: events, processes, scheduling."""
 
+import sys
+
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
@@ -230,6 +232,38 @@ class TestEvents:
         kernel.create_thread(notifier, "notifier")
         kernel.run()
         assert wakeups == [1.0]
+
+    def test_wake_withdraws_without_raising(self, kernel):
+        # A woken process withdraws from the event that fired, whose waiter
+        # list is already swapped out; that must not raise inside list.remove.
+        event = kernel.event("go")
+        wakeups = []
+        raised = []
+
+        def waiter():
+            for _ in range(3):
+                yield event
+                wakeups.append(kernel.now.nanoseconds)
+
+        def notifier():
+            for _ in range(3):
+                yield ns(1)
+                event.notify()
+
+        def profile(frame, what, arg):
+            if (what == "c_exception" and getattr(arg, "__name__", None) == "remove"
+                    and isinstance(getattr(arg, "__self__", None), list)):
+                raised.append(arg)
+
+        kernel.create_thread(waiter, "waiter")
+        kernel.create_thread(notifier, "notifier")
+        sys.setprofile(profile)
+        try:
+            kernel.run()
+        finally:
+            sys.setprofile(None)
+        assert wakeups == [1.0, 2.0, 3.0]
+        assert len(raised) == 0
 
     def test_anyof_requires_events(self, kernel):
         with pytest.raises(SchedulingError):

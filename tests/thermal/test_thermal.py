@@ -3,13 +3,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import ThermalError
+from repro.errors import ConfigurationError, ThermalError
 from repro.power import EnergyAccount
 from repro.sim import Simulator, ms, sec
 from repro.thermal import (
     Fan,
     TemperatureLevel,
-    TemperatureSensor,
     TemperatureThresholds,
     ThermalConfig,
     ThermalModel,
@@ -176,9 +175,12 @@ class TestSensorAndFan:
         assert soc.thermal.level is TemperatureLevel.LOW
 
     def test_sensor_zero_interval_rejected(self):
-        sim = Simulator()
-        with pytest.raises(ThermalError):
-            TemperatureSensor(sim.kernel, "sensor", ThermalModel(), sample_interval=ms(0))
+        # The SoC's shared sampler drives the sensor, so the SoC config is
+        # where a zero sample interval is rejected.
+        from repro.soc import SocConfig
+
+        with pytest.raises(ConfigurationError):
+            SocConfig(sample_interval=ms(0))
 
     def test_fan_charges_energy_while_on(self):
         sim = Simulator()
