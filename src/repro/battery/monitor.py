@@ -9,8 +9,7 @@ here (see :meth:`repro.soc.soc.SoC._sample_window`).
 
 from __future__ import annotations
 
-from array import array
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.battery.model import Battery
 from repro.battery.status import BatteryLevel
@@ -19,17 +18,17 @@ from repro.sim.kernel import Kernel
 from repro.sim.module import Module
 from repro.sim.simtime import SimTime
 
+if TYPE_CHECKING:  # pragma: no cover - the SoC owns the record it passes in
+    from repro.soc.samples import SampleColumns
+
 __all__ = ["BatteryMonitor"]
 
 
 class BatteryMonitor(Module):
     """Publishes the battery level sampled from the SoC's energy ledger.
 
-    The sample record is kept as columns: ``sample_times`` holds the exact
-    integer femtoseconds of each sampled instant (the SoC shares one such
-    list with its temperature sensor) and a float array holds the state of
-    charge at each.  A list of the kernel's own time ints keeps simulated
-    time unbounded, which a 64-bit integer array would not.
+    Its sampled states of charge live in the SoC's
+    :class:`~repro.soc.samples.SampleColumns`, which it only reads.
     """
 
     def __init__(
@@ -38,7 +37,7 @@ class BatteryMonitor(Module):
         name: str,
         battery: Battery,
         ledger: EnergyLedger,
-        sample_times: Optional[List[int]] = None,
+        samples: SampleColumns,
         parent: Optional[Module] = None,
     ) -> None:
         super().__init__(kernel, name, parent)
@@ -48,9 +47,7 @@ class BatteryMonitor(Module):
         # Ledger total and time of the previous sample.
         self._last_total_j = ledger.total_j
         self._last_sample_fs = kernel.now_fs
-        #: sampled instants (fs) and the state of charge at each
-        self._sample_times: List[int] = [] if sample_times is None else sample_times
-        self._state_of_charge = array("d")
+        self._samples = samples
 
     @property
     def level(self) -> BatteryLevel:
@@ -58,19 +55,10 @@ class BatteryMonitor(Module):
         return self.level_signal.read()
 
     @property
-    def times_fs(self) -> Sequence[int]:
-        """Sampled instants in femtoseconds (read-only view by convention)."""
-        return self._sample_times
-
-    @property
-    def states_of_charge(self) -> Sequence[float]:
-        """State of charge at each sampled instant, in ``times_fs`` order."""
-        return self._state_of_charge
-
-    @property
     def history(self) -> List[Tuple[SimTime, float]]:
         """Sampled ``(time, state_of_charge)`` pairs."""
+        samples = self._samples
         return [
             (SimTime(when_fs), value)
-            for when_fs, value in zip(self._sample_times, self._state_of_charge)
+            for when_fs, value in zip(samples.times_fs, samples.state_of_charge)
         ]

@@ -471,11 +471,11 @@ def _oracle_structural(spec: PlatformSpec, base: RunArtifacts) -> OracleVerdict:
     soc = base.soc
     # Battery: state-of-charge must never rise while discharging.
     if not soc.battery.config.on_ac_power:
-        monitor = soc.battery_monitor
-        values = monitor.states_of_charge
+        samples = soc.samples
+        values = samples.state_of_charge
         for index, (soc_prev, soc_next) in enumerate(zip(values, values[1:]), 1):
             if soc_next > soc_prev + 1e-15:
-                t_next = SimTime(monitor.times_fs[index])
+                t_next = SimTime(samples.times_fs[index])
                 problems.append(
                     f"battery SoC rose while discharging: {soc_prev!r} -> "
                     f"{soc_next!r} at {t_next!r}"

@@ -44,6 +44,7 @@ from typing import Callable, List, Tuple
 from repro.sim.kernel import Kernel
 from repro.sim.process import AnyOf
 from repro.sim.simtime import SimTime
+from repro.soc.samples import SampleColumns
 
 __all__ = ["FastSampleEngine"]
 
@@ -81,6 +82,7 @@ class FastSampleEngine:
         ledger,
         monitor,
         sensor,
+        samples: SampleColumns,
         interval: SimTime,
         books_flusher: Callable[[], None],
         name: str = "fast_sampler",
@@ -91,6 +93,7 @@ class FastSampleEngine:
         self._ledger = ledger
         self._monitor = monitor
         self._sensor = sensor
+        self._samples = samples
         self._name = name
         self._interval_fs = int(interval)
         self._interval_st = SimTime(self._interval_fs)
@@ -320,12 +323,10 @@ class FastSampleEngine:
         monitor = self._monitor
         sensor = self._sensor
         soc_value = battery.state_of_charge
-        monitor._sample_times.append(now_fs)
-        monitor._state_of_charge.append(soc_value)
         monitor.level_signal.write(battery.level)
         monitor.soc_signal.write(soc_value)
         temperature = thermal._temperature_c
-        sensor._temperatures.append(temperature)
+        self._samples.append(now_fs, soc_value, temperature)
         sensor.temperature_signal.write(temperature)
         sensor.level_signal.write(thermal.level)
         tracer = self._tracer

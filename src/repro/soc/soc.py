@@ -30,6 +30,7 @@ from repro.sim.simtime import SimTime, ms, sec
 from repro.sim.simulator import Simulator
 from repro.soc.bus import Bus
 from repro.soc.ip import FunctionalIP
+from repro.soc.samples import SampleColumns
 from repro.soc.workload import Workload
 from repro.thermal.fan import Fan
 from repro.thermal.model import ThermalConfig, ThermalModel
@@ -151,22 +152,22 @@ class SoC(Module):
         self.thermal = ThermalModel(config.thermal)
         # Both sensors sample on the same schedule, so the SoC drives them
         # from one shared thread: one activation, one books flush and one
-        # ledger read per sample window (see _sample_window).  Their sample
-        # records share one time column, appended once per sampled instant.
-        sample_times: List[int] = []
+        # ledger read per sample window (see _sample_window), recording
+        # both readings as one row of the shared sample columns.
+        self.samples = SampleColumns()
         self.battery_monitor = BatteryMonitor(
             simulator.kernel,
             "battery_monitor",
             self.battery,
             self.ledger,
-            sample_times=sample_times,
+            samples=self.samples,
             parent=self,
         )
         self.temperature_sensor = TemperatureSensor(
             simulator.kernel,
             "temperature_sensor",
             self.thermal,
-            sample_times=sample_times,
+            samples=self.samples,
             parent=self,
         )
         self._interval_fs = int(config.sample_interval)
@@ -187,6 +188,7 @@ class SoC(Module):
                 ledger=self.ledger,
                 monitor=self.battery_monitor,
                 sensor=self.temperature_sensor,
+                samples=self.samples,
                 interval=config.sample_interval,
                 books_flusher=self.flush_power_books,
                 name=f"{config.name}.fast_sampler",
@@ -328,8 +330,6 @@ class SoC(Module):
             # sample forced with no time elapsed drains at nominal rate.
             battery.draw_energy_fs(delta, elapsed_fs or None)
         state_of_charge = battery._state_of_charge
-        monitor._sample_times.append(now_fs)
-        monitor._state_of_charge.append(state_of_charge)
         monitor.level_signal.write(battery._level)
         monitor.soc_signal.write(state_of_charge)
         # The thermal model steps one whole interval at the window's
@@ -337,8 +337,8 @@ class SoC(Module):
         thermal = self.thermal
         thermal.step_fs((delta if delta > 0.0 else 0.0) / self._interval_s, self._interval_fs)
         temperature = thermal._temperature_c
+        self.samples.append(now_fs, state_of_charge, temperature)
         sensor = self.temperature_sensor
-        sensor._temperatures.append(temperature)
         sensor.temperature_signal.write(temperature)
         sensor.level_signal.write(thermal._level)
         if self._tracer is not None:

@@ -9,8 +9,7 @@ the lumped-RC thermal model by one step and publishes the result here (see
 
 from __future__ import annotations
 
-from array import array
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.sim.kernel import Kernel
 from repro.sim.module import Module
@@ -18,15 +17,17 @@ from repro.sim.simtime import SimTime
 from repro.thermal.level import TemperatureLevel
 from repro.thermal.model import ThermalModel
 
+if TYPE_CHECKING:  # pragma: no cover - the SoC owns the record it passes in
+    from repro.soc.samples import SampleColumns
+
 __all__ = ["TemperatureSensor"]
 
 
 class TemperatureSensor(Module):
     """Publishes the chip temperature sampled from the SoC's power.
 
-    Like :class:`~repro.battery.monitor.BatteryMonitor`, the sample record
-    is a time column of integer femtoseconds (shared with the monitor when
-    the SoC passes ``sample_times``) plus a float array of temperatures.
+    Its sampled temperatures live in the SoC's
+    :class:`~repro.soc.samples.SampleColumns`, which it only reads.
     """
 
     def __init__(
@@ -34,16 +35,14 @@ class TemperatureSensor(Module):
         kernel: Kernel,
         name: str,
         model: ThermalModel,
-        sample_times: Optional[List[int]] = None,
+        samples: SampleColumns,
         parent: Optional[Module] = None,
     ) -> None:
         super().__init__(kernel, name, parent)
         self.model = model
         self.temperature_signal = self.signal("temperature_c", model.temperature_c)
         self.level_signal = self.signal("level", model.level)
-        #: sampled instants (fs) and the temperature at each
-        self._sample_times: List[int] = [] if sample_times is None else sample_times
-        self._temperatures = array("d")
+        self._samples = samples
 
     @property
     def level(self) -> TemperatureLevel:
@@ -58,7 +57,8 @@ class TemperatureSensor(Module):
     @property
     def history(self) -> List[Tuple[SimTime, float]]:
         """Sampled ``(time, temperature_c)`` pairs."""
+        samples = self._samples
         return [
             (SimTime(when_fs), value)
-            for when_fs, value in zip(self._sample_times, self._temperatures)
+            for when_fs, value in zip(samples.times_fs, samples.temperature_c)
         ]

@@ -1,9 +1,10 @@
 """The battery and temperature sample records, kept as columns.
 
-Each sampled instant appends one exact femtosecond time to a column the
-battery monitor and the temperature sensor share, and one float to each
-sensor's value array.  ``history`` pairs them back up, so readers see the
-same ``(SimTime, float)`` lists as before, at a fraction of the memory.
+Each sampled instant appends one row to the SoC's ``SampleColumns``: an
+exact femtosecond time and one float each for state of charge and
+temperature.  The battery monitor's and the temperature sensor's
+``history`` pair the time column with their value column, so readers see
+the same ``(SimTime, float)`` lists as before, at a fraction of the memory.
 """
 
 import gc
@@ -104,7 +105,7 @@ def test_forced_charge_rise_keeps_the_structural_failure_text():
     spec = registry.platform_by_name("A1")
     base = run_scenario(spec, accuracy="exact", trace=False)
     assert _oracle_structural(spec, base).status == "pass"
-    column = base.soc.battery_monitor.states_of_charge
+    column = base.soc.samples.state_of_charge
     assert len(column) > 10
     column[7] = column[6] + 1e-3
     expected = _old_structural_detail(base.soc.battery_monitor.history)
