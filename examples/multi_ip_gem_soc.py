@@ -9,8 +9,8 @@ battery so the GEM's priority gating is visible.  It then prints:
 * which power states every IP visited (state residency),
 * the GEM's enable decisions and fan activity,
 * the bus occupancy,
-* and writes a VCD waveform of the four PSM state signals that can be opened
-  in GTKWave.
+* and writes a VCD waveform of the four PSM states and the bus busy line
+  that can be opened in GTKWave.
 
 Run with::
 
@@ -24,6 +24,7 @@ import sys
 from repro.analysis import format_table, psm_residency, transition_summary
 from repro.battery import BatteryConfig
 from repro.dpm import DpmSetup
+from repro.obs import TraceRequest, TraceSession
 from repro.sim import sec
 from repro.soc import IpSpec, SocConfig, build_soc, high_activity_workload, low_activity_workload
 from repro.thermal import ThermalConfig
@@ -63,7 +64,6 @@ def build():
         thermal=ThermalConfig(ambient_c=35.0, initial_c=35.0, thermal_resistance_c_per_w=15.0),
         use_gem=True,
         with_bus=True,
-        trace_states=True,
     )
     return build_soc(specs, config, DpmSetup.paper())
 
@@ -76,7 +76,10 @@ def main(argv=None) -> None:
     print("Design hierarchy (Fig. 1):")
     print(soc.design_tree())
 
+    session = TraceSession(TraceRequest(format="vcd", path=vcd_path), stem=soc.name)
+    session.attach(soc)
     end_time = soc.run_until_done(max_time=sec(5))
+    session.finish(end_time=end_time)
     print(f"\nSimulated {end_time} — all IPs done: {soc.all_done}")
     print(f"Battery: {soc.battery.level} ({100 * soc.battery.state_of_charge:.1f} % charge left)")
     print(f"Chip temperature: {soc.thermal.temperature_c:.1f} C "
@@ -120,9 +123,7 @@ def main(argv=None) -> None:
     for key, count in sorted(transition_summary(soc.psms).items()):
         print(f"  {key}: {count}")
 
-    if soc.simulator.trace is not None:
-        soc.simulator.trace.write_vcd(vcd_path, end_time, comment="Fig.1 SoC power states")
-        print(f"\nWrote PSM state waveform to {vcd_path}")
+    print(f"\nWrote PSM state and bus waveforms to {vcd_path}")
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ consumes the quantised :class:`~repro.battery.status.BatteryLevel`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.battery.status import BatteryLevel, BatteryThresholds
 from repro.errors import BatteryError
@@ -72,7 +72,7 @@ class Battery:
         # Fast accuracy mode installs a callback that lazily replays the
         # pending sampler windows before the state is observed; exact mode
         # leaves it None and pays one attribute check per read.
-        self._sync_hook = None
+        self._sync_hook: Optional[Callable[[], None]] = None
 
     # -- state ------------------------------------------------------------
     @property

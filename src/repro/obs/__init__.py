@@ -32,6 +32,7 @@ from repro.obs.session import TRACE_FORMATS, TraceRequest, TraceSession, instrum
 from repro.obs.sinks import (
     TRACE_EXTENSIONS,
     build_perfetto,
+    build_vcd,
     write_jsonl,
     write_perfetto,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "TraceSession",
     "Tracer",
     "build_perfetto",
+    "build_vcd",
     "expand_event_filter",
     "instrument",
     "validate_event",

@@ -12,12 +12,10 @@ This is the glue between the tracing primitives (:mod:`repro.obs.tracer`,
 * :class:`TraceSession` — the run-scoped lifecycle: attach before the
   simulation starts, ``finish`` afterwards to write the sink file.
 
-The ``vcd`` format is signal-level rather than event-level: it watches
-the PSM state signals (plus the bus busy signal) with the simulator's
-:class:`~repro.sim.trace.TraceRecorder` and dumps a VCD at the end.
-Watching attaches real signal observers, so unlike ``jsonl``/``perfetto``
-a VCD-traced run is *not* guaranteed bit-identical to an untraced one in
-fast accuracy mode (exact mode is unaffected).
+Every format reads the same events.  A ``vcd`` session records only the
+PSM and bus ownership kinds and names its waveform lines after the PSM
+state and bus busy signals, so every traced run, VCD included, stays
+bit-identical to an untraced one.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.obs.events import ObsError, expand_event_filter
-from repro.obs.sinks import TRACE_EXTENSIONS, write_jsonl, write_perfetto
+from repro.obs.sinks import TRACE_EXTENSIONS, build_vcd, write_jsonl, write_perfetto
 from repro.obs.tracer import Tracer
 
 if TYPE_CHECKING:
@@ -39,6 +37,9 @@ __all__ = ["TRACE_FORMATS", "TraceRequest", "TraceSession", "instrument"]
 
 #: Accepted trace formats, in CLI/choice order.
 TRACE_FORMATS = ("jsonl", "perfetto", "vcd")
+
+#: The event kinds the vcd sink reads: PSM states and bus ownership.
+_VCD_EVENTS = ("psm", "bus.grant", "bus.release", "bus.cancel")
 
 
 @dataclass(frozen=True)
@@ -133,36 +134,37 @@ class TraceSession:
     def __init__(self, request: TraceRequest, stem: str) -> None:
         self.request = request
         self.path = request.resolve_path(stem)
-        self.tracer: Optional[Tracer] = (
-            Tracer(request.events) if request.format != "vcd" else None
+        self.tracer = Tracer(
+            _VCD_EVENTS if request.format == "vcd" else request.events
         )
         self._soc: Optional["SoC"] = None
 
     def attach(self, soc: "SoC") -> None:
         """Hook the (already built, not yet run) SoC up for tracing."""
         self._soc = soc
-        if self.tracer is not None:
-            instrument(soc, self.tracer)
-            return
-        # VCD: record the waveforms observability cares about — every PSM
-        # state signal plus the bus busy line when a bus exists.
-        for instance in soc.instances:
-            soc.simulator.watch(instance.psm.state_signal)
-        if soc.bus is not None:
-            soc.simulator.watch(soc.bus.busy_signal)
+        instrument(soc, self.tracer)
 
     def finish(self, end_time: Optional["SimTime"] = None) -> Path:
-        """Write the trace file and detach; returns the output path."""
-        if self._soc is None:
+        """Write the trace file; returns the output path.
+
+        ``end_time`` closes the VCD waveform (default: the kernel's now).
+        """
+        soc = self._soc
+        if soc is None:
             raise ObsError("TraceSession.finish called before attach")
         fmt = self.request.format
+        events = self.tracer.events
         if fmt == "jsonl":
-            write_jsonl(self.tracer.events, self.path)
+            write_jsonl(events, self.path)
         elif fmt == "perfetto":
-            write_perfetto(self.tracer.events, self.path,
-                           process_name=self._soc.name)
+            write_perfetto(events, self.path, process_name=soc.name)
         else:
-            recorder = self._soc.simulator.trace
-            recorder.write_vcd(self.path, end_time=end_time)
-            recorder.close()
+            # One line per PSM state, then the bus busy line, each named
+            # after the signal it mirrors.
+            lines = {instance.spec.name: instance.psm.state_signal.name
+                     for instance in soc.instances}
+            if soc.bus is not None:
+                lines[soc.bus.name] = soc.bus.busy_signal.name
+            end_fs = soc.kernel.now_fs if end_time is None else int(end_time)
+            self.path.write_text(build_vcd(events, lines, end_fs), encoding="utf-8")
         return self.path

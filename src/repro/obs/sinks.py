@@ -1,10 +1,8 @@
-"""Trace sinks: JSON-lines and Chrome-trace/Perfetto JSON.
+"""Trace sinks: JSON-lines, Chrome-trace/Perfetto JSON and VCD.
 
-Both sinks consume the in-memory event list a :class:`~repro.obs.tracer.Tracer`
-accumulated during a run; nothing is written while the simulation is hot.
-The VCD sink is different in kind — it records raw signal waveforms via
-the existing :class:`repro.sim.trace.TraceRecorder` rather than
-structured events — and lives in :mod:`repro.obs.session`.
+All three sinks consume the in-memory event list a
+:class:`~repro.obs.tracer.Tracer` accumulated during a run; nothing is
+written while the simulation is hot.
 
 The Perfetto sink emits the Chrome trace-event JSON format (an object
 with a ``traceEvents`` array), which both ``chrome://tracing`` and
@@ -24,19 +22,29 @@ https://ui.perfetto.dev load directly:
 
 Timestamps: the simulator keeps integer femtoseconds; Chrome traces use
 microseconds, so ``ts = t_fs / 1e9`` (float µs keeps sub-µs event order).
+
+The VCD sink rebuilds the waveforms a SystemC user would trace: one line
+per PSM (its state, from ``psm.state``/``psm.transition``) and one for
+the bus (``1`` from a ``bus.grant`` until a ``bus.release`` or a
+``bus.cancel`` of the granted request).  Lines are named after the model
+signals they mirror.  Per line and timestamp only the last value counts
+and only real changes are written, so a release and re-grant within one
+instant leave no ``0``/``1`` glitch.  Times are written in whole
+nanoseconds (``$timescale 1ns``).
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.obs.tracer import TraceEvent
 
 __all__ = [
     "TRACE_EXTENSIONS",
     "build_perfetto",
+    "build_vcd",
     "write_jsonl",
     "write_perfetto",
 ]
@@ -245,3 +253,65 @@ def write_perfetto(
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(document, handle)
     return len(document["traceEvents"])
+
+
+_VCD_ID_ALPHABET = "".join(chr(c) for c in range(33, 127))
+_FS_PER_NS = 1_000_000
+
+
+def _vcd_identifier(index: int) -> str:
+    alphabet = _VCD_ID_ALPHABET
+    if index < len(alphabet):
+        return alphabet[index]
+    return alphabet[index // len(alphabet)] + alphabet[index % len(alphabet)]
+
+
+def build_vcd(events: Sequence[TraceEvent], lines: Mapping[str, str], end_fs: int) -> str:
+    """Render the PSM state and bus busy waveforms as a VCD document.
+
+    ``lines`` maps each traced event source (an IP, the bus) to the name
+    of its VCD variable, in declaration order.  Every line opens at time 0
+    with its ``psm.state`` value, or ``0`` (an idle bus) when it has none.
+    """
+    index = {source: position for position, source in enumerate(lines)}
+    initial = ["0"] * len(index)
+    changes: Dict[Tuple[int, int], str] = {}  # the last value per (time, line)
+    for event in events:
+        position = index.get(event.source)
+        if position is None:
+            continue
+        kind = event.kind
+        key = (int(event.t_fs), position)
+        if kind == "psm.state":
+            initial[position] = event.fields["state"].replace(" ", "_")
+        elif kind == "psm.transition":
+            changes[key] = event.fields["to_state"].replace(" ", "_")
+        elif kind == "bus.grant":
+            changes[key] = "1"
+        elif kind == "bus.release" or (kind == "bus.cancel" and event.fields["granted"]):
+            changes[key] = "0"
+    samples = [(0, position, value) for position, value in enumerate(initial)]
+    current = list(initial)
+    for (t_fs, position), value in sorted(changes.items()):
+        if value != current[position]:
+            current[position] = value
+            samples.append((t_fs, position, value))
+    samples.sort(key=lambda sample: sample[:2])
+
+    identifiers = [_vcd_identifier(position) for position in range(len(lines))]
+    out = ["$comment repro trace $end\n$timescale 1ns $end\n$scope module repro $end\n"]
+    out += [f"$var wire 64 {identifier} {name.replace(' ', '_')} $end\n"
+            for identifier, name in zip(identifiers, lines.values())]
+    out.append("$upscope $end\n$enddefinitions $end\n")
+    last_stamp = None
+    for t_fs, position, value in samples:
+        stamp = round(t_fs / _FS_PER_NS)
+        if stamp != last_stamp:
+            out.append(f"#{stamp}\n")
+            last_stamp = stamp
+        out.append(f"s{value} {identifiers[position]}\n")
+    end_stamp = round(end_fs / _FS_PER_NS)
+    if last_stamp != end_stamp:
+        out.append(f"#{end_stamp}\n")
+    return "".join(out)
+

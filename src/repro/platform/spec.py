@@ -857,7 +857,7 @@ class TraceDef(_Switched):
 
     ``format`` selects the sink: ``jsonl`` (one typed event per line),
     ``perfetto`` (Chrome-trace JSON for ui.perfetto.dev) or ``vcd``
-    (signal waveforms via the simulator's TraceRecorder).  ``events``
+    (PSM state and bus busy waveforms built from the same events).  ``events``
     optionally restricts jsonl/perfetto traces to a set of event kinds
     and/or categories from the ``repro.obs`` taxonomy.  ``path`` names the
     output file; when omitted the runner derives

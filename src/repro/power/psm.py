@@ -72,7 +72,7 @@ class PowerStateMachine(Module):
         self.transitions = transitions
         self.energy_account = energy_account
         # Authoritative state lives in plain attributes (updated immediately);
-        # the signals mirror them one delta later for traces and observers.
+        # the signals mirror them one delta later for waiting processes.
         self._state = initial_state
         self._in_transition = False
         self.state_signal = self.signal("state", initial_state)

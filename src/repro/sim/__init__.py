@@ -3,7 +3,7 @@
 This subpackage is the substrate the paper's SystemC 2.0 models run on:
 modules, signals with delta-cycle semantics, thread and method processes
 (a thread waits on a duration, an event, or any of several events with
-:class:`AnyOf`), events, an analytic clock edge schedule, tracing and a
+:class:`AnyOf`), events, an analytic clock edge schedule and a
 :class:`~repro.sim.simulator.Simulator` facade that owns the kernel.
 """
 
@@ -27,7 +27,6 @@ from repro.sim.simtime import (
     us,
 )
 from repro.sim.simulator import Simulator
-from repro.sim.trace import TraceRecorder
 
 __all__ = [
     "AccuracyMode",
@@ -45,7 +44,6 @@ __all__ = [
     "Signal",
     "ThreadProcess",
     "TimeUnit",
-    "TraceRecorder",
     "ZERO_TIME",
     "fs",
     "ms",

@@ -7,16 +7,18 @@ the same delta cycle observes the same (old) value regardless of execution
 order.
 
 A signal notifies its ``changed_event`` whenever the stored value actually
-changes, and calls its observers (tracing) with the new value.
+changes, and only when some process or callback waits on it.  Waveform
+traces are not taken from signals: the ``vcd`` trace sink rebuilds the
+PSM state and bus busy lines from the structured trace events
+(:mod:`repro.obs.sinks`), so tracing never changes which writes happen.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generic, List, TypeVar
+from typing import Generic, TypeVar
 
 from repro.sim.event import Event
 from repro.sim.kernel import Kernel
-from repro.sim.simtime import SimTime
 
 __all__ = ["Signal"]
 
@@ -42,7 +44,6 @@ class Signal(Generic[T]):
         "_current",
         "_next",
         "changed_event",
-        "_observers",
         "_write_count",
         "_change_count",
     )
@@ -53,7 +54,6 @@ class Signal(Generic[T]):
         self._current: T = initial
         self._next: T = initial
         self.changed_event: Event = kernel.event(f"{name}.changed")
-        self._observers: List[Callable[[SimTime, T], None]] = []
         self._write_count = 0
         self._change_count = 0
 
@@ -78,34 +78,14 @@ class Signal(Generic[T]):
         """Write only when someone can observe the change.
 
         Fast-accuracy-mode helper for pure status mirrors: when no process
-        waits on any of the signal's events and no observer/trace is
-        attached, the write (and its update-phase visit) is skipped
-        entirely.  Readers polling :meth:`read` without waiting would see a
-        stale value, so this must only be used for signals whose consumers
-        are event-driven.
+        waits on any of the signal's events, the write (and its
+        update-phase visit) is skipped entirely.  Readers polling
+        :meth:`read` without waiting would see a stale value, so this must
+        only be used for signals whose consumers are event-driven.
         """
         changed = self.changed_event
-        if changed._waiters or changed._callbacks or self._observers:
+        if changed._waiters or changed._callbacks:
             self.write(value)
-
-    # -- observers ------------------------------------------------------------
-    def add_observer(self, callback: Callable[[SimTime, T], None]) -> None:
-        """Register a callback invoked with ``(time, new_value)`` on change."""
-        self._observers.append(callback)
-
-    def remove_observer(self, callback: Callable[[SimTime, T], None]) -> bool:
-        """Detach a previously registered observer.
-
-        Returns True when the callback was attached (and is now removed);
-        False for an unknown callback.  Detaching matters beyond memory: the
-        fast accuracy mode gates several writes on "does anyone observe this
-        signal", so a stale observer changes which writes happen at all.
-        """
-        try:
-            self._observers.remove(callback)
-        except ValueError:
-            return False
-        return True
 
     # -- statistics ---------------------------------------------------------
     @property
@@ -134,14 +114,9 @@ class Signal(Generic[T]):
             return
         self._current = new
         self._change_count += 1
-        kernel = self._kernel
         changed = self.changed_event
         if changed._waiters or changed._callbacks:
-            kernel.schedule_delta(changed)
-        if self._observers:
-            now = kernel.now
-            for observer in self._observers:
-                observer(now, new)
+            self._kernel.schedule_delta(changed)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Signal({self.name!r}, value={self._current!r})"

@@ -1,35 +1,31 @@
 """High-level simulator facade.
 
-The :class:`Simulator` owns a :class:`~repro.sim.kernel.Kernel`, the
-top-level modules and an optional :class:`~repro.sim.trace.TraceRecorder`.
-Models are built as modules on :attr:`Simulator.kernel` and run with
-``simulator.kernel.run(duration)``; the SoC runner reports the speed of a
-run on :class:`~repro.experiments.runner.RunArtifacts`.
+The :class:`Simulator` owns a :class:`~repro.sim.kernel.Kernel` and the
+top-level modules.  Models are built as modules on :attr:`Simulator.kernel`
+and run with ``simulator.kernel.run(duration)``; the SoC runner reports the
+speed of a run on :class:`~repro.experiments.runner.RunArtifacts`.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.errors import ElaborationError
 from repro.sim.accuracy import AccuracyMode
 from repro.sim.kernel import Kernel
 from repro.sim.module import Module
 from repro.sim.native import BackendResolution
-from repro.sim.signal import Signal
 from repro.sim.simtime import SimTime
-from repro.sim.trace import TraceRecorder
 
 __all__ = ["Simulator"]
 
 
 class Simulator:
-    """Owns the kernel, the module hierarchy and the trace recorder."""
+    """Owns the kernel and the module hierarchy."""
 
     def __init__(
         self,
         name: str = "sim",
-        trace: bool = False,
         accuracy: "AccuracyMode | str" = AccuracyMode.EXACT,
         backend: Optional[str] = None,
     ) -> None:
@@ -37,7 +33,6 @@ class Simulator:
         self.accuracy = AccuracyMode.from_name(accuracy)
         self.kernel = Kernel(backend=backend)
         self._top_modules: List[Module] = []
-        self.trace: Optional[TraceRecorder] = TraceRecorder() if trace else None
 
     @property
     def backend(self) -> str:
@@ -88,10 +83,3 @@ class Simulator:
     def design_tree(self) -> str:
         """Printable tree of the whole design."""
         return "\n".join(module.design_tree() for module in self._top_modules)
-
-    def watch(self, *signals: "Signal[Any]") -> None:
-        """Trace the given signals (enables tracing if it was off)."""
-        if self.trace is None:
-            self.trace = TraceRecorder()
-        for signal in signals:
-            self.trace.watch(signal)

@@ -40,7 +40,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Generator, List, Optional, Tuple
 
 from repro._enumtools import dense_index
 from repro.errors import ConfigurationError
@@ -48,6 +48,7 @@ from repro.sim.clock import Clock
 from repro.sim.event import Event
 from repro.sim.kernel import Kernel
 from repro.sim.module import Module
+from repro.sim.process import WaitSpec
 from repro.sim.simtime import SimTime, ZERO_TIME, sec
 
 __all__ = [
@@ -255,7 +256,7 @@ class Bus(Module):
         # release or cancel) — the windowed occupancy decays between
         # transactions, so on-demand consumers (the GEM/LEM) call
         # occupancy_level() instead of reading this signal, and the signal
-        # is only maintained while someone observes it.
+        # is only maintained while some process waits on its change.
         self.level_signal = self.signal("level", BusLevel.LOW)
         if level_window is None:
             level_window = sec(self.LEVEL_WINDOW_WORDS / words_per_second)
@@ -420,7 +421,9 @@ class Bus(Module):
             self._schedule_arbitration()
         return handle
 
-    def transfer(self, master: str, words: int, priority: int = 0):
+    def transfer(
+        self, master: str, words: int, priority: int = 0
+    ) -> Generator[WaitSpec, None, None]:
         """Generator: acquire the bus, move ``words`` words, release.
 
         Use from a thread process as ``yield from bus.transfer("ip0", 128)``.
@@ -631,11 +634,11 @@ class Bus(Module):
         """Refresh the quantised occupancy signal (grant/release/cancel).
 
         Like the IP busy mirror, the signal — and the occupancy computation
-        behind it — is skipped entirely while nobody observes it: the GEM
+        behind it — is skipped entirely while nothing waits on it: the GEM
         and LEM poll :meth:`occupancy_level` on demand, so on a typical run
         this keeps level bookkeeping off the per-transaction hot path.
         """
         level = self.level_signal
         changed = level.changed_event
-        if changed._waiters or changed._callbacks or level._observers:
+        if changed._waiters or changed._callbacks:
             level.write(self.occupancy_level())

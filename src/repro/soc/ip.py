@@ -21,7 +21,7 @@ The LEM is any object honouring the small protocol used here:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, Generator, List, Optional
 
 from repro.errors import ConfigurationError, WorkloadError
 from repro.power.characterization import PowerCharacterization
@@ -30,11 +30,15 @@ from repro.power.psm import PowerStateMachine
 from repro.power.states import PowerState
 from repro.sim.kernel import Kernel
 from repro.sim.module import Module
+from repro.sim.process import WaitSpec
 from repro.sim.simtime import SimTime
 from repro.soc.bus import Bus
 from repro.soc.service import ServiceChannel
 from repro.soc.task import Task, TaskExecution
 from repro.soc.workload import Workload
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (dpm imports soc.task)
+    from repro.dpm.lem import LocalEnergyManager
 
 __all__ = ["FunctionalIP"]
 
@@ -98,7 +102,7 @@ class FunctionalIP(Module):
         self.bus = bus
         self.bus_words_per_task = bus_words_per_task
         self.bus_priority = bus_priority
-        self.lem = None
+        self.lem: Optional["LocalEnergyManager"] = None
         self.executions: List[TaskExecution] = []
         self.done_signal = self.signal("done", False)
         self.done_event = self.event("done")
@@ -114,7 +118,7 @@ class FunctionalIP(Module):
     _tracer = None
 
     # -- wiring -----------------------------------------------------------
-    def connect_lem(self, lem) -> None:
+    def connect_lem(self, lem: "LocalEnergyManager") -> None:
         """Attach the Local Energy Manager that will serve this IP."""
         if self.lem is not None:
             raise ConfigurationError(f"IP {self.name!r} already has a LEM")
@@ -147,32 +151,42 @@ class FunctionalIP(Module):
         )
 
     # -- main process -------------------------------------------------------------
-    def _run(self):
-        if self.lem is None:
+    def _run(self) -> Generator[WaitSpec, None, None]:
+        lem = self.lem
+        if lem is None:
             raise ConfigurationError(
                 f"IP {self.name!r} has no LEM attached; call connect_lem() before running"
             )
         if self.workload is not None:
-            yield from self._run_workload()
-        else:
-            yield from self._run_channel()
+            yield from self._run_workload(lem, self.workload)
+        elif self.service_channel is not None:
+            yield from self._run_channel(lem, self.service_channel)
         self.done_signal.write(True)
         self.done_event.notify()
 
-    def _run_workload(self):
-        for item in self.workload:
-            yield from self._execute_task(item.task, next_idle_hint=item.idle_after)
+    def _run_workload(
+        self, lem: "LocalEnergyManager", workload: Workload
+    ) -> Generator[WaitSpec, None, None]:
+        for item in workload:
+            yield from self._execute_task(lem, item.task, next_idle_hint=item.idle_after)
             if item.idle_after.femtoseconds > 0:
                 yield item.idle_after
 
-    def _run_channel(self):
+    def _run_channel(
+        self, lem: "LocalEnergyManager", channel: ServiceChannel
+    ) -> Generator[WaitSpec, None, None]:
         while True:
-            request = yield from self.service_channel.wait_and_pop()
+            request = yield from channel.wait_and_pop()
             if request is None:
                 return
-            yield from self._execute_task(request.task)
+            yield from self._execute_task(lem, request.task)
 
-    def _execute_task(self, task: Task, next_idle_hint: Optional[SimTime] = None):
+    def _execute_task(
+        self,
+        lem: "LocalEnergyManager",
+        task: Task,
+        next_idle_hint: Optional[SimTime] = None,
+    ) -> Generator[WaitSpec, None, None]:
         record = TaskExecution(
             task=task,
             ip_name=self.name,
@@ -186,7 +200,7 @@ class FunctionalIP(Module):
                 self.kernel.now_fs, "task.request", self.name,
                 task=task.name, priority=str(task.priority), cycles=task.cycles,
             )
-        grant = self.lem.submit_task_request(task)
+        grant = lem.submit_task_request(task)
         if not grant.granted:
             yield grant.event
         record.grant_time = self.kernel.now
@@ -232,4 +246,4 @@ class FunctionalIP(Module):
                 self.kernel.now_fs, "task.complete", self.name,
                 task=task.name, energy_j=energy,
             )
-        self.lem.notify_task_complete(task, next_idle_hint)
+        lem.notify_task_complete(task, next_idle_hint)

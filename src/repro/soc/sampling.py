@@ -39,12 +39,19 @@ change events — is preserved exactly.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Tuple
+from typing import TYPE_CHECKING, Callable, Generator, List, Tuple
 
 from repro.sim.kernel import Kernel
-from repro.sim.process import AnyOf
+from repro.sim.process import AnyOf, WaitSpec
 from repro.sim.simtime import SimTime
 from repro.soc.samples import SampleColumns
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.battery.model import Battery
+    from repro.battery.monitor import BatteryMonitor
+    from repro.power.energy import EnergyLedger
+    from repro.thermal.model import ThermalModel
+    from repro.thermal.sensor import TemperatureSensor
 
 __all__ = ["FastSampleEngine"]
 
@@ -77,11 +84,11 @@ class FastSampleEngine:
     def __init__(
         self,
         kernel: Kernel,
-        battery,
-        thermal,
-        ledger,
-        monitor,
-        sensor,
+        battery: "Battery",
+        thermal: "ThermalModel",
+        ledger: "EnergyLedger",
+        monitor: "BatteryMonitor",
+        sensor: "TemperatureSensor",
         samples: SampleColumns,
         interval: SimTime,
         books_flusher: Callable[[], None],
@@ -348,7 +355,7 @@ class FastSampleEngine:
     # ------------------------------------------------------------------
     # Crossing guard
     # ------------------------------------------------------------------
-    def _guard_loop(self):
+    def _guard_loop(self) -> Generator[WaitSpec, None, None]:
         kernel = self._kernel
         interval = self._interval_fs
         stride_timer = kernel.event(f"{self._name}.stride")
@@ -418,11 +425,9 @@ class FastSampleEngine:
             self._sensor.temperature_signal,
         ):
             changed = signal.changed_event
-            if changed._waiters or changed._callbacks or signal._observers:
+            if changed._waiters or changed._callbacks:
                 return True
-        monitor_level = self._monitor.level_signal
-        sensor_level = self._sensor.level_signal
-        return bool(monitor_level._observers or sensor_level._observers)
+        return False
 
     def _thermal_horizon(self) -> float:
         """Windows until a temperature-level crossing could possibly occur."""

@@ -16,12 +16,13 @@ library also supports the request-driven mode through a simple channel:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Generator, List, Optional
 
 from repro.errors import WorkloadError
 from repro.sim.event import Event
 from repro.sim.kernel import Kernel
 from repro.sim.module import Module
+from repro.sim.process import WaitSpec
 from repro.sim.simtime import SimTime, ZERO_TIME
 from repro.soc.task import Task
 from repro.soc.workload import Workload
@@ -96,7 +97,7 @@ class ServiceChannel:
         self._popped += 1
         return self._queue.pop(0)
 
-    def wait_and_pop(self):
+    def wait_and_pop(self) -> Generator[WaitSpec, None, Optional[ServiceRequest]]:
         """Generator helper: wait until a request is available and pop it.
 
         Returns ``None`` if the channel is closed and drained.  Use as
@@ -132,7 +133,7 @@ class ServiceRequestGenerator(Module):
         self.issued = 0
         self.add_thread(self._generate, name="generate")
 
-    def _generate(self):
+    def _generate(self) -> Generator[WaitSpec, None, None]:
         for item in self.workload:
             self.channel.push_task(item.task, source=self.source)
             self.issued += 1

@@ -14,7 +14,7 @@ paper's baseline (maximum frequency, never sleep): only the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Generator, List, Optional, Sequence, Tuple
 
 from repro.battery.model import Battery, BatteryConfig
 from repro.battery.monitor import BatteryMonitor
@@ -26,6 +26,7 @@ from repro.power.psm import PowerStateMachine
 from repro.power.states import PowerState
 from repro.power.transitions import TransitionTable, default_transition_table
 from repro.sim.module import Module
+from repro.sim.process import WaitSpec
 from repro.sim.simtime import SimTime, ms, sec
 from repro.sim.simulator import Simulator
 from repro.soc.bus import Bus
@@ -114,7 +115,6 @@ class SocConfig:
     bus_arbitration: str = "priority"
     bus_timing: str = "event_driven"
     bus_words_per_cycle: int = 1
-    trace_states: bool = False
 
     def __post_init__(self) -> None:
         if self.sample_interval.is_zero:
@@ -300,7 +300,7 @@ class SoC(Module):
         self.flush()
         return kernel.now
 
-    def _shared_sample_loop(self):
+    def _shared_sample_loop(self) -> Generator[WaitSpec, None, None]:
         """One periodic process sampling battery and temperature in order."""
         interval = self.config.sample_interval
         sample_window = self._sample_window
@@ -520,8 +520,6 @@ def build_soc(
         soc.instances.append(
             IpInstance(spec=spec, ip=ip, psm=psm, lem=lem, characterization=characterization)
         )
-        if soc_config.trace_states:
-            simulator.watch(psm.state_signal)
 
     if soc.fast_engine is not None:
         # The crossing guard's conservative horizons need an upper bound on

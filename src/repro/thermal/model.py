@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 from repro.errors import ThermalError
 from repro.sim.simtime import SimTime
@@ -74,8 +75,8 @@ class ThermalModel:
         # Fast accuracy mode installs a callback replaying pending sampler
         # windows before the state is observed, and a listener notified on
         # fan toggles (the replay needs the historical fan state per window).
-        self._sync_hook = None
-        self._fan_listener = None
+        self._sync_hook: Optional[Callable[[], None]] = None
+        self._fan_listener: Optional[Callable[[bool], None]] = None
 
     # -- state ------------------------------------------------------------
     @property

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError, WorkloadError
+from repro.obs import Tracer
 from repro.sim import AnyOf, Kernel, Simulator, ms, us
 from repro.soc import (
     Bus,
@@ -516,8 +517,7 @@ class TestCycleAccurateBus:
     def test_busy_signal_rises_only_on_the_cycle_grid(self):
         sim, bus = self.make_bus()
         period_fs = int(bus.clock.period)
-        edges = []
-        bus.busy_signal.add_observer(lambda when, value: edges.append((int(when), value)))
+        tracer = bus._tracer = Tracer(("bus.grant", "bus.release", "bus.cancel"))
 
         def master(name, delay, words):
             def proc():
@@ -528,6 +528,8 @@ class TestCycleAccurateBus:
         sim.kernel.create_thread(master("m0", us(1), 6), "m0")
         sim.kernel.create_thread(master("m1", us(2), 3), "m1")
         sim.kernel.run(ms(10))
+        # The busy line rises on every grant and falls on a release.
+        edges = [(event.t_fs, event.kind == "bus.grant") for event in tracer.events]
         assert edges, "the busy signal never toggled"
         for instant, value in edges:
             if value:  # rising edge == a grant
@@ -687,14 +689,20 @@ class TestBusLevel:
 
         sim.kernel.create_thread(master, "m0")
         sim.kernel.run(us(100))
-        # Nobody observes the signal: the mirror stays at its initial value
+        # Nobody waits on the signal: the mirror stays at its initial value
         # even though the windowed occupancy is saturated.
         assert bus.level_signal.read() is BusLevel.LOW
         assert bus.recent_occupancy() == pytest.approx(1.0)
         observed = []
-        bus.level_signal.add_observer(lambda when, value: observed.append(value))
+
+        def watcher():
+            while True:
+                yield bus.level_signal.changed_event
+                observed.append(bus.level_signal.read())
+
+        sim.kernel.create_thread(watcher, "watcher")
         sim.kernel.run(ms(10))
-        # With an observer attached, the release refreshed the mirror with
+        # With a process waiting on it, the release refreshed the mirror with
         # the level *as of that transaction* (the documented semantics);
         # the on-demand level has decayed since.
         assert observed == [BusLevel.HIGH]
