@@ -319,9 +319,9 @@ def run_campaign(
     progress:
         Optional callback invoked with each record as it is stored.
     trace_format:
-        When set (``"jsonl"`` or ``"perfetto"``), every executed job's DPM
-        run is traced to ``<directory>/traces/<job_id>.<ext>`` and its
-        record carries the path.  Job hashes are unaffected, so ``--resume``
+        When set (``"jsonl"``, ``"perfetto"`` or ``"vcd"``), every executed
+        job's DPM run is traced to ``<directory>/traces/<job_id>.<ext>`` and
+        its record carries the path.  Job hashes are unaffected, so ``--resume``
         still matches records produced without tracing (and vice versa).
     preflight:
         When true (the default), every distinct ``kind: "platform"``
@@ -341,10 +341,8 @@ def run_campaign(
     if trace_format is not None:
         from repro.obs import TRACE_EXTENSIONS
 
-        if trace_format not in ("jsonl", "perfetto"):
-            raise CampaignError(
-                f"campaign tracing supports jsonl/perfetto, not {trace_format!r}"
-            )
+        if trace_format not in TRACE_EXTENSIONS:
+            raise CampaignError(f"unknown trace format {trace_format!r}")
         store.traces_dir.mkdir(parents=True, exist_ok=True)
         extension = TRACE_EXTENSIONS[trace_format]
 

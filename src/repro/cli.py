@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="?",
         const="jsonl",
         default=None,
-        choices=["jsonl", "perfetto"],
+        choices=["jsonl", "perfetto", "vcd"],
         metavar="FORMAT",
         help="trace every job's DPM run; per-job files land in the campaign "
         "directory's traces/ folder (bare --trace means jsonl)",

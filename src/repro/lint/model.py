@@ -7,7 +7,11 @@ selection rule table.  Gathering them in :func:`build_model` keeps the
 analyzers cheap and guarantees they reason about the *same* objects the
 simulator runs: each IP's workload facts and its
 :class:`~repro.platform.build.PowerModel`, PSM facts included, come from the
-memoised :func:`repro.platform.build.compile_ip`.
+memoised :func:`repro.platform.build.compile_ip`.  Each :class:`IpModel`
+also keeps its :class:`~repro.platform.build.CompiledIp`: reach-lint reads
+the transition bounds of the power model and the task and power bounds of
+the compiled IP, each derived once and then shared by every spec that
+holds the IP.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, FrozenSet, List, Optional, Sequence
 
 from repro.dpm.rules import RuleTable, paper_rule_table
-from repro.platform.build import LOW_STATES, PowerModel, WorkloadFacts, compile_ip
+from repro.platform.build import LOW_STATES, CompiledIp, PowerModel, WorkloadFacts, compile_ip
 from repro.platform.spec import IpDef, PlatformSpec
 from repro.power.breakeven import BreakEvenAnalyzer
 from repro.power.characterization import PowerCharacterization
@@ -52,6 +56,8 @@ class IpModel:
 
     index: int
     ip: IpDef
+    #: the memoised compiled IP: reach-lint reads its task and power bounds
+    compiled: CompiledIp
     power: PowerModel
     characterization: PowerCharacterization
     transitions: TransitionTable
@@ -106,7 +112,7 @@ class SpecModel:
 def _build_ip(index: int, ip: IpDef) -> IpModel:
     compiled = compile_ip(ip)
     power = compiled.power
-    initial = PowerState(ip.initial_state)
+    initial = compiled.initial
     # A spec that skipped validation can describe an uninstantiable workload
     # (e.g. a one-task scenario A sequence); the workload analyzer turns the
     # recorded error into a finding instead of the whole lint run crashing.
@@ -114,6 +120,7 @@ def _build_ip(index: int, ip: IpDef) -> IpModel:
     return IpModel(
         index=index,
         ip=ip,
+        compiled=compiled,
         power=power,
         characterization=power.characterization,
         transitions=power.transitions,

@@ -55,6 +55,14 @@ as a downward Kleene iteration from the top (all forward-reachable ON
 states resident), intersecting each refinement so the iterates decrease —
 every iterate over-approximates the concrete system, so stopping at the
 :data:`WIDEN_LIMIT` cap merely loses precision, never soundness.
+
+Everything per IP that the fixpoint does not move is derived once per
+compiled IP and read on every later sweep: the transition bounds (rate,
+largest deposit, zero-latency transitions) from the shared
+:class:`~repro.platform.build.PowerModel` per initial state, the task bounds
+and the background-power bounds per resident ON-state set from the
+:class:`~repro.platform.build.CompiledIp`.  A sweep derives only the
+assumption notes, which quote the spec's own ``platform.ips[i]`` paths.
 """
 
 from __future__ import annotations
@@ -69,8 +77,7 @@ from repro.dpm.levels import RuleContext
 from repro.dpm.rules import RuleTable
 from repro.lint.intervals import Interval, exp_crossing_time, exp_value, linear_crossing_time
 from repro.lint.model import IpModel, SpecModel
-from repro.platform.build import build_battery_config, build_thermal_config
-from repro.power.characterization import InstructionClass
+from repro.platform.build import TransitionBounds, build_battery_config, build_thermal_config
 from repro.power.states import ON_STATES, PowerState
 from repro.soc.bus import BusLevel
 from repro.soc.task import TaskPriority
@@ -272,128 +279,26 @@ class ReachResult:
 # Per-IP static bounds (independent of the resident-state fixpoint).
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _IpStatics:
-    ip_model: IpModel
-    on_states: Tuple[PowerState, ...]  # forward-reachable ON states
-    classes: Tuple[InstructionClass, ...]
-    priorities: Tuple[TaskPriority, ...]
-    has_tasks: bool
-    workload_known: bool
-    max_task_energy_j: float      # ceiling estimate of one task (ON1)
-    min_task_duration_s: float    # shortest own-task estimate duration
-    max_task_duration_s: float    # longest own-task estimate duration
-    max_idle_gap_s: Optional[float]
-    trans_rate_w: float           # sustained transition-energy rate bound
-    trans_rate_unbounded: bool
-    max_trans_energy_j: float     # largest single transition deposit
-    has_bus_traffic: bool
-
-
-def _build_statics(ip_model: IpModel, notes: List[str]) -> _IpStatics:
-    char = ip_model.characterization
-    forward = ip_model.forward
-    on_states = tuple(s for s in ON_STATES if s in forward)
-
-    facts = ip_model.facts
-    workload_known = facts is not None
-    has_tasks = facts is None or facts.task_count > 0
-    if facts is not None:
-        classes = facts.classes
-        priorities = facts.priorities
-        max_idle_gap_s: Optional[float] = facts.max_idle_gap_s
-    else:
-        # The workload failed to instantiate; assume the worst on every axis.
-        classes = tuple(InstructionClass)
-        priorities = tuple(TaskPriority)
-        max_idle_gap_s = None
+def _ip_notes(ip_model: IpModel, bounds: TransitionBounds, notes: List[str]) -> None:
+    """The IP's assumption notes, quoting its own ``platform.ips[i]`` path."""
+    if ip_model.facts is None:
         notes.append(
             f"{ip_model.path}: workload uninstantiable "
             f"({ip_model.workload_error}); assuming worst-case tasks"
         )
-
-    f_on1 = ip_model.max_frequency_hz
-    f_min = min(
-        char.operating_points.point(state).frequency_hz for state in ON_STATES
-    )
-    if facts is not None and facts.task_count:
-        # Task estimates use the policy's estimation state; ON1 has the
-        # highest voltage (max energy/cycle) and frequency (min duration),
-        # making these ceilings valid for any estimation-state override.
-        max_task_energy_j = facts.max_task_energy_j
-        min_task_duration_s = facts.min_cycles / f_on1
-        max_task_duration_s = facts.max_cycles / f_min
-    elif facts is not None:  # instantiated but empty: the IP never decides
-        max_task_energy_j = 0.0
-        min_task_duration_s = math.inf
-        max_task_duration_s = 0.0
-    else:  # unknown workload: no finite ceilings exist
-        max_task_energy_j = math.inf
-        min_task_duration_s = 0.0
-        max_task_duration_s = math.inf
-
-    trans_rate_w = 0.0
-    trans_rate_unbounded = False
-    max_trans_energy_j = 0.0
-    for source, target in ip_model.transitions.transitions:
-        if source not in forward:
-            continue
-        cost = ip_model.transitions.cost(source, target)
-        energy = cost.energy_j
-        if energy <= 0.0:
-            continue
-        max_trans_energy_j = max(max_trans_energy_j, energy)
-        latency_s = cost.latency.seconds
-        if latency_s <= 0.0:
-            trans_rate_unbounded = True
-            notes.append(
-                f"{ip_model.path}: transition {source}->{target} has positive "
-                "energy at zero latency; transition power is unbounded"
-            )
-        else:
-            trans_rate_w = max(trans_rate_w, energy / latency_s)
-
-    traffic = ip_model.ip.bus_words_per_task > 0 and has_tasks
-    return _IpStatics(
-        ip_model=ip_model,
-        on_states=on_states,
-        classes=classes,
-        priorities=priorities if has_tasks else (),
-        has_tasks=has_tasks,
-        workload_known=workload_known,
-        max_task_energy_j=max_task_energy_j,
-        min_task_duration_s=min_task_duration_s,
-        max_task_duration_s=max_task_duration_s,
-        max_idle_gap_s=max_idle_gap_s,
-        trans_rate_w=trans_rate_w,
-        trans_rate_unbounded=trans_rate_unbounded,
-        max_trans_energy_j=max_trans_energy_j,
-        has_bus_traffic=traffic,
-    )
+    for source, target in bounds.zero_latency:
+        notes.append(
+            f"{ip_model.path}: transition {source}->{target} has positive "
+            "energy at zero latency; transition power is unbounded"
+        )
 
 
-def _ip_power_bounds(statics: _IpStatics, resident: Set[PowerState]) -> Tuple[float, float]:
-    """(min, max) sustained background power of one IP over its resident set."""
-    char = statics.ip_model.characterization
-    active_max = 0.0
-    if statics.has_tasks:
-        for state in statics.on_states:
-            if state not in resident:
-                continue
-            for iclass in statics.classes or tuple(InstructionClass):
-                active_max = max(active_max, char.active_power_w(state, iclass))
-    idle_values = []
-    for state in statics.ip_model.forward:
-        if state.is_on:
-            # Idle power counts for every forward-reachable ON state, not
-            # just table-selected ones: wake transitions land in ON1 and the
-            # IP idles there until the next decision.
-            idle_values.append(char.idle_power_w(state))
-        else:
-            idle_values.append(char.residual_power_w(state))
-    idle_max = max(idle_values, default=0.0)
-    idle_min = min(idle_values, default=0.0)
-    return idle_min, max(active_max, idle_max)
+def _priorities(ip_model: IpModel) -> Tuple[TaskPriority, ...]:
+    """Priorities the IP's tasks can present (every one when unknown)."""
+    if not ip_model.compiled.task_bounds.has_tasks:
+        return ()
+    facts = ip_model.facts
+    return facts.priorities if facts is not None else tuple(TaskPriority)
 
 
 # ---------------------------------------------------------------------------
@@ -548,15 +453,17 @@ def compute_reach(model: SpecModel) -> ReachResult:
     """Abstract-interpret ``model`` into its reachable context envelope."""
     spec = model.spec
     notes: List[str] = []
-    statics = [_build_statics(ip_model, notes) for ip_model in model.ips]
+    transition_bounds = [ip_model.power.transition_bounds(ip_model.initial) for ip_model in model.ips]
+    for ip_model, bounds in zip(model.ips, transition_bounds):
+        _ip_notes(ip_model, bounds, notes)
     battery_cfg = build_battery_config(spec.battery)
     thermal_cfg = build_thermal_config(spec.thermal, ip_count=max(1, len(spec.ips)))
     horizon_s = max(model.horizon_s, 0.0)
     interval_s = spec.sample_interval_us / 1e6
 
-    unbounded = any(s.trans_rate_unbounded for s in statics)
-    boundary_j = sum(s.max_trans_energy_j for s in statics)
-    trans_rate_w = sum(s.trans_rate_w for s in statics)
+    unbounded = any(bounds.zero_latency for bounds in transition_bounds)
+    boundary_j = sum(bounds.max_energy_j for bounds in transition_bounds)
+    trans_rate_w = sum(bounds.rate_w for bounds in transition_bounds)
     fan_w = spec.fan_power_w if spec.with_fan else 0.0
     gem_enabled = bool(spec.gem and spec.gem.enabled)
 
@@ -564,14 +471,16 @@ def compute_reach(model: SpecModel) -> ReachResult:
     # at the top (every forward-reachable ON state), recompute the envelope,
     # keep only states the rule table can still select, and intersect so the
     # iterates decrease.  Non-rule policies keep the top (sound).
-    resident: List[Set[PowerState]] = [set(s.on_states) for s in statics]
+    resident: List[FrozenSet[PowerState]] = [
+        frozenset(s for s in ON_STATES if s in ip_model.forward) for ip_model in model.ips
+    ]
     iterations = 0
     converged = False
     result: Optional[ReachResult] = None
     while iterations < WIDEN_LIMIT:
         iterations += 1
         result = _evaluate(
-            model, statics, resident, battery_cfg, thermal_cfg, horizon_s,
+            model, resident, battery_cfg, thermal_cfg, horizon_s,
             interval_s, unbounded, boundary_j, trans_rate_w, fan_w,
             gem_enabled, notes, iterations,
         )
@@ -579,14 +488,13 @@ def compute_reach(model: SpecModel) -> ReachResult:
             converged = True
             break
         selected = result.selected_on_states(model.table)
-        refined: List[Set[PowerState]] = []
-        for ip_statics, current in zip(statics, resident):
-            keep = set(current)
-            if ip_statics.has_tasks:
+        refined: List[FrozenSet[PowerState]] = []
+        for ip_model, current in zip(model.ips, resident):
+            if ip_model.compiled.task_bounds.has_tasks:
                 # Tasks only ever execute at table-selected ON states (plus
                 # the initial state before the first decision).
-                keep &= selected | {ip_statics.ip_model.initial}
-            refined.append(keep)
+                current = current & (selected | {ip_model.initial})
+            refined.append(current)
         if refined == resident:
             converged = True
             break
@@ -606,8 +514,7 @@ def compute_reach(model: SpecModel) -> ReachResult:
 
 def _evaluate(
     model: SpecModel,
-    statics: Sequence[_IpStatics],
-    resident: Sequence[Set[PowerState]],
+    resident: Sequence[FrozenSet[PowerState]],
     battery_cfg: BatteryConfig,
     thermal_cfg: ThermalConfig,
     horizon_s: float,
@@ -622,8 +529,8 @@ def _evaluate(
 ) -> ReachResult:
     spec = model.spec
     per_ip_bounds = [
-        _ip_power_bounds(ip_statics, states)
-        for ip_statics, states in zip(statics, resident)
+        ip_model.compiled.power_bounds(states)
+        for ip_model, states in zip(model.ips, resident)
     ]
     power_lo = sum(lo for lo, _ in per_ip_bounds)
     power_hi = sum(hi for _, hi in per_ip_bounds) + fan_w
@@ -651,8 +558,8 @@ def _evaluate(
     degrade = unbounded or not math.isfinite(drain_rate_w)
 
     # GEM pending-energy bound: one outstanding estimate per other IP.
-    energy_ceilings = [s.max_task_energy_j for s in statics]
-    total_energy = sum(energy_ceilings)
+    task_bounds = [ip_model.compiled.task_bounds for ip_model in model.ips]
+    total_energy = sum(bounds.max_energy_j for bounds in task_bounds)
     thermal_rate_w = power_hi + trans_rate_w
 
     run_soc, run_battery_spans = _battery_envelope(
@@ -665,32 +572,24 @@ def _evaluate(
 
     ips: List[IpReach] = []
     other_bound = 0.0
-    for ip_statics, (_, ip_power_hi) in zip(statics, per_ip_bounds):
-        char = ip_statics.ip_model.characterization
-        own = energy_ceilings[ip_statics.ip_model.index]
+    for ip_model, bounds, states in zip(model.ips, task_bounds, resident):
+        own = bounds.max_energy_j
         others = (total_energy - own) if gem_enabled else 0.0
         other_bound = max(other_bound, others)
-        slack_j = own + others if ip_statics.has_tasks else 0.0
+        slack_j = own + others if bounds.has_tasks else 0.0
         soc, battery_spans = _battery_envelope(
             battery_cfg, horizon_s, drain_rate_w, drain_boundary_j, degrade, slack_j,
         )
-        if ip_statics.has_tasks:
+        if bounds.has_tasks:
             # Projected temperature: own active power plus the other IPs'
             # pending energy amortised over the shortest own-task duration,
             # relaxed toward its steady state with the no-fan resistance.
-            active_ceiling = max(
-                (
-                    char.active_power_w(PowerState.ON1, iclass)
-                    for iclass in (ip_statics.classes or tuple(InstructionClass))
-                ),
-                default=0.0,
-            )
-            if others > 0.0 and ip_statics.min_task_duration_s > 0.0:
-                proj_power = active_ceiling + others / ip_statics.min_task_duration_s
+            if others > 0.0 and bounds.min_duration_s > 0.0:
+                proj_power = bounds.active_ceiling_w + others / bounds.min_duration_s
             elif others > 0.0:
                 proj_power = math.inf
             else:
-                proj_power = active_ceiling
+                proj_power = bounds.active_ceiling_w
             steady_proj = (
                 thermal_cfg.ambient_c
                 + proj_power * thermal_cfg.thermal_resistance_c_per_w
@@ -700,8 +599,8 @@ def _evaluate(
                 * thermal_cfg.fan_resistance_scale
                 * thermal_cfg.thermal_capacitance_j_per_c
             )
-            if math.isfinite(ip_statics.max_task_duration_s) and tau_fast > 0.0:
-                proj_decay = math.exp(-ip_statics.max_task_duration_s / tau_fast)
+            if math.isfinite(bounds.max_duration_s) and tau_fast > 0.0:
+                proj_decay = math.exp(-bounds.max_duration_s / tau_fast)
             else:
                 proj_decay = 0.0
         else:
@@ -711,19 +610,18 @@ def _evaluate(
             thermal_cfg, horizon_s, thermal_rate_w, boundary_j, degrade,
             steady_proj_c=steady_proj, proj_decay=proj_decay,
         )
+        facts = ip_model.facts
         ips.append(IpReach(
-            index=ip_statics.ip_model.index,
-            name=ip_statics.ip_model.ip.name,
-            priorities=ip_statics.priorities,
-            resident_states=tuple(
-                s for s in ON_STATES if s in resident[ip_statics.ip_model.index]
-            ),
+            index=ip_model.index,
+            name=ip_model.ip.name,
+            priorities=_priorities(ip_model),
+            resident_states=tuple(s for s in ON_STATES if s in states),
             soc=soc,
             temperature_c=temp,
             battery_levels=battery_spans,
             temperature_levels=temp_spans,
             projection_slack_j=slack_j,
-            max_idle_gap_s=ip_statics.max_idle_gap_s,
+            max_idle_gap_s=facts.max_idle_gap_s if facts is not None else None,
         ))
 
     deciding = [ip for ip in ips if ip.priorities]
@@ -743,7 +641,10 @@ def _evaluate(
 
     if not spec.bus.enabled:
         bus_spans = (LevelSpan(BusLevel.LOW, 0.0),)
-    elif any(s.has_bus_traffic for s in statics):
+    elif any(
+        ip_model.ip.bus_words_per_task > 0 and bounds.has_tasks
+        for ip_model, bounds in zip(model.ips, task_bounds)
+    ):
         # While a transfer is in flight the trailing-window occupancy divides
         # by min(elapsed, window), so early readings can transiently reach
         # saturation regardless of average traffic.

@@ -25,10 +25,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import weakref
 from collections import OrderedDict
 from types import MappingProxyType
-from typing import Callable, Dict, FrozenSet, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, NamedTuple, Optional, Set, Tuple
 
 from repro.battery.model import BatteryConfig
 from repro.dpm.controller import DpmSetup
@@ -50,7 +51,7 @@ from repro.power.characterization import (
     default_characterization,
 )
 from repro.power.operating_point import OperatingPoint, OperatingPointTable
-from repro.power.states import SLEEP_STATES, PowerState
+from repro.power.states import ON_STATES, SLEEP_STATES, PowerState
 from repro.power.transitions import StateGraph, TransitionCost, TransitionTable, default_transition_table
 from repro.sim.simtime import SimTime, ms, us
 from repro.soc.soc import IpSpec, SocConfig, resolve_power_model
@@ -72,6 +73,8 @@ __all__ = [
     "CompiledIp",
     "LOW_STATES",
     "PowerModel",
+    "TaskBounds",
+    "TransitionBounds",
     "WorkloadFacts",
     "battery_condition",
     "build_battery_config",
@@ -272,13 +275,45 @@ LOW_STATES: Tuple[PowerState, ...] = tuple(SLEEP_STATES) + (PowerState.OFF,)
 _NON_POWER_FIELDS = frozenset(name for name, role in IP_ROLES.items() if role != "power")
 
 
+class TransitionBounds(NamedTuple):
+    """Reach-lint's bounds on the transitions an IP can take from one initial state."""
+
+    #: largest ``energy / latency`` over the reachable positive-energy
+    #: transitions of nonzero latency (W)
+    rate_w: float
+    #: largest single transition deposit (J)
+    max_energy_j: float
+    #: reachable transitions with positive energy at zero latency, in table order
+    zero_latency: Tuple[Tuple[PowerState, PowerState], ...]
+
+
+def _transition_bounds(transitions: TransitionTable, forward: FrozenSet[PowerState]) -> TransitionBounds:
+    rate_w = max_energy_j = 0.0
+    zero_latency = []
+    for source, target in transitions.transitions:
+        if source not in forward:
+            continue
+        cost = transitions.cost(source, target)
+        energy = cost.energy_j
+        if energy <= 0.0:
+            continue
+        max_energy_j = max(max_energy_j, energy)
+        latency_s = cost.latency.seconds
+        if latency_s <= 0.0:
+            zero_latency.append((source, target))
+        else:
+            rate_w = max(rate_w, energy / latency_s)
+    return TransitionBounds(rate_w, max_energy_j, tuple(zero_latency))
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class PowerModel:
     """An IP's power model, shared by every IP with the same power content.
 
     The characterisation and transition table (library defaults filled in),
     the run's break-even analysis (``None`` with the ``error`` every run of
-    the IP raises) and the PSM facts lint reads.  No run mutates them.
+    the IP raises), the PSM facts lint reads and, on first use, the
+    transition bounds reach-lint reads.  No run mutates them.
     """
 
     characterization: PowerCharacterization
@@ -295,6 +330,17 @@ class PowerModel:
     #: lint's break-even analysis over ``complete_states`` (``None`` if empty)
     lint_breakeven: Optional[BreakEvenAnalyzer]
     error: Optional[ReproError] = None
+    _transition_bounds: Dict[PowerState, TransitionBounds] = dataclasses.field(
+        default_factory=dict, init=False, repr=False
+    )
+
+    def transition_bounds(self, initial: PowerState) -> TransitionBounds:
+        """The bounds over the transitions reachable from ``initial``, on first use."""
+        bounds = self._transition_bounds.get(initial)
+        if bounds is None:
+            bounds = _transition_bounds(self.transitions, self.reachable[initial])
+            self._transition_bounds[initial] = bounds
+        return bounds
 
 
 def _build_power_model(ipdef: IpDef) -> PowerModel:
@@ -380,6 +426,25 @@ def _workload_facts(workload: Workload, characterization: PowerCharacterization)
     )
 
 
+class TaskBounds(NamedTuple):
+    """Reach-lint's bounds on one IP's tasks (worst case when the workload is unknown)."""
+
+    #: False only for a built workload without tasks: the IP never decides
+    has_tasks: bool
+    #: largest ON1 energy of one task (J)
+    max_energy_j: float
+    #: shortest task at the ON1 clock and longest at the slowest ON clock (s)
+    min_duration_s: float
+    max_duration_s: float
+    #: highest ON1 active power over the tasks' instruction classes (W)
+    active_ceiling_w: float
+
+
+def _lint_classes(facts: Optional[WorkloadFacts]) -> Tuple[InstructionClass, ...]:
+    """The instruction classes reach-lint assumes: every class when unknown."""
+    return (facts.classes if facts is not None else ()) or tuple(InstructionClass)
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class CompiledIp:
     """The run-independent values of one IP, shared by every run of it.
@@ -388,7 +453,9 @@ class CompiledIp:
     characterisation, transition table and break-even analysis repeated
     here) and the generated workload.  A workload that cannot be built
     leaves ``None``; the workload's error, else the power model's, is
-    recorded: a run raises it, lint reports either as a finding.
+    recorded: a run raises it, lint reports either as a finding.  What lint
+    derives from them (workload facts, task and power bounds) is derived on
+    first use and held as plain values, never as a reference back.
     """
 
     power: PowerModel
@@ -396,7 +463,11 @@ class CompiledIp:
     transitions: TransitionTable
     workload: Optional[Workload]
     breakeven: Optional[BreakEvenAnalyzer]
+    initial: PowerState
     error: Optional[Exception] = None
+    _power_bounds: Dict[FrozenSet[PowerState], Tuple[float, float]] = dataclasses.field(
+        default_factory=dict, init=False, repr=False
+    )
 
     @functools.cached_property
     def facts(self) -> Optional[WorkloadFacts]:
@@ -404,6 +475,44 @@ class CompiledIp:
         if self.workload is None:
             return None
         return _workload_facts(self.workload, self.characterization)
+
+    @functools.cached_property
+    def task_bounds(self) -> TaskBounds:
+        """Reach-lint's task bounds, on first use."""
+        facts = self.facts
+        points = self.characterization.operating_points
+        active_ceiling_w = max(
+            self.characterization.active_power_w(PowerState.ON1, iclass)
+            for iclass in _lint_classes(facts)
+        )
+        if facts is None:  # unknown workload: no finite ceilings exist
+            return TaskBounds(True, math.inf, 0.0, math.inf, active_ceiling_w)
+        if not facts.task_count:
+            return TaskBounds(False, 0.0, math.inf, 0.0, active_ceiling_w)
+        # Task estimates use the policy's estimation state; ON1 has the
+        # highest voltage (max energy/cycle) and frequency (min duration),
+        # making these ceilings valid for any estimation-state override.
+        f_min = min(points.point(state).frequency_hz for state in ON_STATES)
+        return TaskBounds(
+            True,
+            facts.max_task_energy_j,
+            facts.min_cycles / points.point(PowerState.ON1).frequency_hz,
+            facts.max_cycles / f_min,
+            active_ceiling_w,
+        )
+
+    def power_bounds(self, resident: FrozenSet[PowerState]) -> Tuple[float, float]:
+        """(min, max) sustained background power with tasks at the ``resident``
+        ON states, on first use per set.
+
+        Executing, the IP draws at most the highest active power over its
+        resident states and its tasks' classes; idle, at most the highest
+        idle or residual power over the states its initial state reaches.
+        """
+        bounds = self._power_bounds.get(resident)
+        if bounds is None:
+            bounds = self._power_bounds[resident] = _power_bounds(self, resident)
+        return bounds
 
     def ip_spec(self, ipdef: IpDef) -> IpSpec:
         """A fresh :class:`IpSpec` of ``ipdef`` over these values."""
@@ -417,10 +526,30 @@ class CompiledIp:
             characterization=self.characterization,
             transitions=self.transitions,
             breakeven=self.breakeven,
-            initial_state=PowerState(ipdef.initial_state),
+            initial_state=self.initial,
             bus_words_per_task=ipdef.bus_words_per_task,
             bus_priority=ipdef.bus_priority,
         )
+
+
+def _power_bounds(compiled: CompiledIp, resident: FrozenSet[PowerState]) -> Tuple[float, float]:
+    char = compiled.characterization
+    forward = compiled.power.reachable[compiled.initial]
+    active_max = 0.0
+    if compiled.task_bounds.has_tasks:
+        classes = _lint_classes(compiled.facts)
+        for state in ON_STATES:
+            if state in forward and state in resident:
+                for iclass in classes:
+                    active_max = max(active_max, char.active_power_w(state, iclass))
+    # Idle power counts for every forward-reachable ON state, not just
+    # table-selected ones: wake transitions land in ON1 and the IP idles
+    # there until the next decision.
+    idle_values = [
+        char.idle_power_w(state) if state.is_on else char.residual_power_w(state)
+        for state in forward
+    ]
+    return min(idle_values), max(active_max, max(idle_values))
 
 
 def _compile_ip(ipdef: IpDef, power: PowerModel) -> CompiledIp:
@@ -430,7 +559,10 @@ def _compile_ip(ipdef: IpDef, power: PowerModel) -> CompiledIp:
         workload = build_workload(ipdef.workload)
     except (ReproError, ValueError) as workload_error:
         error = workload_error
-    return CompiledIp(power, power.characterization, power.transitions, workload, power.breakeven, error)
+    return CompiledIp(
+        power, power.characterization, power.transitions, workload, power.breakeven,
+        PowerState(ipdef.initial_state), error,
+    )
 
 
 #: Compiled IPs by canonical IpDef content, least recently used first.

@@ -44,8 +44,6 @@ class Signal(Generic[T]):
         "_current",
         "_next",
         "changed_event",
-        "_write_count",
-        "_change_count",
     )
 
     def __init__(self, kernel: Kernel, name: str, initial: T) -> None:
@@ -54,8 +52,6 @@ class Signal(Generic[T]):
         self._current: T = initial
         self._next: T = initial
         self.changed_event: Event = kernel.event(f"{name}.changed")
-        self._write_count = 0
-        self._change_count = 0
 
     # -- value access -----------------------------------------------------
     def read(self) -> T:
@@ -69,7 +65,6 @@ class Signal(Generic[T]):
 
     def write(self, value: T) -> None:
         """Schedule ``value`` to become visible after the next update phase."""
-        self._write_count += 1
         self._next = value
         if value != self._current:
             self._kernel.request_update(self)
@@ -87,17 +82,6 @@ class Signal(Generic[T]):
         if changed._waiters or changed._callbacks:
             self.write(value)
 
-    # -- statistics ---------------------------------------------------------
-    @property
-    def write_count(self) -> int:
-        """Total number of writes (including writes of an unchanged value)."""
-        return self._write_count
-
-    @property
-    def change_count(self) -> int:
-        """Number of times the visible value actually changed."""
-        return self._change_count
-
     # -- kernel interface -----------------------------------------------------
     def update(self) -> None:
         """Apply the pending write; called by the kernel in the update phase.
@@ -113,7 +97,6 @@ class Signal(Generic[T]):
         if new == self._current:
             return
         self._current = new
-        self._change_count += 1
         changed = self.changed_event
         if changed._waiters or changed._callbacks:
             self._kernel.schedule_delta(changed)

@@ -29,6 +29,8 @@ class TestTraceFlagsParsing:
     def test_campaign_run_takes_trace(self):
         args = self.parse(["campaign", "run", "spec.json", "--trace"])
         assert args.trace == "jsonl"
+        args = self.parse(["campaign", "run", "spec.json", "--trace", "vcd"])
+        assert args.trace == "vcd"
 
     def test_platform_diff_positionals(self):
         args = self.parse(["platform", "diff", "A1", "A2"])
@@ -108,10 +110,18 @@ class TestCampaignTracing:
         assert strip(plain.records[0]["metrics"]) == strip(traced.records[0]["metrics"])
         assert "trace" not in plain.records[0]
 
-    def test_vcd_rejected_for_campaigns(self, tmp_path):
-        import pytest
-
-        from repro.errors import CampaignError
-
-        with pytest.raises(CampaignError):
-            run_campaign(self._spec(), tmp_path / "camp", trace_format="vcd")
+    def test_vcd_traces_one_file_per_executed_job(self, tmp_path):
+        directory = tmp_path / "camp"
+        spec = CampaignSpec.from_dict({**self._spec().to_dict(), "seeds": [1, 2]})
+        summary = run_campaign(spec, directory, trace_format="vcd")
+        assert summary.ok == 2
+        paths = sorted(record["trace"] for record in summary.records)
+        assert paths == sorted(
+            str(directory / "traces" / f"{record['job_id']}.vcd")
+            for record in summary.records
+        )
+        assert sorted(str(path) for path in (directory / "traces").iterdir()) == paths
+        for path in paths:
+            text = open(path).read()
+            assert "$enddefinitions $end" in text
+            assert "$var wire" in text
