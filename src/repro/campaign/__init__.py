@@ -8,8 +8,8 @@ engine:
   scenarios x DPM setups x seeds x overrides, loadable from JSON/TOML files
   or built in Python; the grid expands to hashable :class:`JobSpec` cells.
 * :mod:`repro.campaign.executor` — :func:`run_campaign` fans the grid out
-  over a ``multiprocessing`` pool with deterministic per-job seeds, per-job
-  timeouts and graceful failure capture.
+  over a ``multiprocessing`` pool in shared-baseline cells, with
+  deterministic per-job seeds, per-job timeouts and graceful failure capture.
 * :mod:`repro.campaign.store` — :class:`ResultStore`, a content-addressed
   JSON store keyed by the job hash; caching plus ``--resume``.
 * :mod:`repro.campaign.aggregate` — reduces stored records back into

@@ -4,29 +4,41 @@ The executor is deliberately simple and robust:
 
 * every job is *pure data* (see :mod:`repro.campaign.spec`), so it pickles
   cleanly into a ``multiprocessing`` pool and its hash is stable;
-* the worker (:func:`execute_job`) never raises — failures and per-job
-  timeouts are captured as ``error`` / ``timeout`` records so one broken
-  grid cell cannot take down a thousand-job campaign;
+* the unit of work is a *cell*: the pending jobs that share one
+  ``baseline_key``.  One task (:func:`execute_cell`) runs the cell's
+  baseline when the store has none, then the cell's jobs with those
+  figures, so a cell costs one pickle round trip and its worker compiles
+  the scenario once.  Where whole cells would leave workers idle (fewer
+  cells than workers, or a ragged last round), the executor keeps the
+  two-pass schedule instead: every missing baseline as its own task, then
+  one task per job;
+* the workers (:func:`execute_baseline`, :func:`execute_job`) never raise —
+  failures and per-job timeouts are captured as ``error`` / ``timeout``
+  records so one broken grid cell cannot take down a thousand-job campaign;
 * the parent process writes each record to the
-  :class:`~repro.campaign.store.ResultStore` as soon as it arrives, which
-  makes interrupting a campaign safe: a later ``--resume`` run executes only
-  the jobs with no stored ``ok`` record.
+  :class:`~repro.campaign.store.ResultStore` as soon as its task returns,
+  which makes interrupting a campaign safe: only the cells in flight are
+  lost, and a later ``--resume`` run executes only the jobs with no stored
+  ``ok`` record.
 
-``workers=1`` runs in-process (no pool), which is the easiest mode to debug
-and what the tests use for determinism checks; ``workers=N`` uses
-``multiprocessing.Pool`` with ``imap_unordered`` so slow jobs do not hold
-back the rest of the grid.
+``workers=1`` runs the tasks in-process (no pool), which is the easiest mode
+to debug and what the tests use for determinism checks; ``workers=N``
+feeds them to a ``multiprocessing.Pool`` with ``imap_unordered`` so slow
+cells do not hold back the rest of the grid.
 """
 
 from __future__ import annotations
 
+import heapq
 import os
 import signal
 import time
 import traceback
 from dataclasses import dataclass, field
 from types import FrameType
-from typing import Any, Callable, Dict, List, Mapping, NoReturn, Optional, Tuple, Union
+from typing import (
+    Any, Callable, Collection, Dict, List, Mapping, NoReturn, Optional, Sequence, Tuple, Union,
+)
 
 from repro.campaign.spec import CampaignSpec, JobSpec, build_scenario, build_setup
 from repro.campaign.store import ResultStore
@@ -35,6 +47,7 @@ from repro.errors import CampaignError
 __all__ = [
     "CampaignSummary",
     "execute_baseline",
+    "execute_cell",
     "execute_job",
     "preflight_campaign",
     "run_campaign",
@@ -229,9 +242,11 @@ def preflight_campaign(spec: CampaignSpec) -> List[str]:
 
     Campaign grids can reference hand-written platform spec files; a typo'd
     rule table or a policy that can never fire burns the whole grid's CPU
-    budget before anyone looks at a result.  This walks the campaign's jobs,
-    lints each distinct ``kind: "platform"`` scenario with the trajectory
-    envelope attached (``lint_spec(reach=True)``) and raises
+    budget before anyone looks at a result.  This walks the campaign's
+    scenarios with each override applied (the only grid axes that change a
+    platform scenario, so the job grid is never expanded), lints each
+    distinct ``kind: "platform"`` scenario with the trajectory envelope
+    attached (``lint_spec(reach=True)``) and raises
     :class:`~repro.errors.CampaignError` on the first platform with
     error-severity findings.  Returns one summary line per linted platform
     (name, finding counts) for the CLI to print.  Paper scenarios
@@ -243,8 +258,7 @@ def preflight_campaign(spec: CampaignSpec) -> List[str]:
 
     lines: List[str] = []
     seen: set = set()
-    for job in spec.jobs():
-        scenario = job.scenario
+    for scenario in spec.merged_scenarios():
         if scenario.get("kind") != "platform":
             continue
         platform = PlatformSpec.from_dict(scenario["spec"])
@@ -273,20 +287,73 @@ def preflight_campaign(spec: CampaignSpec) -> List[str]:
     return lines
 
 
-def _execute_job_star(
-    payload: Tuple[
-        Mapping[str, Any], Optional[float], Optional[Mapping[str, Any]], Optional[Mapping[str, Any]]
+@dataclass(frozen=True)
+class _CellTask:
+    """One task: a cell's baseline run (``None`` when the figures are known
+    before the task starts) and the jobs that use its figures."""
+
+    key: str
+    baseline: Optional[JobSpec]
+    jobs: Tuple[JobSpec, ...]
+
+
+def _plan_cells(
+    pending: Sequence[JobSpec], stored: Collection[str], workers: int
+) -> Tuple[List[_CellTask], List[_CellTask]]:
+    """Split the pending jobs into two passes of tasks, in grid order.
+
+    Whole cells are one task each (baseline unless ``stored`` holds the
+    cell's key, then the cell's jobs) and run in the second pass alone.
+    When whole cells would pack onto ``workers`` worse than single runs do
+    (few cells, or a last round that leaves workers idle), the plan is
+    instead a first pass of baseline-only tasks and a second pass of one
+    task per job.  The two plans' makespans are compared in runs, counting
+    every run as equal; a tie goes to whole cells, which save a round trip
+    and a scenario compile per run.
+    """
+    cells: Dict[str, List[JobSpec]] = {}
+    for job in pending:
+        cells.setdefault(job.baseline_key, []).append(job)
+    whole = [
+        _CellTask(key, None if key in stored else jobs[0], tuple(jobs))
+        for key, jobs in cells.items()
+    ]
+    finish = [0] * workers  # list scheduling: each task goes to the first free worker
+    for task in whole:
+        heapq.heapreplace(finish, finish[0] + len(task.jobs) + (task.baseline is not None))
+    baselines = [_CellTask(task.key, task.baseline, ()) for task in whole
+                 if task.baseline is not None]
+    if max(finish) <= -(-len(baselines) // workers) - (-len(pending) // workers):
+        return [], whole
+    return baselines, [_CellTask(job.baseline_key, None, (job,)) for job in pending]
+
+
+def execute_cell(
+    cell: Tuple[
+        Optional[Mapping[str, Any]],
+        Sequence[Tuple[Mapping[str, Any], Optional[Mapping[str, Any]]]],
+        Optional[float],
+        Optional[Mapping[str, Any]],
     ],
-) -> Dict[str, Any]:
-    """Pool adapter: unpack ``(job_dict, timeout_s, baseline_figures, trace)``."""
-    job_dict, timeout_s, baseline_figures, trace = payload
-    return execute_job(job_dict, timeout_s, baseline_figures, trace)
+) -> Tuple[Optional[Dict[str, Any]], List[Dict[str, Any]]]:
+    """Run one cell task and return its records (never raises).
 
-
-def _execute_baseline_star(payload: Tuple[Mapping[str, Any], Optional[float]]) -> Dict[str, Any]:
-    """Pool adapter: unpack ``(job_dict, timeout_s)``."""
-    job_dict, timeout_s = payload
-    return execute_baseline(job_dict, timeout_s)
+    ``cell`` is ``(baseline, jobs, timeout_s, baseline_figures)``.
+    ``baseline``, when not ``None``, is the job dictionary whose shared
+    baseline runs first; its figures (none when it failed, so the jobs
+    recompute their own) replace ``baseline_figures``.  ``jobs`` pairs each
+    job dictionary with its trace request (see :func:`execute_job`).
+    Returns the baseline record (``None`` when no baseline ran) and the job
+    records in order.
+    """
+    baseline, jobs, timeout_s, baseline_figures = cell
+    record: Optional[Dict[str, Any]] = None
+    if baseline is not None:
+        record = execute_baseline(baseline, timeout_s)
+        baseline_figures = record.get("figures")
+    return record, [
+        execute_job(job, timeout_s, baseline_figures, trace) for job, trace in jobs
+    ]
 
 
 def run_campaign(
@@ -367,31 +434,26 @@ def run_campaign(
 
     # ------------------------------------------------------------------
     # Shared baselines: one run per (scenario, baseline, seed, accuracy)
-    # cell instead of one per job.  Missing cells are computed first (through
-    # the same pool), stored, and handed to the jobs as plain figures; a
-    # failed baseline cell simply makes its jobs recompute their own.
+    # cell instead of one per job.  Each cell's task runs its missing
+    # baseline and hands the figures to the cell's jobs; the parent stores
+    # them so a resumed campaign reuses them.  A failed baseline simply
+    # makes its jobs recompute their own.
     # ------------------------------------------------------------------
-    baseline_jobs: Dict[str, JobSpec] = {}
-    for job in pending:
-        key = job.baseline_key
-        if key not in baseline_jobs:
-            baseline_jobs[key] = job
-    cached_figures: Dict[str, Dict[str, Any]] = {}
-    missing: List[JobSpec] = []
-    for key, job in baseline_jobs.items():
+    figures: Dict[str, Optional[Dict[str, Any]]] = {}
+    for key in dict.fromkeys(job.baseline_key for job in pending):
         stored = store.get_baseline(key)
         if stored is not None and stored.get("status") == "ok" and "figures" in stored:
-            cached_figures[key] = stored["figures"]
-            summary.baseline_reused += 1
-        else:
-            missing.append(job)
+            figures[key] = stored["figures"]
+    summary.baseline_reused = len(figures)
+    pool_size = min(workers, len(pending))
 
-    def consume_baseline(record: Dict[str, Any]) -> None:
-        key = record.get("baseline_key", "")
-        store.put_baseline(key, record)
-        summary.baseline_runs += 1
-        if record.get("status") == "ok" and "figures" in record:
-            cached_figures[key] = record["figures"]
+    def payload(task: _CellTask) -> Tuple[Any, ...]:
+        return (
+            None if task.baseline is None else task.baseline.to_dict(),
+            [(job.to_dict(), job_trace(job)) for job in task.jobs],
+            timeout_s,
+            figures.get(task.key),
+        )
 
     def consume(record: Dict[str, Any]) -> None:
         store.put(record)
@@ -407,31 +469,29 @@ def run_campaign(
         if progress is not None:
             progress(record)
 
-    if workers == 1 or len(pending) <= 1:
-        for job in missing:
-            consume_baseline(execute_baseline(job.to_dict(), timeout_s))
-        for job in pending:
-            consume(execute_job(job.to_dict(), timeout_s,
-                                cached_figures.get(job.baseline_key), job_trace(job)))
+    def run_passes(imap: Callable[..., Any]) -> None:
+        # A pass's payloads are built when it starts, so the second pass
+        # carries the figures of the baselines the first one stored.
+        for tasks in _plan_cells(pending, figures, max(pool_size, 1)):
+            for baseline, records in imap(execute_cell, [payload(task) for task in tasks]):
+                if baseline is not None:
+                    store.put_baseline(baseline["baseline_key"], baseline)
+                    summary.baseline_runs += 1
+                    figures[baseline["baseline_key"]] = baseline.get("figures")
+                for record in records:
+                    consume(record)
+
+    if pool_size <= 1:
+        run_passes(map)
     else:
         import multiprocessing
 
-        with multiprocessing.Pool(processes=min(workers, len(pending))) as pool:
+        with multiprocessing.Pool(processes=pool_size) as pool:
             try:
-                if missing:
-                    baseline_payloads = [(job.to_dict(), timeout_s) for job in missing]
-                    for record in pool.imap_unordered(_execute_baseline_star, baseline_payloads):
-                        consume_baseline(record)
-                payloads = [
-                    (job.to_dict(), timeout_s, cached_figures.get(job.baseline_key),
-                     job_trace(job))
-                    for job in pending
-                ]
-                for record in pool.imap_unordered(_execute_job_star, payloads):
-                    consume(record)
+                run_passes(pool.imap_unordered)
             except KeyboardInterrupt:
                 # Everything already consumed is safely in the store; drop
-                # the rest so a later --resume run picks the missing jobs up.
+                # the cells in flight so a later --resume run picks them up.
                 pool.terminate()
                 raise
     summary.wall_clock_s = time.perf_counter() - wall_start  # repro-lint: allow[DET-WALLCLOCK]

@@ -44,6 +44,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro.dpm.controller import DpmSetup
@@ -384,12 +385,12 @@ class JobSpec:
             accuracy=str(value.get("accuracy", "exact")),
         )
 
-    @property
+    @cached_property
     def job_id(self) -> str:
         """Content address of this job (stable across processes and runs)."""
         return job_hash(self.to_dict())
 
-    @property
+    @cached_property
     def baseline_key(self) -> str:
         """Content address of this job's baseline run.
 
@@ -474,32 +475,36 @@ class CampaignSpec:
                 ):
                     continue
                 raise CampaignError(f"override key {key!r} is not a scenario field")
-        for scenario in self.scenarios:
-            for override in self.overrides:
-                _apply_override(scenario, override)  # rejects bad values now
+        self.merged_scenarios()  # rejects bad override values now
         if self.job_timeout_s is not None and self.job_timeout_s <= 0:
             raise CampaignError("job_timeout_s must be positive")
 
     # -- grid expansion -------------------------------------------------
+    def merged_scenarios(self) -> List[Dict[str, Any]]:
+        """Every scenario with every override applied, in grid order."""
+        return [
+            _apply_override(scenario, override)
+            for scenario in self.scenarios
+            for override in self.overrides
+        ]
+
     def jobs(self) -> List[JobSpec]:
         """Expand the grid into jobs (deterministic order, duplicates dropped)."""
         jobs: List[JobSpec] = []
         seen: set = set()
-        for scenario in self.scenarios:
-            for override in self.overrides:
-                merged = _apply_override(scenario, override)
-                for setup in self.setups:
-                    for seed in self.seeds:
-                        job = JobSpec(
-                            scenario=merged,
-                            setup=setup,
-                            baseline=self.baseline,
-                            seed=seed,
-                            accuracy=self.accuracy,
-                        )
-                        if job.job_id not in seen:
-                            seen.add(job.job_id)
-                            jobs.append(job)
+        for merged in self.merged_scenarios():
+            for setup in self.setups:
+                for seed in self.seeds:
+                    job = JobSpec(
+                        scenario=merged,
+                        setup=setup,
+                        baseline=self.baseline,
+                        seed=seed,
+                        accuracy=self.accuracy,
+                    )
+                    if job.job_id not in seen:
+                        seen.add(job.job_id)
+                        jobs.append(job)
         return jobs
 
     # -- (de)serialisation ---------------------------------------------

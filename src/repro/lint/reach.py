@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.battery.model import BatteryConfig
@@ -131,11 +132,11 @@ class IpReach:
     #: largest single idle gap in the workload (s); None when unknown
     max_idle_gap_s: Optional[float]
 
-    @property
+    @cached_property
     def battery_set(self) -> FrozenSet[BatteryLevel]:
         return frozenset(span.level for span in self.battery_levels)
 
-    @property
+    @cached_property
     def temperature_set(self) -> FrozenSet[TemperatureLevel]:
         return frozenset(span.level for span in self.temperature_levels)
 
@@ -167,15 +168,15 @@ class ReachResult:
     assumptions: Tuple[str, ...]
 
     # -- set views -----------------------------------------------------------
-    @property
+    @cached_property
     def battery_set(self) -> FrozenSet[BatteryLevel]:
         return frozenset(span.level for span in self.battery_levels)
 
-    @property
+    @cached_property
     def temperature_set(self) -> FrozenSet[TemperatureLevel]:
         return frozenset(span.level for span in self.temperature_levels)
 
-    @property
+    @cached_property
     def bus_set(self) -> FrozenSet[BusLevel]:
         return frozenset(span.level for span in self.bus_levels)
 

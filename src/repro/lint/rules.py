@@ -130,6 +130,12 @@ def analyze_rules(model: SpecModel) -> List[Finding]:
         # severity follows the custom-vs-library split (warn vs info).
         live = reach.live_rule_indices(table)
         dead_trajectory_severity = Severity.WARN if custom else Severity.INFO
+        envelope = (
+            f"battery {_levels(reach.battery_set)}, "
+            f"temperature {_levels(reach.temperature_set)}, "
+            f"bus {_levels(reach.bus_set)} over the "
+            f"{model.spec.max_time_ms:g} ms horizon"
+        )
         for index in range(len(rules)):
             if index in live or index in shadowed or index in duplicate_indices:
                 continue
@@ -139,10 +145,7 @@ def analyze_rules(model: SpecModel) -> List[Finding]:
                 path=f"{path}[{index}]",
                 message=(
                     f"{name(index)} only first-matches contexts outside the "
-                    f"reachable envelope (battery {_levels(reach.battery_set)}, "
-                    f"temperature {_levels(reach.temperature_set)}, "
-                    f"bus {_levels(reach.bus_set)} over the "
-                    f"{model.spec.max_time_ms:g} ms horizon); it can never "
+                    f"reachable envelope ({envelope}); it can never "
                     f"fire on this platform{fidelity_note}"
                 ),
                 suggestion="widen the platform's horizon/envelope or drop the rule",
@@ -161,8 +164,10 @@ def analyze_rules(model: SpecModel) -> List[Finding]:
             # Sharpen static feasibility with the trajectory envelope: an
             # uncovered context the abstraction proves unreachable cannot
             # raise at runtime, so it is informational, not an error.
-            still_feasible = [c for c in feasible if reach.is_reachable(c)]
-            trajectory_dead = [c for c in feasible if not reach.is_reachable(c)]
+            still_feasible: List = []
+            for context in feasible:
+                bucket = still_feasible if reach.is_reachable(context) else trajectory_dead
+                bucket.append(context)
             feasible = still_feasible
         if feasible:
             sample = "; ".join(context.describe() for context in feasible[:4])

@@ -303,6 +303,114 @@ class TestSharedBaselines:
         assert summary.baseline_runs == 2
 
 
+class TestCellTasks:
+    """A cell (the jobs sharing one baseline) is one unit of pool work."""
+
+    def test_cell_records_share_a_worker(self, tmp_path):
+        # One scenario x two setups x four seeds: four cells of two jobs
+        # pack evenly onto two workers, so every cell is one task.
+        spec = small_spec(seeds=[1, 2, 3, 4])
+        summary = run_campaign(spec, tmp_path / "camp", workers=2)
+        assert summary.ok == 8
+        assert summary.baseline_runs == 4
+        store = ResultStore(tmp_path / "camp")
+        pids = {}
+        for record in summary.records:
+            pids.setdefault(record["job"]["seed"], set()).add(record["worker_pid"])
+        for job in spec.jobs():
+            baseline = store.get_baseline(job.baseline_key)
+            pids[job.seed].add(baseline["worker_pid"])
+        assert len(pids) == 4
+        assert all(len(cell_pids) == 1 for cell_pids in pids.values())
+
+    def test_one_cell_pooled_matches_in_process(self, tmp_path):
+        spec = small_spec(setups=["paper", "greedy-sleep", "always-on"], seeds=[1])
+        serial = run_campaign(spec, tmp_path / "serial", workers=1)
+        pooled = run_campaign(spec, tmp_path / "pooled", workers=2)
+        assert pooled.baseline_runs == serial.baseline_runs == 1
+        assert pooled.ok == serial.ok == 3
+
+        def stable(record):
+            view = {k: v for k, v in record.items() if k not in ("worker_pid", "wall_clock_s")}
+            view["metrics"] = _stable_metrics(record)
+            return view
+
+        assert [stable(r) for r in pooled.records] == [stable(r) for r in serial.records]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_timed_out_baseline_of_a_split_cell(self, tmp_path, workers):
+        # The baseline times out, so every job recomputes its own and times
+        # out too; at two workers the one cell runs as a baseline task, then
+        # a task per job, and the campaign must still finish.
+        spec = small_spec(scenarios=["B"], setups=["paper", "greedy-sleep", "always-on"],
+                          seeds=[1])
+        summary = run_campaign(spec, tmp_path / "camp", workers=workers, job_timeout_s=0.005)
+        assert summary.baseline_runs == 1
+        assert summary.executed == summary.timeouts == 3
+        baseline = ResultStore(tmp_path / "camp").get_baseline(spec.jobs()[0].baseline_key)
+        assert baseline["status"] == "timeout"
+        assert "figures" not in baseline
+        assert [record["status"] for record in summary.records] == ["timeout"] * 3
+        assert all("baseline_key" not in record for record in summary.records)
+
+    def jobs(self, scenarios, seeds):
+        return small_spec(
+            scenarios=[
+                {"kind": "single_ip", "name": name, "battery": "low",
+                 "temperature": "low", "task_count": 6}
+                for name in scenarios
+            ],
+            setups=["paper", "greedy-sleep"],
+            seeds=seeds,
+        ).jobs()
+
+    def test_plan_gives_one_task_per_cell_when_cells_pack_evenly(self):
+        from repro.campaign.executor import _plan_cells
+
+        jobs = self.jobs(["s1", "s2"], [1])
+        baselines, tasks = _plan_cells(jobs, set(), workers=2)
+        assert baselines == []
+        assert [task.key for task in tasks] == [jobs[0].baseline_key, jobs[2].baseline_key]
+        assert [task.baseline for task in tasks] == [jobs[0], jobs[2]]
+        assert [task.jobs for task in tasks] == [tuple(jobs[:2]), tuple(jobs[2:])]
+
+    def test_plan_splits_fewer_cells_than_workers(self):
+        from repro.campaign.executor import _CellTask, _plan_cells
+
+        jobs = self.jobs(["s1"], [1])
+        key = jobs[0].baseline_key
+        assert _plan_cells(jobs, set(), workers=4) == (
+            [_CellTask(key, jobs[0], ())],
+            [_CellTask(key, None, (jobs[0],)), _CellTask(key, None, (jobs[1],))],
+        )
+
+    def test_plan_splits_a_ragged_last_round(self):
+        from repro.campaign.executor import _plan_cells
+
+        # Three cells of three runs on two workers take six runs' time;
+        # baselines then jobs take two plus three.
+        jobs = self.jobs(["s1", "s2", "s3"], [1])
+        baselines, tasks = _plan_cells(jobs, set(), workers=2)
+        assert [task.baseline for task in baselines] == [jobs[0], jobs[2], jobs[4]]
+        assert [task.jobs for task in tasks] == [(job,) for job in jobs]
+        # Four cells fill both workers' rounds, so they stay whole.
+        jobs = self.jobs(["s1", "s2", "s3", "s4"], [1])
+        baselines, tasks = _plan_cells(jobs, set(), workers=2)
+        assert baselines == [] and len(tasks) == 4
+
+    def test_plan_skips_stored_baselines(self):
+        from repro.campaign.executor import _CellTask, _plan_cells
+
+        jobs = self.jobs(["s1", "s2"], [1])
+        stored = {jobs[0].baseline_key}
+        baselines, tasks = _plan_cells(jobs, stored, workers=1)
+        assert baselines == []
+        assert tasks[0] == _CellTask(jobs[0].baseline_key, None, tuple(jobs[:2]))
+        assert tasks[1].baseline == jobs[2]
+        few = _plan_cells(jobs[:2], stored, workers=4)
+        assert few == ([], [_CellTask(jobs[0].baseline_key, None, (job,)) for job in jobs[:2]])
+
+
 class TestCampaignAccuracy:
     def test_accuracy_default_keeps_job_ids_stable(self):
         # Pre-accuracy job descriptions must hash identically, so existing
@@ -412,6 +520,32 @@ class TestPreflight:
         spec = self.platform_grid({"kind": "platform", "spec": self.bad_platform()})
         summary = run_campaign(spec, tmp_path / "camp", workers=1, preflight=False)
         assert summary.ok == 1
+
+    def test_lints_each_distinct_platform_once_without_the_job_grid(self, monkeypatch):
+        import repro.lint
+        from repro.campaign import preflight_campaign
+
+        linted = []
+        lint_spec = repro.lint.lint_spec
+        monkeypatch.setattr(
+            repro.lint, "lint_spec",
+            lambda platform, **kw: linted.append(platform.name) or lint_spec(platform, **kw),
+        )
+        monkeypatch.setattr(
+            CampaignSpec, "jobs",
+            lambda self: pytest.fail("preflight must not expand the job grid"),
+        )
+        spec = CampaignSpec.from_dict({
+            "name": "platforms",
+            "scenarios": ["iot-duty-cycle", "A1", "phone-bursty", "iot-duty-cycle"],
+            "setups": ["paper", "greedy-sleep"],
+            "seeds": [1, 2, 3],
+            "overrides": [{}, {"task_count": 12}, {"max_time_ms": 900.0}],
+        })
+        lines = preflight_campaign(spec)
+        # task_count does not apply to platform scenarios; max_time_ms does.
+        assert linted == ["iot-duty-cycle", "iot-duty-cycle", "phone-bursty", "phone-bursty"]
+        assert len(lines) == 4
 
     def test_duplicate_platforms_checked_once(self):
         from repro.campaign import preflight_campaign
