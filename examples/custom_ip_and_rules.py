@@ -9,8 +9,7 @@ single IP to optimize its performances".  This example shows that workflow:
    effective capacitance, slower sleep transitions),
 2. write an application-specific rule table (a media accelerator that never
    drops below ON2 for high-priority frames),
-3. drive the IP with service requests through a channel (request-driven mode
-   instead of a pre-baked workload),
+3. drive the IP with a bursty workload of frames,
 4. inspect the resulting break-even times, decisions and energy breakdown.
 
 Run with::

@@ -12,10 +12,13 @@ the C-level identity hash.
 
 from __future__ import annotations
 
+from enum import Enum
+from typing import Type
+
 __all__ = ["dense_index"]
 
 
-def dense_index(enum_cls) -> None:
+def dense_index(enum_cls: Type[Enum]) -> None:
     """Stamp each member with ``_idx`` (dense 0..n-1) and ``_str`` (value).
 
     ``_idx`` doubles as the member's rank wherever the declaration order is
@@ -26,7 +29,8 @@ def dense_index(enum_cls) -> None:
     Call it right after the class body, before any dict or set holds a
     member under the old hash.
     """
+    # The stamps are attributes Enum does not declare, hence setattr.
     for index, member in enumerate(enum_cls):
-        member._idx = index
-        member._str = member._value_
-    enum_cls.__hash__ = object.__hash__
+        setattr(member, "_idx", index)
+        setattr(member, "_str", member._value_)
+    setattr(enum_cls, "__hash__", object.__hash__)

@@ -47,7 +47,7 @@ def markdown_table2(
     for result in results:
         reference = paper.get(result.scenario, {})
 
-        def fmt(key):
+        def fmt(key: str) -> str:
             value = reference.get(key)
             return "-" if value is None else f"{value:.0f}"
 

@@ -38,10 +38,6 @@ class StateResidency:
         """Fraction of time spent in any sleep or off state."""
         return sum(self.fraction(state) for state in self.by_state if not state.is_on)
 
-    def on_fraction(self) -> float:
-        """Fraction of time spent in any execution state."""
-        return sum(self.fraction(state) for state in self.by_state if state.is_on)
-
     def dominant_state(self) -> Optional[PowerState]:
         """The state with the largest residency (``None`` when empty)."""
         if not self.by_state:

@@ -59,8 +59,6 @@ class Battery:
     def __init__(self, config: Optional[BatteryConfig] = None) -> None:
         self.config = config or BatteryConfig()
         self._remaining_j = self.config.capacity_j * self.config.initial_state_of_charge
-        self._drawn_j = 0.0
-        self._wasted_j = 0.0
         # The state of charge and the quantised level follow every change of
         # _remaining_j (see _set_remaining); the level is re-classified only
         # when the charge leaves its band.  On mains the band is everything;
@@ -91,21 +89,6 @@ class Battery:
         if self._sync_hook is not None:
             self._sync_hook()
         return self._state_of_charge
-
-    @property
-    def drawn_j(self) -> float:
-        """Total energy delivered to the load so far."""
-        return self._drawn_j
-
-    @property
-    def wasted_j(self) -> float:
-        """Energy lost to rate-dependent inefficiency and self-discharge."""
-        return self._wasted_j
-
-    @property
-    def is_exhausted(self) -> bool:
-        """True when no usable energy remains."""
-        return self._remaining_j <= 0.0
 
     @property
     def level(self) -> BatteryLevel:
@@ -169,7 +152,6 @@ class Battery:
         config = self.config
         if config.on_ac_power:
             # On mains power the battery is bypassed entirely.
-            self._drawn_j += energy_j
             return energy_j
         # over_fs / 10^15 is SimTime.seconds bit for bit.
         removed = energy_j
@@ -184,8 +166,6 @@ class Battery:
             leak = config.self_discharge_w * (over_fs / 1_000_000_000_000_000)
             removed += leak
         self._set_remaining(max(0.0, self._remaining_j - removed))
-        self._drawn_j += energy_j
-        self._wasted_j += removed - energy_j
         return removed
 
     def drain_windows(self, energy_per_window_j: float, window: SimTime, count: int) -> None:
@@ -203,7 +183,6 @@ class Battery:
         if count <= 0:
             return
         if self.config.on_ac_power:
-            self._drawn_j += energy_per_window_j * count
             return
         window_s = window.seconds
         power = energy_per_window_j / window_s if window_s > 0.0 else 0.0
@@ -214,24 +193,6 @@ class Battery:
             and self._remaining_j > total
         ):
             self._set_remaining(self._remaining_j - total)
-            self._drawn_j += total
             return
         for _ in range(count):
             self.draw_energy(energy_per_window_j, over=window)
-
-    def recharge(self, energy_j: float) -> None:
-        """Add charge (clamped to the nominal capacity)."""
-        if energy_j < 0.0:
-            raise BatteryError("cannot recharge with negative energy")
-        self._set_remaining(min(self.config.capacity_j, self._remaining_j + energy_j))
-
-    def snapshot(self) -> dict:
-        """Plain-dict state summary (used by reports and tests)."""
-        return {
-            "remaining_j": self._remaining_j,
-            "state_of_charge": self.state_of_charge,
-            "level": str(self.level),
-            "drawn_j": self._drawn_j,
-            "wasted_j": self._wasted_j,
-            "on_ac_power": self.config.on_ac_power,
-        }

@@ -41,10 +41,6 @@ class BatteryLevel(Enum):
         """Ordering helper: EMPTY=0 ... FULL=4, AC_POWER=5."""
         return self._idx
 
-    def at_least(self, other: "BatteryLevel") -> bool:
-        """True when this level is at least as charged as ``other``."""
-        return self._idx >= other._idx
-
     def __str__(self) -> str:
         return self._str
 
@@ -97,17 +93,3 @@ class BatteryThresholds:
         if not level.is_battery:
             raise BatteryError(f"{level} has no state-of-charge band")
         return edges[level.rank], edges[level.rank + 1]
-
-    def representative_soc(self, level: BatteryLevel) -> float:
-        """A state of charge that maps back to ``level`` (mid-band value)."""
-        bands = {
-            BatteryLevel.EMPTY: self.empty / 2.0,
-            BatteryLevel.LOW: (self.empty + self.low) / 2.0,
-            BatteryLevel.MEDIUM: (self.low + self.medium) / 2.0,
-            BatteryLevel.HIGH: (self.medium + self.high) / 2.0,
-            BatteryLevel.FULL: (self.high + 1.0) / 2.0,
-        }
-        try:
-            return bands[level]
-        except KeyError:
-            raise BatteryError(f"{level} has no representative state of charge") from None

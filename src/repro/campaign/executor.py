@@ -37,12 +37,16 @@ import traceback
 from dataclasses import dataclass, field
 from types import FrameType
 from typing import (
-    Any, Callable, Collection, Dict, List, Mapping, NoReturn, Optional, Sequence, Tuple, Union,
+    TYPE_CHECKING, Any, Callable, Collection, Dict, List, Mapping, NoReturn, Optional, Sequence, Tuple,
+    Union,
 )
 
 from repro.campaign.spec import CampaignSpec, JobSpec, build_scenario, build_setup
 from repro.campaign.store import ResultStore
 from repro.errors import CampaignError
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only; the pool is imported lazily
+    import multiprocessing.pool
 
 __all__ = [
     "CampaignSummary",
@@ -116,6 +120,20 @@ def _run_with_timeout(func: Callable[[], Any], timeout_s: Optional[float]) -> An
     if fired:
         raise _JobTimeout()
     return result
+
+
+def _ignore_sigint() -> None:
+    """Pool initializer: a worker ignores Ctrl-C, so the parent's
+    ``pool.terminate()`` is the only stop (and no worker prints a
+    ``KeyboardInterrupt`` traceback).  The per-job SIGALRM is untouched."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _worker_pool(processes: int) -> "multiprocessing.pool.Pool":
+    """The campaign's worker pool."""
+    import multiprocessing
+
+    return multiprocessing.Pool(processes=processes, initializer=_ignore_sigint)
 
 
 def execute_baseline(job_dict: Mapping[str, Any], timeout_s: Optional[float] = None) -> Dict[str, Any]:
@@ -484,9 +502,7 @@ def run_campaign(
     if pool_size <= 1:
         run_passes(map)
     else:
-        import multiprocessing
-
-        with multiprocessing.Pool(processes=pool_size) as pool:
+        with _worker_pool(pool_size) as pool:
             try:
                 run_passes(pool.imap_unordered)
             except KeyboardInterrupt:

@@ -15,7 +15,7 @@ because each LEM needs its own stateful copy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.dpm.lem import LemConfig
 from repro.dpm.gem import GemConfig
@@ -36,6 +36,7 @@ from repro.dpm.predictor import (
     default_predictor,
 )
 from repro.dpm.rules import RuleTable
+from repro.power.states import PowerState
 from repro.sim.simtime import SimTime
 
 __all__ = ["DpmSetup"]
@@ -92,9 +93,9 @@ class DpmSetup:
         )
 
     @staticmethod
-    def fixed_timeout(timeout: SimTime, sleep_state=None) -> "DpmSetup":
+    def fixed_timeout(timeout: SimTime, sleep_state: Optional[PowerState] = None) -> "DpmSetup":
         """Classic timeout-based shutdown (ablation)."""
-        kwargs = {"timeout": timeout}
+        kwargs: Dict[str, Any] = {"timeout": timeout}
         if sleep_state is not None:
             kwargs["sleep_state"] = sleep_state
         return DpmSetup(

@@ -29,17 +29,23 @@ Interpretation notes (documented in ``DESIGN.md``):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Generator, Optional
 
 from repro.battery.status import BatteryLevel
 from repro.errors import ConfigurationError
 from repro.power.states import PowerState
 from repro.sim.kernel import Kernel
 from repro.sim.module import Module
+from repro.sim.process import WaitSpec
 from repro.sim.simtime import SimTime, us
 from repro.soc.bus import Bus, BusLevel
 from repro.thermal.fan import Fan
 from repro.thermal.level import TemperatureLevel
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.battery.monitor import BatteryMonitor
+    from repro.dpm.lem import LocalEnergyManager
+    from repro.thermal.sensor import TemperatureSensor
 
 __all__ = ["GemConfig", "GlobalEnergyManager", "ResourceView"]
 
@@ -110,8 +116,8 @@ class GlobalEnergyManager(Module):
         self,
         kernel: Kernel,
         name: str,
-        battery_monitor,
-        temperature_sensor,
+        battery_monitor: "BatteryMonitor",
+        temperature_sensor: "TemperatureSensor",
         fan: Optional[Fan] = None,
         bus: Optional[Bus] = None,
         config: Optional[GemConfig] = None,
@@ -128,7 +134,7 @@ class GlobalEnergyManager(Module):
         self.bus = bus
         self.config = config or GemConfig()
         self.enable_changed = self.event("enable_changed")
-        self._lems: Dict[str, object] = {}
+        self._lems: Dict[str, "LocalEnergyManager"] = {}
         self._priorities: Dict[str, int] = {}
         self._enabled: Dict[str, bool] = {}
         self._pending_energy: Dict[str, float] = {}
@@ -180,7 +186,7 @@ class GlobalEnergyManager(Module):
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def register_lem(self, lem, static_priority: int) -> None:
+    def register_lem(self, lem: "LocalEnergyManager", static_priority: int) -> None:
         """Register a LEM under its IP name with a static priority (1 = highest)."""
         ip_name = lem.ip_name
         if ip_name in self._lems:
@@ -196,18 +202,6 @@ class GlobalEnergyManager(Module):
         self._pending_version += 1
         self._rank_cache_dirty = True
         self.evaluate()
-
-    @property
-    def ip_names(self) -> List[str]:
-        """Registered IP names."""
-        return list(self._lems)
-
-    def priority_of(self, ip_name: str) -> int:
-        """Static priority of ``ip_name`` (1 is the highest)."""
-        try:
-            return self._priorities[ip_name]
-        except KeyError:
-            raise ConfigurationError(f"IP {ip_name!r} is not registered with the GEM") from None
 
     # ------------------------------------------------------------------
     # Resource requests
@@ -438,7 +432,7 @@ class GlobalEnergyManager(Module):
     # ------------------------------------------------------------------
     # Processes
     # ------------------------------------------------------------------
-    def _periodic_evaluation(self):
+    def _periodic_evaluation(self) -> Generator[WaitSpec, None, None]:
         # Exact mode: the unconditional legacy safety sweep, unchanged.
         while True:
             yield self.config.evaluation_interval

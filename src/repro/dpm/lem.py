@@ -22,7 +22,7 @@ break-even analysis are all injectable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, Generator, List, Optional
 
 from repro.battery.model import Battery
 from repro.dpm.levels import BusLevel, RuleContext
@@ -36,10 +36,14 @@ from repro.power.states import PowerState
 from repro.sim.event import Event
 from repro.sim.kernel import Kernel
 from repro.sim.module import Module
-from repro.sim.process import AnyOf
+from repro.sim.process import AnyOf, WaitSpec
 from repro.sim.simtime import SimTime, us
+from repro.soc.bus import Bus
 from repro.soc.task import Task, TaskPriority
 from repro.thermal.model import ThermalModel
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.dpm.gem import GlobalEnergyManager
 
 __all__ = ["LemConfig", "TaskGrant", "LemDecision", "LocalEnergyManager"]
 
@@ -94,11 +98,6 @@ class LemDecision:
     #: energy the other IPs had requested from the GEM (0 without a GEM)
     other_ip_energy_j: float = 0.0
 
-    @property
-    def waiting_time(self) -> SimTime:
-        """Time the request waited before being granted."""
-        return self.grant_time - self.request_time
-
 
 @dataclass
 class _IdleRecord:
@@ -124,8 +123,8 @@ class LocalEnergyManager(Module):
         breakeven: BreakEvenAnalyzer,
         policy: Optional[DpmPolicy] = None,
         predictor: Optional[IdlePredictor] = None,
-        gem=None,
-        bus=None,
+        gem: Optional["GlobalEnergyManager"] = None,
+        bus: Optional[Bus] = None,
         static_priority: int = 1,
         config: Optional[LemConfig] = None,
         parent: Optional[Module] = None,
@@ -296,7 +295,9 @@ class LocalEnergyManager(Module):
         self._fast_awaiting = None
         self._finalize_grant(grant, selected, context, deferrals)
 
-    def _finalize_grant(self, grant: TaskGrant, selected, context, deferrals: int) -> None:
+    def _finalize_grant(
+        self, grant: TaskGrant, selected: PowerState, context: RuleContext, deferrals: int
+    ) -> None:
         grant.state = selected
         grant.granted = True
         self._pending_grant = None
@@ -343,8 +344,9 @@ class LocalEnergyManager(Module):
         record = self._idle_record
         if record is None or self._idle_sequence != record.sequence:
             return
-        use_hint = record.hint is not None and getattr(self.policy, "uses_idle_hint", False)
-        predicted = record.hint if use_hint else self.predictor.predict()
+        predicted = record.hint
+        if predicted is None or not getattr(self.policy, "uses_idle_hint", False):
+            predicted = self.predictor.predict()
         target = self.policy.select_idle_state(predicted, self.breakeven)
         if target is None:
             return
@@ -459,7 +461,7 @@ class LocalEnergyManager(Module):
     # ------------------------------------------------------------------
     # Request serving process
     # ------------------------------------------------------------------
-    def _serve_requests(self):
+    def _serve_requests(self) -> Generator[WaitSpec, None, None]:
         while True:
             if self._pending_grant is None:
                 yield self._request_event
@@ -501,7 +503,7 @@ class LocalEnergyManager(Module):
     # ------------------------------------------------------------------
     # Idle management process
     # ------------------------------------------------------------------
-    def _manage_idle(self):
+    def _manage_idle(self) -> Generator[WaitSpec, None, None]:
         while True:
             yield self._idle_event
             record = self._idle_record
@@ -514,8 +516,9 @@ class LocalEnergyManager(Module):
                     continue
                 target = self.policy.timeout_state
             else:
-                use_hint = record.hint is not None and getattr(self.policy, "uses_idle_hint", False)
-                predicted = record.hint if use_hint else self.predictor.predict()
+                predicted = record.hint
+                if predicted is None or not getattr(self.policy, "uses_idle_hint", False):
+                    predicted = self.predictor.predict()
                 target = self.policy.select_idle_state(predicted, self.breakeven)
             if target is None:
                 continue

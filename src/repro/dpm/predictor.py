@@ -20,8 +20,6 @@ and to ablate in the benchmarks.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 from repro.errors import ConfigurationError
 from repro.sim.simtime import SimTime, ms, us
 
@@ -49,38 +47,6 @@ class IdlePredictor:
         """Feed back the actually observed idle period."""
         raise NotImplementedError
 
-    def reset(self) -> None:
-        """Forget all history (default: no-op)."""
-
-    # -- shared bookkeeping helpers ------------------------------------------
-    def __init__(self) -> None:
-        self._observations: List[SimTime] = []
-        self._predictions: List[SimTime] = []
-
-    def _record_prediction(self, value: SimTime) -> SimTime:
-        self._predictions.append(value)
-        return value
-
-    def _record_observation(self, value: SimTime) -> None:
-        self._observations.append(value)
-
-    @property
-    def observation_count(self) -> int:
-        """Number of idle periods observed so far."""
-        return len(self._observations)
-
-    def mean_absolute_error(self) -> Optional[SimTime]:
-        """Mean |prediction - observation| over the paired history."""
-        pairs = min(len(self._predictions), len(self._observations))
-        if pairs == 0:
-            return None
-        total_fs = 0
-        for index in range(pairs):
-            predicted = self._predictions[index].femtoseconds
-            observed = self._observations[index].femtoseconds
-            total_fs += abs(predicted - observed)
-        return SimTime(total_fs // pairs)
-
 
 class FixedPredictor(IdlePredictor):
     """Always predicts the same constant idle time."""
@@ -88,14 +54,13 @@ class FixedPredictor(IdlePredictor):
     kind = "fixed"
 
     def __init__(self, value: SimTime = ms(1)) -> None:
-        super().__init__()
         self.value = value
 
     def predict(self) -> SimTime:
-        return self._record_prediction(self.value)
+        return self.value
 
     def update(self, actual_idle: SimTime) -> None:
-        self._record_observation(actual_idle)
+        """A constant prediction learns nothing from the observation."""
 
 
 class LastValuePredictor(IdlePredictor):
@@ -104,19 +69,14 @@ class LastValuePredictor(IdlePredictor):
     kind = "last-value"
 
     def __init__(self, initial: SimTime = ms(1)) -> None:
-        super().__init__()
         self.initial = initial
         self._last = initial
 
     def predict(self) -> SimTime:
-        return self._record_prediction(self._last)
+        return self._last
 
     def update(self, actual_idle: SimTime) -> None:
-        self._record_observation(actual_idle)
         self._last = actual_idle
-
-    def reset(self) -> None:
-        self._last = self.initial
 
 
 class ExponentialAveragePredictor(IdlePredictor):
@@ -128,7 +88,6 @@ class ExponentialAveragePredictor(IdlePredictor):
     kind = "ewma"
 
     def __init__(self, alpha: float = 0.5, initial: SimTime = ms(1)) -> None:
-        super().__init__()
         if not 0.0 < alpha <= 1.0:
             raise ConfigurationError(f"EWMA alpha must be in (0, 1], got {alpha}")
         self.alpha = alpha
@@ -136,18 +95,14 @@ class ExponentialAveragePredictor(IdlePredictor):
         self._estimate = initial
 
     def predict(self) -> SimTime:
-        return self._record_prediction(self._estimate)
+        return self._estimate
 
     def update(self, actual_idle: SimTime) -> None:
-        self._record_observation(actual_idle)
         blended_fs = (
             self.alpha * actual_idle.femtoseconds
             + (1.0 - self.alpha) * self._estimate.femtoseconds
         )
         self._estimate = SimTime(int(round(blended_fs)))
-
-    def reset(self) -> None:
-        self._estimate = self.initial
 
 
 class AdaptivePredictor(IdlePredictor):
@@ -170,7 +125,6 @@ class AdaptivePredictor(IdlePredictor):
         floor: SimTime = us(10),
         ceiling: SimTime = ms(100),
     ) -> None:
-        super().__init__()
         if not 0.0 < alpha <= 1.0:
             raise ConfigurationError(f"alpha must be in (0, 1], got {alpha}")
         if grow_factor < 1.0 or not 0.0 < shrink_factor <= 1.0:
@@ -190,10 +144,9 @@ class AdaptivePredictor(IdlePredictor):
         return SimTime(fs)
 
     def predict(self) -> SimTime:
-        return self._record_prediction(self._estimate)
+        return self._estimate
 
     def update(self, actual_idle: SimTime) -> None:
-        self._record_observation(actual_idle)
         blended_fs = (
             self.alpha * actual_idle.femtoseconds
             + (1.0 - self.alpha) * self._estimate.femtoseconds
@@ -203,9 +156,6 @@ class AdaptivePredictor(IdlePredictor):
         elif actual_idle.femtoseconds < self._estimate.femtoseconds:
             blended_fs *= self.shrink_factor
         self._estimate = self._clamp(SimTime(int(round(blended_fs))))
-
-    def reset(self) -> None:
-        self._estimate = self._clamp(self.initial)
 
 
 def default_predictor() -> IdlePredictor:

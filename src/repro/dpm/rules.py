@@ -92,7 +92,7 @@ class Rule:
     def describe(self) -> str:
         """Human-readable rendering close to the paper's table notation."""
 
-        def fmt(values, order):
+        def fmt(values: Optional[FrozenSet[Any]], order: Callable[[Any], int]) -> str:
             if values is None:
                 return "-"
             return ",".join(str(v) for v in sorted(values, key=order))
@@ -301,7 +301,7 @@ class RuleTable:
 
     # -- (de)serialisation ------------------------------------------------------
     def as_dicts(self) -> List[dict]:
-        """Serializable representation (used to retarget the LEM per IP)."""
+        """The table in the ``policy.rules`` format of a platform spec."""
         return [
             {
                 "state": str(rule.state),

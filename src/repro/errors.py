@@ -30,15 +30,6 @@ class SchedulingError(SimulationError):
     """A process performed an illegal scheduling operation."""
 
 
-class SimulationFinished(SimulationError):
-    """Raised internally when the simulation has no more work to do.
-
-    Users normally never see this exception: :meth:`repro.sim.kernel.Kernel.run`
-    catches it and returns normally.  It is public so custom schedulers can
-    reuse the same control flow.
-    """
-
-
 class PowerModelError(ReproError):
     """A power characterisation, state machine or transition table is invalid."""
 

@@ -117,10 +117,6 @@ class OracleVerdict:
     detail: str = ""
 
     @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
-    @property
     def failed(self) -> bool:
         return self.status == "fail"
 

@@ -1,8 +1,8 @@
 """Interval arithmetic for the reachability engine (:mod:`repro.lint.reach`).
 
-A tiny, closed-form toolkit: an :class:`Interval` of floats with hull and
-widening operators, and crossing-time solvers for the two trajectory shapes
-the abstract interpreter propagates — linear battery drain and first-order
+A tiny, closed-form toolkit: an :class:`Interval` of floats and
+crossing-time solvers for the two trajectory shapes the abstract
+interpreter propagates — linear battery drain and first-order
 (RC) thermal relaxation.  Everything here is direction-agnostic maths; the
 physical soundness arguments live in :mod:`repro.lint.reach`.
 """
@@ -39,37 +39,6 @@ class Interval:
     @property
     def width(self) -> float:
         return self.hi - self.lo
-
-    def contains(self, value: float) -> bool:
-        return self.lo <= value <= self.hi
-
-    def hull(self, other: "Interval") -> "Interval":
-        """Smallest interval containing both operands (the join)."""
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
-    def expand(self, below: float = 0.0, above: float = 0.0) -> "Interval":
-        """Grow the interval by non-negative margins on each side."""
-        if below < 0.0 or above < 0.0:
-            raise ValueError("expansion margins must be non-negative")
-        return Interval(self.lo - below, self.hi + above)
-
-    def clamp(self, lo: float, hi: float) -> "Interval":
-        """Intersect with ``[lo, hi]``; collapses to the nearer bound when disjoint."""
-        new_lo = min(max(self.lo, lo), hi)
-        new_hi = max(min(self.hi, hi), lo)
-        return Interval(new_lo, new_hi)
-
-    def widen(self, other: "Interval", lo_limit: float, hi_limit: float) -> "Interval":
-        """Classic interval widening against ``other``, jumping to the limits.
-
-        Any bound of ``other`` that escapes ``self`` is widened all the way to
-        the corresponding limit, guaranteeing termination of fixpoint loops in
-        a bounded number of steps regardless of how slowly the underlying
-        trajectory drifts.
-        """
-        lo = self.lo if other.lo >= self.lo else lo_limit
-        hi = self.hi if other.hi <= self.hi else hi_limit
-        return Interval(min(lo, other.lo), max(hi, other.hi))
 
 
 def linear_crossing_time(start: float, rate: float, threshold: float) -> Optional[float]:

@@ -181,10 +181,6 @@ class ReachResult:
         return frozenset(span.level for span in self.bus_levels)
 
     @property
-    def priority_set(self) -> FrozenSet[TaskPriority]:
-        return frozenset(p for ip in self.ips for p in ip.priorities)
-
-    @property
     def has_decisions(self) -> bool:
         """True when at least one IP can present a decision context at all."""
         return any(ip.priorities for ip in self.ips)

@@ -85,9 +85,6 @@ class EventType:
     def category(self) -> str:
         return self.kind.split(".", 1)[0]
 
-    def field_names(self) -> Tuple[str, ...]:
-        return tuple(self.required) + tuple(self.optional)
-
 
 def _event(
     kind: str,

@@ -81,6 +81,3 @@ class Tracer:
 
     def __len__(self) -> int:
         return len(self.events)
-
-    def to_dicts(self) -> List[Dict[str, Any]]:
-        return [event.to_dict() for event in self.events]

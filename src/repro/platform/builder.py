@@ -90,11 +90,6 @@ class PlatformBuilder:
         self._data["gem"] = _section(enabled=True, **fields)
         return self
 
-    def no_gem(self) -> "PlatformBuilder":
-        """Run the IPs under independent LEMs only (the default)."""
-        self._data.pop("gem", None)
-        return self
-
     def policy(self, name: str = "paper", **fields: Any) -> "PlatformBuilder":
         """Set the platform's default power-management policy."""
         self._data["policy"] = _section(name=name, **fields)
@@ -116,11 +111,6 @@ class PlatformBuilder:
         self._data["fan_power_w"] = float(power_w)
         return self
 
-    def no_fan(self) -> "PlatformBuilder":
-        """Build the platform without a fan."""
-        self._data["with_fan"] = False
-        return self
-
     def bus(
         self,
         words_per_second: float = 50e6,
@@ -138,11 +128,6 @@ class PlatformBuilder:
         )
         return self
 
-    def no_bus(self) -> "PlatformBuilder":
-        """Build the platform without a shared bus (the default)."""
-        self._data.pop("bus", None)
-        return self
-
     def trace(
         self,
         format: str = "jsonl",
@@ -156,11 +141,6 @@ class PlatformBuilder:
             path=path,
             events=list(events) if events is not None else None,
         )
-        return self
-
-    def no_trace(self) -> "PlatformBuilder":
-        """Build the platform without event tracing (the default)."""
-        self._data.pop("trace", None)
         return self
 
     # -- IPs ------------------------------------------------------------

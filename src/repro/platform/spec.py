@@ -1096,15 +1096,3 @@ class PlatformSpec(_Node):
                     _fail(f"{path}.bus",
                           f"ips[{index}] ({ip.name!r}) sets bus traffic but the "
                           "platform has no bus (set bus.enabled: true)")
-
-    def validation_error(self) -> Optional[str]:
-        """Non-raising :meth:`validate`: the error message, or ``None`` if valid.
-
-        The strategy-facing hook of ``repro.fuzz``: generated spec trees are
-        checked (and property-tested) without try/except noise at call sites.
-        """
-        try:
-            self.validate()
-        except PlatformError as error:
-            return str(error)
-        return None

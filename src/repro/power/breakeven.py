@@ -70,13 +70,10 @@ class BreakEvenEntry:
         """True when the state can pay back its transition cost at all."""
         return self.break_even is not None
 
-    def saving_j(self, idle_power_w: float, idle_time: SimTime) -> float:
-        """Energy saved (possibly negative) by using this state for ``idle_time``."""
-        return self._saving_given_stay(idle_power_w * idle_time.seconds, idle_time)
-
-    def _saving_given_stay(self, stay: float, idle_time: SimTime) -> float:
-        """Saving with the stay-put cost precomputed (hoisted by callers that
-        evaluate several entries for the same idle period)."""
+    def saving_j(self, stay: float, idle_time: SimTime) -> float:
+        """Energy saved (possibly negative) by using this state for ``idle_time``
+        instead of staying put, which costs ``stay`` joules (hoisted by callers
+        that evaluate several entries for the same idle period)."""
         if idle_time.femtoseconds < self.round_trip_latency.femtoseconds:
             # The transition does not even fit in the idle window.
             return stay - (self.round_trip_energy_j + stay)
@@ -170,7 +167,7 @@ class BreakEvenAnalyzer:
                 continue
             if predicted_fs < break_even:
                 continue
-            saving = entry._saving_given_stay(stay, predicted_idle)
+            saving = entry.saving_j(stay, predicted_idle)
             if saving > best_saving:
                 best_saving = saving
                 best_state = entry.state

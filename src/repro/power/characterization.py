@@ -219,17 +219,6 @@ class PowerCharacterization:
             raise PowerModelError(f"{state} is an execution state; use idle_power_w")
         return self.idle_powers[state._idx]
 
-    def background_power_w(self, state: PowerState, busy: bool) -> float:
-        """Power drawn by the IP outside explicit task-energy accounting.
-
-        While ``busy`` the task energy is charged separately by the IP, so
-        the background contribution is zero; otherwise it is the idle or
-        residual power of the current state.
-        """
-        if busy:
-            return 0.0
-        return self.idle_power_w(state)
-
     # -- summaries --------------------------------------------------------------
     def summary(self) -> Dict[str, float]:
         """Key figures, useful in reports and examples."""

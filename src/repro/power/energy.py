@@ -14,10 +14,9 @@ Two small classes keep the books:
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Protocol
+from typing import Dict, Optional, Protocol
 
 from repro.errors import PowerModelError
-from repro.sim.simtime import SimTime
 
 __all__ = ["DepositRecorder", "EnergyAccount", "EnergyLedger", "EnergyCategory"]
 
@@ -56,7 +55,6 @@ class EnergyAccount:
     def __init__(self, owner: str) -> None:
         self.owner = owner
         self._by_category: Dict[str, float] = defaultdict(float)
-        self._deposits = 0
         self._total_cache = 0.0
         self._total_dirty = False
         self._recorder: Optional[DepositRecorder] = None
@@ -80,7 +78,6 @@ class EnergyAccount:
         if energy_j < 0.0:
             raise PowerModelError(f"cannot add negative energy ({energy_j} J) to {self.owner!r}")
         self._by_category[category] += energy_j
-        self._deposits += 1
         self._total_dirty = True
         ledger = self._ledger
         if ledger is not None:
@@ -89,12 +86,8 @@ class EnergyAccount:
         if recorder is not None:
             recorder.record(energy_j, _span_fs, _end_fs)
 
-    def add_power(self, power_w: float, duration: SimTime, category: str = EnergyCategory.IDLE) -> None:
-        """Record ``power_w`` watts drawn for ``duration``."""
-        self.add_power_fs(power_w, int(duration), category)
-
     def add_power_fs(self, power_w: float, span_fs: int, category: str = EnergyCategory.IDLE) -> None:
-        """:meth:`add_power` over a raw femtosecond span (no SimTime built)."""
+        """Record ``power_w`` watts drawn for ``span_fs`` femtoseconds."""
         if power_w < 0.0:
             raise PowerModelError(f"cannot integrate negative power ({power_w} W) for {self.owner!r}")
         # span_fs / 10^15 is SimTime.seconds bit for bit.
@@ -114,25 +107,10 @@ class EnergyAccount:
             self._total_dirty = False
         return self._total_cache
 
-    def category_j(self, category: str) -> float:
-        """Energy recorded under ``category``."""
-        return self._by_category.get(category, 0.0)
-
     @property
     def breakdown(self) -> Dict[str, float]:
         """Copy of the per-category totals."""
         return dict(self._by_category)
-
-    @property
-    def deposit_count(self) -> int:
-        """Number of recorded deposits (useful in tests)."""
-        return self._deposits
-
-    def average_power_w(self, duration: SimTime) -> float:
-        """Average power over ``duration`` implied by the recorded energy."""
-        if duration.is_zero:
-            return 0.0
-        return self.total_j / duration.seconds
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"EnergyAccount({self.owner!r}, total={self.total_j:.3e} J)"
@@ -178,11 +156,6 @@ class EnergyLedger:
         return account
 
     @property
-    def owners(self) -> List[str]:
-        """Names of all registered accounts."""
-        return list(self._accounts)
-
-    @property
     def total_j(self) -> float:
         """SoC-wide total energy in joules.
 
@@ -195,27 +168,6 @@ class EnergyLedger:
             self._dirty = False
         return self._total_cache
 
-    def total_excluding(self, owner: str) -> float:
-        """Energy dissipated by every consumer except ``owner``.
-
-        This is the quantity the GEM returns to each LEM so it "can correctly
-        estimate the value of the battery status and chip temperature at the
-        end of the task" (paper, section 1.4).
-        """
-        return sum(
-            account.total_j for name, account in self._accounts.items() if name != owner
-        )
-
     def breakdown(self) -> Dict[str, Dict[str, float]]:
         """Per-owner, per-category energy map."""
         return {name: account.breakdown for name, account in self._accounts.items()}
-
-    def totals_by_owner(self) -> Dict[str, float]:
-        """Per-owner totals."""
-        return {name: account.total_j for name, account in self._accounts.items()}
-
-    def average_power_w(self, duration: SimTime) -> float:
-        """SoC-wide average power over ``duration``."""
-        if duration.is_zero:
-            return 0.0
-        return self.total_j / duration.seconds

@@ -72,10 +72,6 @@ class OperatingPoint:
             raise PowerModelError("cycle count must be non-negative")
         return sec(cycles / self.frequency_hz)
 
-    def slowdown_versus(self, reference: "OperatingPoint") -> float:
-        """How many times slower this point is than ``reference``."""
-        return reference.frequency_hz / self.frequency_hz
-
 
 class OperatingPointTable:
     """The four DVFS points of an IP, indexed by ON state.
@@ -133,19 +129,6 @@ class OperatingPointTable:
     def fastest(self) -> OperatingPoint:
         """The ON1 point (the paper's baseline: maximum clock frequency)."""
         return self._points[PowerState.ON1]
-
-    @property
-    def slowest(self) -> OperatingPoint:
-        """The ON4 point."""
-        return self._points[PowerState.ON4]
-
-    def frequency_ratio(self, state: PowerState) -> float:
-        """``f(state) / f(ON1)`` — the relative speed of ``state``."""
-        return self.point(state).frequency_hz / self.fastest.frequency_hz
-
-    def energy_ratio(self, state: PowerState) -> float:
-        """``E_cyc(state) / E_cyc(ON1)`` — the relative energy per cycle."""
-        return (self.point(state).voltage_v / self.fastest.voltage_v) ** 2
 
     def as_dict(self) -> Dict[str, Dict[str, float]]:
         """Serializable view ``{state: {voltage_v, frequency_hz}}``."""

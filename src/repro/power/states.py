@@ -56,17 +56,6 @@ class PowerState(Enum):
         """True when the IP can execute instructions in this state."""
         return self._is_on
 
-    # -- ordering helpers ---------------------------------------------------
-    @property
-    def performance_rank(self) -> int:
-        """Higher means faster execution.  ON1 = 4 ... ON4 = 1, others = 0."""
-        return self._performance_rank
-
-    @property
-    def depth(self) -> int:
-        """Sleep depth: 0 for ON states, 1..4 for SL1..SL4, 5 for OFF."""
-        return self._depth
-
     @property
     def index(self) -> int:
         """Numeric suffix of ON/SL states (1-4); raises for OFF."""
@@ -108,8 +97,6 @@ for _member in PowerState:
     _member._is_on = _member.name.startswith("ON")
     _member._is_sleep = _member.name.startswith("SL")
     _member._is_off = _member is PowerState.OFF
-    _member._performance_rank = 5 - int(_member.name[2]) if _member._is_on else 0
-    _member._depth = 0 if _member._is_on else (5 if _member._is_off else int(_member.name[2]))
 del _member
 
 # Hot-path caches pack (source, target) state pairs as idx*16 + idx; growing

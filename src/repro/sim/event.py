@@ -163,11 +163,6 @@ class TimedQueue:
     def __len__(self) -> int:
         return self._live
 
-    @property
-    def heap_size(self) -> int:
-        """Number of heap slots in use, including cancelled entries."""
-        return len(self._heap)
-
     def push(self, when_fs: int, payload: Union[Event, "Process"]) -> list:
         """Schedule ``payload`` at absolute time ``when_fs``; returns a handle.
 

@@ -118,7 +118,6 @@ class Kernel:
         self._stop_requested = False
         self._running = False
         self.stats = KernelStatistics()
-        self._end_of_delta_callbacks: List[Callable[[], None]] = []
 
     # ------------------------------------------------------------------
     # Factory helpers
@@ -177,21 +176,6 @@ class Kernel:
         """Current simulated time as raw integer femtoseconds."""
         return self._now_fs
 
-    @property
-    def is_running(self) -> bool:
-        """True while :meth:`run` is executing."""
-        return self._running
-
-    @property
-    def pending_activity(self) -> bool:
-        """True if any work (runnable, delta or timed) remains.
-
-        Cancelled-only timed entries do not count: the timed queue tracks its
-        live entry count, so a heap full of withdrawn notifications reports
-        no pending activity.
-        """
-        return bool(self._runnable or self._delta_events or self._update_queue or len(self._timed))
-
     # ------------------------------------------------------------------
     # Scheduling requests (called by events, signals and processes)
     # ------------------------------------------------------------------
@@ -227,10 +211,6 @@ class Kernel:
         if channel not in scheduled:
             scheduled.add(channel)
             self._update_queue.append(channel)
-
-    def add_end_of_delta_callback(self, callback: Callable[[], None]) -> None:
-        """Register a callback run at the end of every delta cycle (tracing)."""
-        self._end_of_delta_callbacks.append(callback)
 
     def stop(self) -> None:
         """Request the simulation to stop at the end of the current delta."""
@@ -314,7 +294,6 @@ class Kernel:
         popleft = runnable.popleft
         extend = runnable.extend
         append = runnable.append
-        callbacks = self._end_of_delta_callbacks
         timed = self._timed
         push = timed.push
         next_time_fs = timed.next_time_fs
@@ -373,9 +352,6 @@ class Kernel:
                         for event in delta_events:
                             extend(event.fire())
                     delta_cycles += 1
-                    if callbacks:
-                        for callback in callbacks:
-                            callback()
                 if not advance or self._stop_requested:
                     return
                 # Time advance.

@@ -115,11 +115,6 @@ class SimTime(int):
         return int(self) / _FS_PER_S
 
     @property
-    def nanoseconds(self) -> float:
-        """This time expressed in nanoseconds."""
-        return int(self) / _FS_PER_NS
-
-    @property
     def is_zero(self) -> bool:
         """True when the time equals zero."""
         return int(self) == 0

@@ -8,7 +8,7 @@ speed of a run on :class:`~repro.experiments.runner.RunArtifacts`.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.errors import ElaborationError
 from repro.sim.accuracy import AccuracyMode
@@ -55,11 +55,6 @@ class Simulator:
             raise ElaborationError(f"duplicate top-level module name {module.basename!r}")
         self._top_modules.append(module)
         return module
-
-    @property
-    def top_modules(self) -> Sequence[Module]:
-        """Registered top-level modules."""
-        return list(self._top_modules)
 
     def find(self, path: str) -> Module:
         """Find a module anywhere in the design by dot-separated path."""

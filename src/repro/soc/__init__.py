@@ -1,9 +1,8 @@
-"""SoC substrate: tasks, workloads, functional IPs, bus, service requests and
-the SoC builder that wires everything together (Fig. 1 of the paper)."""
+"""SoC substrate: tasks, workloads, functional IPs, the bus and the SoC
+builder that wires everything together (Fig. 1 of the paper)."""
 
 from repro.soc.bus import Bus, BusLevel, BusRequest, BusStatistics, BusThresholds
 from repro.soc.ip import FunctionalIP
-from repro.soc.service import ServiceChannel, ServiceRequest, ServiceRequestGenerator
 from repro.soc.soc import IpInstance, IpSpec, SoC, SocConfig, build_soc
 from repro.soc.task import Task, TaskExecution, TaskPriority
 from repro.soc.workload import (
@@ -25,9 +24,6 @@ __all__ = [
     "FunctionalIP",
     "IpInstance",
     "IpSpec",
-    "ServiceChannel",
-    "ServiceRequest",
-    "ServiceRequestGenerator",
     "SoC",
     "SocConfig",
     "Task",

@@ -134,13 +134,6 @@ class BusRequest:
     cancelled: bool = False
     grant_time: Optional[SimTime] = None
 
-    @property
-    def wait_time(self) -> Optional[SimTime]:
-        """Time spent queued, or ``None`` while the grant is pending."""
-        if self.grant_time is None:
-            return None
-        return self.grant_time - self.arrival
-
 
 @dataclass
 class BusStatistics:
@@ -301,20 +294,6 @@ class Bus(Module):
     def is_busy(self) -> bool:
         """True while a transfer is in progress."""
         return self._owner is not None
-
-    @property
-    def is_cycle_accurate(self) -> bool:
-        """True when grants are synchronised to the bus clock."""
-        return self.timing == "cycle_accurate"
-
-    @property
-    def queue_length(self) -> int:
-        """Number of masters waiting for the bus."""
-        return len(self._queue)
-
-    def busy_time_so_far(self) -> SimTime:
-        """Completed busy time plus the in-flight portion up to now."""
-        return self.stats.busy_time + self._in_flight()
 
     def occupancy(self) -> float:
         """Busy fraction since the bus was created, including the portion of

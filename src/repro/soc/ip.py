@@ -11,8 +11,7 @@ that behaviour:
    state, charging the task energy to its energy account;
 3. it notifies the LEM of the completion and idles until the next request.
 
-The IP can alternatively be driven by a :class:`~repro.soc.service.ServiceChannel`
-(request-driven mode) and can optionally perform a bus transfer per task.
+The IP can optionally perform a bus transfer per task.
 
 The LEM is any object honouring the small protocol used here:
 ``submit_task_request(task) -> grant`` (where ``grant`` exposes ``granted``,
@@ -33,7 +32,6 @@ from repro.sim.module import Module
 from repro.sim.process import WaitSpec
 from repro.sim.simtime import SimTime
 from repro.soc.bus import Bus
-from repro.soc.service import ServiceChannel
 from repro.soc.task import Task, TaskExecution
 from repro.soc.workload import Workload
 
@@ -44,7 +42,7 @@ __all__ = ["FunctionalIP"]
 
 
 class FunctionalIP(Module):
-    """Workload- or request-driven traffic generator with DPM hooks.
+    """Workload-driven traffic generator with DPM hooks.
 
     Parameters
     ----------
@@ -59,9 +57,7 @@ class FunctionalIP(Module):
     energy_account:
         Ledger receiving the task (active) energy.
     workload:
-        Task sequence to execute (mutually exclusive with ``service_channel``).
-    service_channel:
-        Optional request-driven source of tasks.
+        Task sequence to execute.
     bus:
         Optional shared bus; when given, every task performs one transfer of
         ``bus_words_per_task`` words before executing.
@@ -78,18 +74,13 @@ class FunctionalIP(Module):
         characterization: PowerCharacterization,
         psm: PowerStateMachine,
         energy_account: EnergyAccount,
-        workload: Optional[Workload] = None,
-        service_channel: Optional[ServiceChannel] = None,
+        workload: Workload,
         bus: Optional[Bus] = None,
         bus_words_per_task: int = 0,
         bus_priority: int = 0,
         parent: Optional[Module] = None,
     ) -> None:
         super().__init__(kernel, name, parent)
-        if (workload is None) == (service_channel is None):
-            raise ConfigurationError(
-                f"IP {name!r} needs exactly one task source: a workload or a service channel"
-            )
         if bus is None and bus_words_per_task:
             raise ConfigurationError("bus_words_per_task requires a bus")
         if bus is not None and bus_words_per_task < 0:
@@ -98,7 +89,6 @@ class FunctionalIP(Module):
         self.psm = psm
         self.energy_account = energy_account
         self.workload = workload
-        self.service_channel = service_channel
         self.bus = bus
         self.bus_words_per_task = bus_words_per_task
         self.bus_priority = bus_priority
@@ -127,18 +117,13 @@ class FunctionalIP(Module):
     # -- status ---------------------------------------------------------------
     @property
     def done(self) -> bool:
-        """True once the whole task source has been executed."""
+        """True once the whole workload has been executed."""
         return self.done_signal.read()
 
     @property
     def tasks_executed(self) -> int:
         """Number of completed tasks."""
         return self._tasks_executed
-
-    @property
-    def total_task_energy_j(self) -> float:
-        """Active energy charged by this IP so far."""
-        return self.energy_account.category_j(EnergyCategory.ACTIVE)
 
     def reference_duration(self, task: Task) -> SimTime:
         """Task duration at maximum frequency (paper baseline)."""
@@ -157,35 +142,18 @@ class FunctionalIP(Module):
             raise ConfigurationError(
                 f"IP {self.name!r} has no LEM attached; call connect_lem() before running"
             )
-        if self.workload is not None:
-            yield from self._run_workload(lem, self.workload)
-        elif self.service_channel is not None:
-            yield from self._run_channel(lem, self.service_channel)
-        self.done_signal.write(True)
-        self.done_event.notify()
-
-    def _run_workload(
-        self, lem: "LocalEnergyManager", workload: Workload
-    ) -> Generator[WaitSpec, None, None]:
-        for item in workload:
-            yield from self._execute_task(lem, item.task, next_idle_hint=item.idle_after)
+        for item in self.workload:
+            yield from self._execute_task(lem, item.task, item.idle_after)
             if item.idle_after.femtoseconds > 0:
                 yield item.idle_after
-
-    def _run_channel(
-        self, lem: "LocalEnergyManager", channel: ServiceChannel
-    ) -> Generator[WaitSpec, None, None]:
-        while True:
-            request = yield from channel.wait_and_pop()
-            if request is None:
-                return
-            yield from self._execute_task(lem, request.task)
+        self.done_signal.write(True)
+        self.done_event.notify()
 
     def _execute_task(
         self,
         lem: "LocalEnergyManager",
         task: Task,
-        next_idle_hint: Optional[SimTime] = None,
+        next_idle_hint: SimTime,
     ) -> Generator[WaitSpec, None, None]:
         record = TaskExecution(
             task=task,

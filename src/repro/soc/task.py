@@ -39,10 +39,6 @@ class TaskPriority(Enum):
         """Ordering helper: LOW=0 ... VERY_HIGH=3."""
         return self._idx
 
-    def at_least(self, other: "TaskPriority") -> bool:
-        """True when this priority is at least as urgent as ``other``."""
-        return self._idx >= other._idx
-
     def __str__(self) -> str:
         return self._str
 
@@ -100,10 +96,6 @@ class TaskExecution:
     reference_energy_j: float = 0.0
 
     # -- derived figures -------------------------------------------------
-    @property
-    def waiting_time(self) -> SimTime:
-        """Time between the request and the LEM grant (wake-up, GEM gating)."""
-        return self.grant_time - self.request_time
 
     @property
     def execution_time(self) -> SimTime:

@@ -95,14 +95,6 @@ class Workload:
             total = total + item.idle_after
         return total
 
-    def busy_fraction(self, max_frequency_hz: float) -> float:
-        """Fraction of time the IP is busy when running at maximum frequency."""
-        busy_s = self.total_cycles / max_frequency_hz
-        idle_s = self.total_idle.seconds
-        if busy_s + idle_s == 0.0:
-            return 0.0
-        return busy_s / (busy_s + idle_s)
-
     def priorities(self) -> List[TaskPriority]:
         """Priority of each task, in order."""
         return [item.task.priority for item in self.items]
@@ -132,11 +124,11 @@ class Workload:
 
     # -- (de)serialisation -------------------------------------------------------
     def as_dicts(self) -> List[dict]:
-        """Serializable representation of every item.
+        """Every item in the explicit-items format of a platform spec.
 
         Idle gaps are stored as an exact femtosecond integer
-        (``idle_after_fs``) so a round trip is lossless — campaign job hashes
-        and platform-spec hashes depend on it.
+        (``idle_after_fs``) so a round trip through :meth:`from_dicts` is
+        lossless.
         """
         return [
             {

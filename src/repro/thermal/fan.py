@@ -9,7 +9,7 @@ visible in the results.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from repro.errors import ThermalError
 from repro.power.energy import EnergyAccount, EnergyCategory
@@ -40,7 +40,6 @@ class Fan(Module):
         self.energy_account = energy_account
         self.power_w = power_w
         self.state_signal = self.signal("on", False)
-        self._switch_history: List[Tuple[SimTime, bool]] = []
         # Accounting marker and running time in raw femtoseconds: the SoC
         # flushes the fan once per sample window.
         self._last_change_fs = 0
@@ -50,11 +49,6 @@ class Fan(Module):
     def is_on(self) -> bool:
         """True while the fan runs."""
         return self.state_signal.read()
-
-    @property
-    def switch_history(self) -> List[Tuple[SimTime, bool]]:
-        """Recorded ``(time, on)`` switch events."""
-        return list(self._switch_history)
 
     @property
     def total_on_time(self) -> SimTime:
@@ -68,7 +62,6 @@ class Fan(Module):
         self._account()
         self.thermal_model.set_fan(on)
         self.state_signal.write(on)
-        self._switch_history.append((self.kernel.now, on))
 
     def flush_energy(self) -> None:
         """Charge the energy of the current running interval (end of run)."""

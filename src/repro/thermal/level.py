@@ -29,10 +29,6 @@ class TemperatureLevel(Enum):
         """Ordering helper: LOW=0, MEDIUM=1, HIGH=2."""
         return self._idx
 
-    def at_most(self, other: "TemperatureLevel") -> bool:
-        """True when this level is at most as hot as ``other``."""
-        return self._idx <= other._idx
-
     def __str__(self) -> str:
         return self._str
 
@@ -69,11 +65,3 @@ class TemperatureThresholds:
         """The temperatures ``[low, high)`` that :meth:`classify` maps to ``level``."""
         edges = (-273.15, self.medium_c, self.high_c, float("inf"))
         return edges[level.rank], edges[level.rank + 1]
-
-    def representative_temperature(self, level: TemperatureLevel) -> float:
-        """A temperature in Celsius that maps back to ``level``."""
-        if level is TemperatureLevel.LOW:
-            return self.medium_c - 20.0
-        if level is TemperatureLevel.MEDIUM:
-            return (self.medium_c + self.high_c) / 2.0
-        return self.high_c + 10.0

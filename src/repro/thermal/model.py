@@ -119,14 +119,6 @@ class ThermalModel:
         """Time-averaged temperature rise above ambient."""
         return max(0.0, self.average_c - self.config.ambient_c)
 
-    def effective_resistance(self) -> float:
-        """Thermal resistance including the fan effect."""
-        return self._resistance
-
-    def time_constant_s(self) -> float:
-        """Current thermal time constant ``tau = R_th · C_th`` in seconds."""
-        return self._tau
-
     # -- control ---------------------------------------------------------------
     def set_fan(self, on: bool) -> None:
         """Switch the supplementary fan on or off."""
@@ -236,12 +228,6 @@ class ThermalModel:
         self._integrated_time_s += count * dt_s
         return
 
-    def steady_state_c(self, power_w: float) -> float:
-        """Temperature reached if ``power_w`` were dissipated forever."""
-        if power_w < 0.0:
-            raise ThermalError("dissipated power must be non-negative")
-        return self.config.ambient_c + power_w * self._resistance
-
     def estimate_after(self, power_w: float, duration: SimTime) -> float:
         """Temperature the chip would reach after ``duration`` at ``power_w``.
 
@@ -256,15 +242,3 @@ class ThermalModel:
         duration_s = duration.seconds
         decay = self._decay(duration_s, self._tau) if duration_s > 0 else 1.0
         return steady + (self._temperature_c - steady) * decay
-
-    def snapshot(self) -> dict:
-        """Plain-dict state summary."""
-        if self._sync_hook is not None:
-            self._sync_hook()
-        return {
-            "temperature_c": self._temperature_c,
-            "peak_c": self._peak_c,
-            "average_c": self.average_c,
-            "level": str(self.level),
-            "fan_on": self._fan_on,
-        }

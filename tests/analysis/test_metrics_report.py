@@ -123,7 +123,8 @@ class TestTraceAnalysis:
         assert residency.total.femtoseconds > 0
         assert 0.0 < residency.fraction(PowerState.ON1) < 1.0
         assert residency.sleep_fraction() > 0.0
-        assert residency.on_fraction() + residency.sleep_fraction() == pytest.approx(1.0)
+        on_fraction = sum(residency.fraction(state) for state in residency.by_state if state.is_on)
+        assert on_fraction + residency.sleep_fraction() == pytest.approx(1.0)
         assert residency.dominant_state() in (PowerState.ON1, PowerState.SL2)
         assert set(residency.as_dict()) >= {"ON1", "SL2"}
 

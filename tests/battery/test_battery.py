@@ -41,13 +41,27 @@ class TestThresholds:
         thresholds = BatteryThresholds()
         for level in (BatteryLevel.EMPTY, BatteryLevel.LOW, BatteryLevel.MEDIUM,
                       BatteryLevel.HIGH, BatteryLevel.FULL):
-            assert thresholds.classify(thresholds.representative_soc(level)) is level
+            lo, hi = thresholds.band(level)
+            mid_band = (max(lo, 0.0) + min(hi, 1.0)) / 2.0
+            assert thresholds.classify(mid_band) is level
         with pytest.raises(BatteryError):
-            thresholds.representative_soc(BatteryLevel.AC_POWER)
+            thresholds.band(BatteryLevel.AC_POWER)
+
+    def test_band_edges_are_classification_boundaries(self):
+        thresholds = BatteryThresholds()
+        levels = (BatteryLevel.EMPTY, BatteryLevel.LOW, BatteryLevel.MEDIUM,
+                  BatteryLevel.HIGH, BatteryLevel.FULL)
+        for below, level in zip(levels, levels[1:]):
+            lo, _ = thresholds.band(level)
+            # Bands are half-open and adjacent: [lo, hi) of one level ends
+            # where the next begins.
+            assert thresholds.band(below)[1] == lo
+            assert thresholds.classify(lo) is level
+            assert thresholds.classify(lo - 1e-9) is below
 
     def test_level_ordering_helpers(self):
-        assert BatteryLevel.FULL.at_least(BatteryLevel.MEDIUM)
-        assert not BatteryLevel.LOW.at_least(BatteryLevel.MEDIUM)
+        assert BatteryLevel.FULL.rank >= BatteryLevel.MEDIUM.rank
+        assert BatteryLevel.LOW.rank < BatteryLevel.MEDIUM.rank
         assert BatteryLevel.AC_POWER.rank > BatteryLevel.FULL.rank
         assert not BatteryLevel.AC_POWER.is_battery
         assert BatteryLevel.EMPTY.is_battery
@@ -69,14 +83,14 @@ class TestBatteryModel:
         removed = battery.draw_energy(10.0)
         assert removed == pytest.approx(10.0)
         assert battery.remaining_j == pytest.approx(90.0)
-        assert battery.drawn_j == pytest.approx(10.0)
 
     def test_high_rate_discharge_wastes_energy(self):
         config = BatteryConfig(capacity_j=100.0, nominal_power_w=0.1, peukert_exponent=1.2)
         battery = Battery(config)
         removed = battery.draw_energy(1.0, over=sec(1))  # 1 W >> 0.1 W nominal
         assert removed > 1.0
-        assert battery.wasted_j == pytest.approx(removed - 1.0)
+        # The waste leaves the battery with the delivered energy.
+        assert battery.remaining_j == pytest.approx(100.0 - removed)
 
     def test_nominal_rate_discharge_is_lossless(self):
         config = BatteryConfig(capacity_j=100.0, nominal_power_w=1.0)
@@ -88,13 +102,36 @@ class TestBatteryModel:
         battery = Battery(BatteryConfig(capacity_j=10.0))
         battery.draw_energy(50.0)
         assert battery.remaining_j == 0.0
-        assert battery.is_exhausted
         assert battery.level is BatteryLevel.EMPTY
 
-    def test_recharge_clamped_to_capacity(self):
-        battery = Battery(BatteryConfig(capacity_j=10.0, initial_state_of_charge=0.5))
-        battery.recharge(100.0)
+    def test_drain_windows_matches_per_window_draws(self):
+        config = BatteryConfig(capacity_j=10.0, nominal_power_w=1.0)
+        batched = Battery(config)
+        stepped = Battery(config)
+        batched.drain_windows(0.01, ms(100), 50)
+        for _ in range(50):
+            stepped.draw_energy(0.01, over=ms(100))
+        assert batched.remaining_j == pytest.approx(stepped.remaining_j, rel=1e-12)
+        assert batched.state_of_charge == pytest.approx(stepped.state_of_charge, rel=1e-6)
+        assert batched.remaining_j == pytest.approx(9.5)
+
+    def test_drain_windows_above_nominal_power_stays_exact(self):
+        # 1 W per window exceeds the 0.1 W nominal rate: the batched update
+        # must fall back to the per-window loop and waste energy bit for bit.
+        config = BatteryConfig(capacity_j=100.0, nominal_power_w=0.1, peukert_exponent=1.2)
+        batched = Battery(config)
+        stepped = Battery(config)
+        batched.drain_windows(0.1, ms(100), 20)
+        for _ in range(20):
+            stepped.draw_energy(0.1, over=ms(100))
+        assert batched.remaining_j.hex() == stepped.remaining_j.hex()
+        assert batched.remaining_j < 100.0 - 2.0
+
+    def test_drain_windows_on_ac_power_keeps_the_charge(self):
+        battery = Battery(BatteryConfig(capacity_j=10.0, on_ac_power=True))
+        battery.drain_windows(1.0, ms(1), 100)
         assert battery.remaining_j == pytest.approx(10.0)
+        assert battery.level is BatteryLevel.AC_POWER
 
     def test_ac_power_bypasses_battery(self):
         battery = Battery(BatteryConfig(capacity_j=10.0, on_ac_power=True))
@@ -120,8 +157,6 @@ class TestBatteryModel:
         with pytest.raises(BatteryError):
             battery.draw_energy(-1.0)
         with pytest.raises(BatteryError):
-            battery.recharge(-1.0)
-        with pytest.raises(BatteryError):
             battery.level_if_drawn(-1.0)
         with pytest.raises(BatteryError):
             BatteryConfig(capacity_j=0.0)
@@ -129,10 +164,6 @@ class TestBatteryModel:
             BatteryConfig(initial_state_of_charge=1.5)
         with pytest.raises(BatteryError):
             BatteryConfig(peukert_exponent=0.9)
-
-    def test_snapshot_keys(self):
-        snapshot = Battery().snapshot()
-        assert {"remaining_j", "state_of_charge", "level", "drawn_j", "wasted_j", "on_ac_power"} <= set(snapshot)
 
     @given(st.lists(st.floats(min_value=0.0, max_value=5.0), max_size=40))
     def test_state_of_charge_monotonically_decreases(self, draws):
@@ -152,7 +183,6 @@ class TestBatteryModel:
             removed = by_time.draw_energy(energy, over=over)
             assert by_fs.draw_energy_fs(energy, None if over is None else int(over)) == removed
         assert by_time.remaining_j.hex() == by_fs.remaining_j.hex()
-        assert by_time.wasted_j.hex() == by_fs.wasted_j.hex()
 
 
 def sampled_soc(battery_config):

@@ -1,5 +1,7 @@
 """Tests for campaign execution: pool fan-out, failure capture, resume."""
 
+import signal
+
 import pytest
 
 from repro.campaign import (
@@ -12,6 +14,7 @@ from repro.campaign import (
     render_campaign_report,
     run_campaign,
 )
+from repro.campaign import executor
 from repro.errors import CampaignError
 
 
@@ -301,6 +304,12 @@ class TestSharedBaselines:
         summary = run_campaign(small_spec(), tmp_path / "camp", workers=2)
         assert summary.ok == 4
         assert summary.baseline_runs == 2
+
+    def test_pool_workers_leave_ctrl_c_to_the_parent(self):
+        # The parent's KeyboardInterrupt terminates the pool; a worker that
+        # took SIGINT itself would print a traceback per busy process.
+        with executor._worker_pool(1) as pool:
+            assert pool.apply(signal.getsignal, (signal.SIGINT,)) is signal.SIG_IGN
 
 
 class TestCellTasks:

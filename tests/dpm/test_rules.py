@@ -234,7 +234,7 @@ class TestPaperTableProperties:
             ranks = []
             for battery in ordered_batteries:
                 state = table.select_levels(priority, battery, temperature)
-                ranks.append(state.performance_rank if state.is_on else -1)
+                ranks.append(5 - state.index if state.is_on else -1)
             kept = [rank for rank in ranks if rank >= 0]
             assert kept == sorted(kept)
 

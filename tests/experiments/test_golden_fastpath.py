@@ -94,7 +94,7 @@ def test_default_scenarios_never_materialise_a_clock(scenario_name):
     simulator = _run_on_own_simulator(platform_by_name(scenario_name)).simulator
     clocks = [
         module
-        for top in simulator.top_modules
+        for top in simulator._top_modules
         for module in top.walk()
         if isinstance(module, Clock)
     ]

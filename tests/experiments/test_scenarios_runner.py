@@ -24,6 +24,12 @@ from repro.soc.workload import scenario_a_workload
 from repro.thermal import TemperatureLevel
 
 
+def busy_fraction(workload, max_frequency_hz=200e6):
+    """Share of the workload's time spent executing at ``max_frequency_hz``."""
+    busy_s = workload.total_cycles / max_frequency_hz
+    return busy_s / (busy_s + workload.total_idle.seconds)
+
+
 class TestConditions:
     def test_battery_conditions_map_to_levels(self):
         assert battery_condition("full").initial_state_of_charge > 0.85
@@ -79,9 +85,7 @@ class TestScenarioCatalogue:
         assert len(specs) == 4
         assert [spec.static_priority for spec in specs] == [1, 2, 3, 4]
         assert build_soc_config(platform).use_gem
-        busy1 = specs[0].workload.busy_fraction(200e6)
-        busy3 = specs[2].workload.busy_fraction(200e6)
-        assert busy1 > busy3
+        assert busy_fraction(specs[0].workload) > busy_fraction(specs[2].workload)
         for ips in ((), (0, 1), (5,)):
             with pytest.raises(PlatformError):
                 multi_ip_platform("Z", "low", "low", high_activity_ips=ips)

@@ -319,7 +319,7 @@ class TestVerdictPlumbing:
             "status": "fail",
             "detail": "detail text",
         }
-        assert verdict.failed and not verdict.passed
+        assert verdict.failed
 
     def test_result_as_dict_carries_all_verdicts(self):
         result = run_differential(tiny_spec(), oracles=["structural"])

@@ -46,7 +46,7 @@ def test_shipped_spec_file_matches_the_builder(name):
 
 @pytest.mark.parametrize("name", LIBRARY_PLATFORM_NAMES)
 def test_library_platform_validates(name):
-    assert platform_by_name(name).validation_error() is None
+    platform_by_name(name).validate()
 
 
 def test_phone_bursty_survives_all_oracles():

@@ -26,7 +26,7 @@ class TestGeneratedSpecValidity:
     @given(spec=platform_specs())
     @settings(max_examples=60, deadline=None)
     def test_generated_specs_validate(self, spec):
-        assert spec.validation_error() is None
+        spec.validate()
 
     @given(spec=platform_specs())
     @settings(max_examples=60, deadline=None)

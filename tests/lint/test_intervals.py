@@ -23,49 +23,6 @@ class TestInterval:
         assert interval.width == 0.0
         assert Interval(1.0, 4.0).width == 3.0
 
-    def test_contains_is_inclusive(self):
-        interval = Interval(0.0, 1.0)
-        assert interval.contains(0.0)
-        assert interval.contains(1.0)
-        assert interval.contains(0.5)
-        assert not interval.contains(-1e-9)
-        assert not interval.contains(1.0 + 1e-9)
-
-    def test_hull(self):
-        assert Interval(0.0, 1.0).hull(Interval(3.0, 4.0)) == Interval(0.0, 4.0)
-        assert Interval(2.0, 5.0).hull(Interval(1.0, 3.0)) == Interval(1.0, 5.0)
-
-    def test_expand(self):
-        assert Interval(1.0, 2.0).expand(below=0.5, above=0.25) == Interval(0.5, 2.25)
-        with pytest.raises(ValueError):
-            Interval(1.0, 2.0).expand(below=-0.1)
-        with pytest.raises(ValueError):
-            Interval(1.0, 2.0).expand(above=-0.1)
-
-    def test_clamp_inside_and_partial(self):
-        assert Interval(0.0, 10.0).clamp(2.0, 4.0) == Interval(2.0, 4.0)
-        assert Interval(3.0, 10.0).clamp(0.0, 5.0) == Interval(3.0, 5.0)
-
-    def test_clamp_disjoint_collapses_to_nearer_bound(self):
-        # Entirely below the clamp window -> collapses to its lower edge.
-        assert Interval(-2.0, -1.0).clamp(0.0, 1.0) == Interval.point(0.0)
-        # Entirely above -> collapses to the upper edge.
-        assert Interval(5.0, 6.0).clamp(0.0, 1.0) == Interval.point(1.0)
-
-    def test_widen_stable_bounds_are_kept(self):
-        old = Interval(0.2, 0.8)
-        new = Interval(0.3, 0.7)  # contained: nothing escapes
-        assert old.widen(new, lo_limit=0.0, hi_limit=1.0) == Interval(0.2, 0.8)
-
-    def test_widen_escaping_bounds_jump_to_limits(self):
-        old = Interval(0.4, 0.6)
-        widened = old.widen(Interval(0.3, 0.9), lo_limit=0.0, hi_limit=1.0)
-        # Both bounds escaped, so both jump straight to the limits: a
-        # widening chain terminates after one step per escaping bound.
-        assert widened == Interval(0.0, 1.0)
-        # And widening is idempotent at the limits.
-        assert widened.widen(Interval(0.1, 0.95), 0.0, 1.0) == widened
-
 
 class TestLinearCrossing:
     def test_downward_crossing(self):

@@ -87,7 +87,7 @@ class TestTracer:
         tracer = Tracer()
         tracer.emit(42, "psm.state", "cpu", state="ON1")
         assert len(tracer) == 1
-        assert tracer.to_dicts() == [
+        assert [event.to_dict() for event in tracer.events] == [
             {"t_fs": 42, "kind": "psm.state", "source": "cpu", "state": "ON1"}
         ]
 

@@ -63,14 +63,12 @@ class TestTraceDef:
             })
 
     def test_builder_no_trace(self):
-        spec = (
-            PlatformBuilder("t")
-            .trace(format="jsonl")
-            .no_trace()
-            .ip("solo", workload={"kind": "low_activity", "task_count": 2, "seed": 1})
-            .build()
+        # Tracing is off unless the builder asks for it.
+        builder = PlatformBuilder("t").ip(
+            "solo", workload={"kind": "low_activity", "task_count": 2, "seed": 1}
         )
-        assert not spec.trace.enabled
+        assert not builder.build().trace.enabled
+        assert builder.trace(format="jsonl").build().trace.enabled
 
 
 class TestDiffSpecs:

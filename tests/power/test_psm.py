@@ -66,7 +66,7 @@ class TestTransitions:
         sim.kernel.create_thread(driver, "driver")
         sim.kernel.run(ms(10))
         expected = default_transition_table().energy_j(PowerState.ON1, PowerState.ON4)
-        assert account.category_j(EnergyCategory.TRANSITION) == pytest.approx(expected)
+        assert account.breakdown.get(EnergyCategory.TRANSITION, 0.0) == pytest.approx(expected)
 
     def test_request_same_state_is_noop(self):
         sim, psm, _ = build_psm()
@@ -113,7 +113,7 @@ class TestEnergyIntegration:
         psm.flush_energy()
         char = default_characterization()
         expected = char.idle_power_w(PowerState.ON1) * 0.010
-        assert account.category_j(EnergyCategory.IDLE) == pytest.approx(expected, rel=1e-6)
+        assert account.breakdown.get(EnergyCategory.IDLE, 0.0) == pytest.approx(expected, rel=1e-6)
 
     def test_sleep_energy_integrated_in_sleep_state(self):
         sim, psm, account = build_psm()
@@ -125,7 +125,7 @@ class TestEnergyIntegration:
         sim.kernel.create_thread(driver, "driver")
         sim.kernel.run(ms(20))
         psm.flush_energy()
-        assert account.category_j(EnergyCategory.SLEEP) > 0.0
+        assert account.breakdown.get(EnergyCategory.SLEEP, 0.0) > 0.0
 
     def test_busy_interval_not_charged_as_idle(self):
         sim, psm, account = build_psm()
@@ -138,7 +138,7 @@ class TestEnergyIntegration:
         sim.kernel.create_thread(driver, "driver")
         sim.kernel.run(ms(10))
         psm.flush_energy()
-        assert account.category_j(EnergyCategory.IDLE) == pytest.approx(0.0, abs=1e-15)
+        assert account.breakdown.get(EnergyCategory.IDLE, 0.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_busy_in_sleep_state_rejected(self):
         sim, psm, _ = build_psm(initial_state=PowerState.SL1)

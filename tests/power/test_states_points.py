@@ -14,6 +14,7 @@ from repro.power import (
     SLEEP_STATES,
     default_characterization,
     default_operating_points,
+    default_transition_table,
 )
 
 
@@ -32,14 +33,26 @@ class TestPowerState:
         assert len(SLEEP_STATES) == 4
 
     def test_performance_rank_ordering(self):
-        ranks = [state.performance_rank for state in ON_STATES]
-        assert ranks == [4, 3, 2, 1]
-        assert PowerState.SL1.performance_rank == 0
+        # ON1 is the fastest execution state, ON4 the slowest.
+        assert [state.index for state in ON_STATES] == [1, 2, 3, 4]
+        table = default_operating_points()
+        frequencies = [table[state].frequency_hz for state in ON_STATES]
+        assert frequencies == sorted(frequencies, reverse=True)
+        assert len(set(frequencies)) == len(frequencies)
+        assert not any(state.is_on for state in [*SLEEP_STATES, PowerState.OFF])
 
     def test_depth_ordering(self):
-        assert [s.depth for s in SLEEP_STATES] == [1, 2, 3, 4]
-        assert PowerState.OFF.depth == 5
-        assert PowerState.ON1.depth == 0
+        # SL1 is the shallowest sleep state and OFF the deepest: each step
+        # down costs a longer and dearer wake-up.
+        assert [state.index for state in SLEEP_STATES] == [1, 2, 3, 4]
+        with pytest.raises(PowerModelError):
+            PowerState.OFF.index
+        table = default_transition_table()
+        deeper = [*SLEEP_STATES, PowerState.OFF]
+        wakeups = [table.latency(state, PowerState.ON1) for state in deeper]
+        round_trips = [table.round_trip_cost(PowerState.ON1, state).energy_j for state in deeper]
+        assert wakeups == sorted(wakeups) and len(set(wakeups)) == len(wakeups)
+        assert round_trips == sorted(round_trips) and len(set(round_trips)) == len(round_trips)
 
     def test_constructors(self):
         assert PowerState.on_state(3) is PowerState.ON3
@@ -78,7 +91,7 @@ class TestOperatingPoint:
     def test_execution_time(self):
         point = OperatingPoint(PowerState.ON1, 1.2, 100e6)
         assert point.execution_time(100e6).seconds == pytest.approx(1.0)
-        assert point.clock_period.nanoseconds == pytest.approx(10.0)
+        assert point.clock_period.seconds == pytest.approx(10e-9)
 
     def test_negative_inputs_rejected(self):
         point = OperatingPoint(PowerState.ON1, 1.2, 100e6)
@@ -98,9 +111,10 @@ class TestOperatingPointTable:
 
     def test_default_ratios(self):
         table = default_operating_points()
-        assert table.frequency_ratio(PowerState.ON1) == pytest.approx(1.0)
-        assert table.frequency_ratio(PowerState.ON4) == pytest.approx(0.25)
-        assert table.energy_ratio(PowerState.ON4) == pytest.approx(0.625**2)
+        fastest = table.fastest
+        assert table[PowerState.ON1].frequency_hz / fastest.frequency_hz == pytest.approx(1.0)
+        assert table[PowerState.ON4].frequency_hz / fastest.frequency_hz == pytest.approx(0.25)
+        assert (table[PowerState.ON4].voltage_v / fastest.voltage_v) ** 2 == pytest.approx(0.625**2)
 
     def test_missing_point_rejected(self):
         points = [OperatingPoint(PowerState.ON1, 1.2, 200e6)]
@@ -121,7 +135,7 @@ class TestOperatingPointTable:
 
     def test_slowdown(self):
         table = default_operating_points()
-        assert table[PowerState.ON4].slowdown_versus(table.fastest) == pytest.approx(4.0)
+        assert table.fastest.frequency_hz / table[PowerState.ON4].frequency_hz == pytest.approx(4.0)
 
     def test_as_dict_round_trip(self):
         table = default_operating_points()
@@ -158,11 +172,6 @@ class TestCharacterization:
         assert powers == sorted(powers, reverse=True)
         assert char.residual_power_w(PowerState.OFF) < powers[-1]
         assert char.residual_power_w(PowerState.SL1) < char.idle_power_w(PowerState.ON1)
-
-    def test_background_power_zero_when_busy(self):
-        char = default_characterization()
-        assert char.background_power_w(PowerState.ON1, busy=True) == 0.0
-        assert char.background_power_w(PowerState.ON1, busy=False) > 0.0
 
     def test_task_energy_scales_with_cycles(self):
         char = default_characterization()

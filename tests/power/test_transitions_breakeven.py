@@ -17,7 +17,7 @@ from repro.power import (
     default_characterization,
     default_transition_table,
 )
-from repro.sim import ZERO_TIME, ms, us, sec
+from repro.sim import ms, us, sec
 
 
 class TestTransitionTable:
@@ -190,14 +190,14 @@ class TestBreakEvenAnalyzer:
         idle_power = char.idle_power_w(PowerState.ON1)
         entry = analyzer.entry(PowerState.SL2)
         beyond = entry.break_even * 2
-        assert entry.saving_j(idle_power, beyond) > 0.0
+        assert entry.saving_j(idle_power * beyond.seconds, beyond) > 0.0
 
     def test_saving_negative_below_break_even(self, analyzer):
         char = default_characterization()
         idle_power = char.idle_power_w(PowerState.ON1)
         entry = analyzer.entry(PowerState.SL4)
         below = entry.break_even / 10
-        assert entry.saving_j(idle_power, below) < 0.0
+        assert entry.saving_j(idle_power * below.seconds, below) < 0.0
 
 
 class TestEnergyAccounting:
@@ -205,10 +205,9 @@ class TestEnergyAccounting:
         account = EnergyAccount("ip0")
         account.add_energy(1.0, EnergyCategory.ACTIVE)
         account.add_energy(0.5, EnergyCategory.IDLE)
-        account.add_power(2.0, sec(3), EnergyCategory.SLEEP)
+        account.add_power_fs(2.0, int(sec(3)), EnergyCategory.SLEEP)
         assert account.total_j == pytest.approx(7.5)
-        assert account.category_j(EnergyCategory.SLEEP) == pytest.approx(6.0)
-        assert account.deposit_count == 3
+        assert account.breakdown.get(EnergyCategory.SLEEP, 0.0) == pytest.approx(6.0)
         assert account.breakdown[EnergyCategory.ACTIVE] == pytest.approx(1.0)
 
     def test_negative_energy_rejected(self):
@@ -216,13 +215,7 @@ class TestEnergyAccounting:
         with pytest.raises(PowerModelError):
             account.add_energy(-1.0)
         with pytest.raises(PowerModelError):
-            account.add_power(-1.0, sec(1))
-
-    def test_average_power(self):
-        account = EnergyAccount("ip0")
-        account.add_energy(10.0)
-        assert account.average_power_w(sec(5)) == pytest.approx(2.0)
-        assert account.average_power_w(ZERO_TIME) == 0.0
+            account.add_power_fs(-1.0, int(sec(1)))
 
     def test_ledger_aggregation_and_exclusion(self):
         ledger = EnergyLedger()
@@ -230,9 +223,9 @@ class TestEnergyAccounting:
         ledger.account("ip1").add_energy(2.0)
         ledger.account("ip2").add_energy(4.0)
         assert ledger.total_j == pytest.approx(7.0)
-        assert ledger.total_excluding("ip1") == pytest.approx(5.0)
-        assert set(ledger.owners) == {"ip0", "ip1", "ip2"}
-        assert ledger.totals_by_owner()["ip2"] == pytest.approx(4.0)
+        assert ledger.total_j - ledger.account("ip1").total_j == pytest.approx(5.0)
+        assert set(ledger.breakdown()) == {"ip0", "ip1", "ip2"}
+        assert ledger.account("ip2").total_j == pytest.approx(4.0)
 
     def test_ledger_register_conflict(self):
         ledger = EnergyLedger()
@@ -255,17 +248,22 @@ class TestEnergyAccounting:
         assert ledger.total_j == 3.75
 
     def test_add_power_matches_its_femtosecond_core(self):
-        by_time = EnergyAccount("a")
-        by_fs = EnergyAccount("b")
-        by_time.add_power(0.37, us(1234))
-        by_fs.add_power_fs(0.37, int(us(1234)))
-        assert by_time.total_j.hex() == by_fs.total_j.hex()
+        # A femtosecond span converts to seconds exactly as SimTime does.
+        account = EnergyAccount("a")
+        account.add_power_fs(0.37, int(us(1234)))
+        assert account.total_j.hex() == (0.37 * us(1234).seconds).hex()
+        assert account.breakdown == {EnergyCategory.IDLE: account.total_j}
 
-    def test_ledger_average_power(self):
+    def test_ledger_breakdown_per_owner_and_category(self):
         ledger = EnergyLedger()
-        ledger.account("ip0").add_energy(3.0)
-        assert ledger.average_power_w(sec(3)) == pytest.approx(1.0)
-        assert ledger.average_power_w(ZERO_TIME) == 0.0
+        ledger.account("ip0").add_energy(1.0, EnergyCategory.ACTIVE)
+        ledger.account("ip0").add_power_fs(0.5, int(sec(2)), EnergyCategory.SLEEP)
+        ledger.account("fan").add_energy(0.25, EnergyCategory.OVERHEAD)
+        assert ledger.breakdown() == {
+            "ip0": {EnergyCategory.ACTIVE: 1.0, EnergyCategory.SLEEP: 1.0},
+            "fan": {EnergyCategory.OVERHEAD: 0.25},
+        }
+        assert ledger.total_j == pytest.approx(2.25)
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1e3), max_size=30))
     def test_total_is_sum_of_deposits(self, deposits):

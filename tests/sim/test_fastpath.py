@@ -32,7 +32,7 @@ class TestTimedQueueCompaction:
             dead.append(queue.push(1000 + i, i))
             queue.cancel(dead[-1])
         assert len(queue) == 1
-        assert queue.heap_size <= 2 * TimedQueue.COMPACT_THRESHOLD
+        assert len(queue._heap) <= 2 * TimedQueue.COMPACT_THRESHOLD
         assert queue.next_time_fs() == 10**9
         assert queue.pop_due(10**9) == ["live"]
         assert live[3]  # consumed handles read as cancelled
@@ -67,9 +67,10 @@ class TestTimedQueueCompaction:
         kernel = Kernel()
         event = kernel.event("never")
         handle = kernel.schedule_timed(event, ns(100))
-        assert kernel.pending_activity
+        assert len(kernel._timed) == 1
         kernel.cancel_timed(handle)
-        assert not kernel.pending_activity
+        # Cancelled-only entries are not live work: the queue reports none.
+        assert len(kernel._timed) == 0
 
 
 class TestSimultaneousTimedDeterminism:
@@ -137,7 +138,7 @@ class TestVirtualClock:
         clock = Clock(kernel, "clk", period=ns(10))
         kernel.initialize()
         assert not clock.processes and not clock.signals
-        assert not kernel.pending_activity
+        assert not (kernel._runnable or kernel._delta_events or kernel._update_queue or len(kernel._timed))
         # Edges are computed, never simulated.
         kernel.run(us(1))
         assert clock.next_posedge_fs(kernel.now_fs) == int(us(1))

@@ -5,7 +5,16 @@ import sys
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim import AnyOf, Kernel, ns, us, ZERO_TIME
+from repro.sim import AnyOf, Kernel, TimeUnit, ns, us, ZERO_TIME
+
+
+def now_ns(kernel):
+    return kernel.now.to_value(TimeUnit.NS)
+
+
+def has_pending_activity(kernel):
+    """True while any runnable, delta, update or live timed work remains."""
+    return bool(kernel._runnable or kernel._delta_events or kernel._update_queue or len(kernel._timed))
 
 
 @pytest.fixture
@@ -18,9 +27,9 @@ class TestTimedWaits:
         log = []
 
         def proc():
-            log.append(("start", kernel.now.nanoseconds))
+            log.append(("start", now_ns(kernel)))
             yield ns(10)
-            log.append(("after", kernel.now.nanoseconds))
+            log.append(("after", now_ns(kernel)))
 
         kernel.create_thread(proc, "proc")
         kernel.run()
@@ -32,7 +41,7 @@ class TestTimedWaits:
         def proc():
             for _ in range(5):
                 yield ns(3)
-                times.append(kernel.now.nanoseconds)
+                times.append(now_ns(kernel))
 
         kernel.create_thread(proc, "proc")
         kernel.run()
@@ -44,7 +53,7 @@ class TestTimedWaits:
         def proc():
             while True:
                 yield ns(10)
-                ticks.append(kernel.now.nanoseconds)
+                ticks.append(now_ns(kernel))
 
         kernel.create_thread(proc, "proc")
         end = kernel.run(ns(35))
@@ -57,7 +66,7 @@ class TestTimedWaits:
         def proc():
             while True:
                 yield ns(10)
-                ticks.append(kernel.now.nanoseconds)
+                ticks.append(now_ns(kernel))
 
         kernel.create_thread(proc, "proc")
         kernel.run(ns(25))
@@ -86,12 +95,12 @@ class TestTimedWaits:
         def fast():
             while kernel.now < ns(30):
                 yield ns(10)
-                order.append(("fast", kernel.now.nanoseconds))
+                order.append(("fast", now_ns(kernel)))
 
         def slow():
             while kernel.now < ns(30):
                 yield ns(15)
-                order.append(("slow", kernel.now.nanoseconds))
+                order.append(("slow", now_ns(kernel)))
 
         kernel.create_thread(fast, "fast")
         kernel.create_thread(slow, "slow")
@@ -113,7 +122,7 @@ class TestTimedWaits:
         kernel.create_thread(proc, "proc")
         end = kernel.run()
         assert end == ns(5)
-        assert not kernel.pending_activity
+        assert not has_pending_activity(kernel)
 
 
 class TestEvents:
@@ -123,7 +132,7 @@ class TestEvents:
 
         def waiter():
             yield event
-            log.append(kernel.now.nanoseconds)
+            log.append(now_ns(kernel))
 
         def notifier():
             yield ns(7)
@@ -140,7 +149,7 @@ class TestEvents:
 
         def waiter():
             yield event
-            log.append(kernel.now.nanoseconds)
+            log.append(now_ns(kernel))
 
         def notifier():
             event.notify_after(ns(42))
@@ -158,7 +167,7 @@ class TestEvents:
 
         def waiter():
             yield event
-            log.append(kernel.now.nanoseconds)
+            log.append(now_ns(kernel))
 
         def notifier():
             yield ns(5)
@@ -176,7 +185,7 @@ class TestEvents:
 
         def waiter():
             yield AnyOf([early, late])
-            log.append(kernel.now.nanoseconds)
+            log.append(now_ns(kernel))
 
         def notifier():
             early.notify_after(ns(3))
@@ -196,11 +205,11 @@ class TestEvents:
 
         def waiter():
             yield AnyOf([early, late])
-            log.append(kernel.now.nanoseconds)
+            log.append(now_ns(kernel))
             assert late.waiter_count == 0
             # The late event fires mid-delay and must not cut it short.
             yield ns(20)
-            log.append(kernel.now.nanoseconds)
+            log.append(now_ns(kernel))
 
         def notifier():
             early.notify_after(ns(3))
@@ -219,7 +228,7 @@ class TestEvents:
 
         def waiter():
             yield event
-            wakeups.append(kernel.now.nanoseconds)
+            wakeups.append(now_ns(kernel))
             # Not waiting again: further notifications must not wake us.
 
         def notifier():
@@ -243,7 +252,7 @@ class TestEvents:
         def waiter():
             for _ in range(3):
                 yield event
-                wakeups.append(kernel.now.nanoseconds)
+                wakeups.append(now_ns(kernel))
 
         def notifier():
             for _ in range(3):
@@ -275,7 +284,7 @@ class TestMethodProcesses:
         event = kernel.event("tick")
         calls = []
 
-        kernel.create_method(lambda: calls.append(kernel.now.nanoseconds), [event], "m",
+        kernel.create_method(lambda: calls.append(now_ns(kernel)), [event], "m",
                              dont_initialize=True)
 
         def driver():
@@ -290,7 +299,7 @@ class TestMethodProcesses:
     def test_method_initialization_call(self, kernel):
         event = kernel.event("tick")
         calls = []
-        kernel.create_method(lambda: calls.append(kernel.now.nanoseconds), [event], "m")
+        kernel.create_method(lambda: calls.append(now_ns(kernel)), [event], "m")
         kernel.run()
         assert calls == [0.0]
 
@@ -302,7 +311,7 @@ class TestKernelControl:
         def proc():
             while True:
                 yield ns(10)
-                ticks.append(kernel.now.nanoseconds)
+                ticks.append(now_ns(kernel))
                 if len(ticks) == 3:
                     kernel.stop()
 
@@ -352,7 +361,7 @@ class TestKernelControl:
 
         def late():
             yield ns(2)
-            log.append(("late", kernel.now.nanoseconds))
+            log.append(("late", now_ns(kernel)))
 
         def spawner():
             yield ns(5)
@@ -382,7 +391,7 @@ class TestProcessKill:
         kernel.run()
         assert log == []
         assert process.terminated
-        assert not kernel.pending_activity
+        assert not has_pending_activity(kernel)
 
     def test_kill_removes_the_process_from_event_waiters(self, kernel):
         log = []
@@ -505,14 +514,14 @@ class TestStatisticsByHand:
 
         def event_waiter():
             yield d
-            log.append(("d", kernel.now.nanoseconds))
+            log.append(("d", now_ns(kernel)))
 
         def any_waiter():
             yield AnyOf([e2, e3])
-            log.append(("any", kernel.now.nanoseconds, e3.waiter_count))
+            log.append(("any", now_ns(kernel), e3.waiter_count))
 
         def method():
-            log.append(("method", kernel.now.nanoseconds, watched.read()))
+            log.append(("method", now_ns(kernel), watched.read()))
 
         kernel.create_thread(driver, "driver")
         kernel.create_thread(event_waiter, "event_waiter")

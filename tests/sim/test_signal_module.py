@@ -40,7 +40,7 @@ class TestSignalSemantics:
         def watcher():
             while True:
                 yield sig.changed_event
-                wakeups.append((kernel.now.nanoseconds, sig.read()))
+                wakeups.append((kernel.now_fs / 1e6, sig.read()))
 
         def driver():
             yield ns(1)

@@ -1,21 +1,12 @@
-"""Tests for the shared bus and the service-request channel."""
+"""Tests for the shared bus."""
 
 import pytest
 
-from repro.errors import ConfigurationError, WorkloadError
+from repro.errors import ConfigurationError
 from repro.obs import Tracer
 from repro.sim import AnyOf, Kernel, Simulator, ms, us
-from repro.soc import (
-    Bus,
-    BusLevel,
-    BusThresholds,
-    ServiceChannel,
-    ServiceRequestGenerator,
-    Task,
-    periodic_workload,
-)
+from repro.soc import Bus, BusLevel, BusThresholds
 from repro.sim.native import available as _native_available
-from repro.soc.service import ServiceRequest
 
 #: both kernel backends, for the timing-mode equivalence contract
 BACKENDS = [
@@ -184,7 +175,7 @@ class TestBusStatisticsMidRun:
         # stats have credited nothing yet (release has not happened).
         assert bus.stats.busy_time.is_zero
         assert bus.occupancy() == pytest.approx(1.0)
-        assert bus.busy_time_so_far().seconds == pytest.approx(500e-6)
+        assert (bus.stats.busy_time + bus._in_flight()).seconds == pytest.approx(500e-6)
         sim.kernel.run(ms(10))
         assert bus.occupancy() < 1.0
         assert bus.stats.busy_time.seconds == pytest.approx(1e-3)
@@ -227,8 +218,9 @@ class TestBusStatisticsMidRun:
         sim.kernel.create_thread(master("m0", us(0)), "m0")
         sim.kernel.create_thread(master("m1", us(100)), "m1")
         sim.kernel.run(ms(5))
-        assert handles[0].wait_time.is_zero
-        assert handles[1].wait_time.seconds == pytest.approx(900e-6)
+        waits = [handle.grant_time - handle.arrival for handle in handles]
+        assert waits[0].is_zero
+        assert waits[1].seconds == pytest.approx(900e-6)
 
 
 class TestBusCancellation:
@@ -255,7 +247,7 @@ class TestBusCancellation:
         victim = self._spawn_transfer(sim, bus, "victim", us(10), log=log)
         self._spawn_transfer(sim, bus, "late", us(20), log=log)
         sim.kernel.run(us(500))  # victim and late are both queued behind the holder
-        assert bus.queue_length == 2
+        assert len(bus._queue) == 2
         victim.kill()
         sim.kernel.run(ms(10))
         # Pre-fix behaviour: the grant went to the dead victim, the bus was
@@ -334,7 +326,7 @@ class TestBusCancellation:
         sim.kernel.create_thread(fickle, "fickle")
         sim.kernel.run(ms(10))
         assert results == {"first_cancel": True, "second_cancel": False}
-        assert bus.queue_length == 0
+        assert len(bus._queue) == 0
         assert bus.stats.cancelled_count == 1
 
     def test_third_party_cancel_wakes_the_parked_master(self):
@@ -450,14 +442,14 @@ class TestCycleAccurateBus:
         bus = Bus(sim.kernel, "bus")
         sim.add_module(bus)
         assert bus.clock is None
-        assert not bus.is_cycle_accurate
+        assert bus.timing != "cycle_accurate"
 
     def test_cycle_accurate_bus_keeps_its_clock_virtual(self):
         # Batched arbitration computes grant edges analytically from the
         # clock's schedule (Clock.next_posedge_fs): the clock runs no
         # process, so there are no per-cycle wakes.
         _, bus = self.make_bus()
-        assert bus.is_cycle_accurate
+        assert bus.timing == "cycle_accurate"
         assert bus.clock is not None
         assert not bus.clock.processes
         # words_per_second / words_per_cycle = 250 kHz -> 4 us period
@@ -708,63 +700,3 @@ class TestBusLevel:
         assert observed == [BusLevel.HIGH]
         assert bus.occupancy_level() is BusLevel.LOW
 
-
-class TestServiceChannel:
-    def test_push_pop_counts(self):
-        kernel = Kernel()
-        channel = ServiceChannel(kernel, "svc")
-        channel.push_task(Task("t0", 100))
-        channel.push_task(Task("t1", 100))
-        assert channel.pending == 2
-        request = channel.try_pop()
-        assert request.task.name == "t0"
-        assert channel.pending == 1
-        assert channel.pushed_count == 2
-        assert channel.popped_count == 1
-
-    def test_try_pop_empty_returns_none(self):
-        channel = ServiceChannel(Kernel(), "svc")
-        assert channel.try_pop() is None
-
-    def test_closed_channel_rejects_push(self):
-        channel = ServiceChannel(Kernel(), "svc")
-        channel.close()
-        assert channel.is_closed
-        with pytest.raises(WorkloadError):
-            channel.push(ServiceRequest(task=Task("t0", 1)))
-
-    def test_consumer_waits_for_producer(self):
-        sim = Simulator()
-        channel = ServiceChannel(sim.kernel, "svc")
-        consumed = []
-
-        def consumer():
-            while True:
-                request = yield from channel.wait_and_pop()
-                if request is None:
-                    return
-                consumed.append((request.task.name, sim.now.seconds))
-
-        def producer():
-            yield ms(1)
-            channel.push_task(Task("a", 10))
-            yield ms(1)
-            channel.push_task(Task("b", 10))
-            channel.close()
-
-        sim.kernel.create_thread(consumer, "consumer")
-        sim.kernel.create_thread(producer, "producer")
-        sim.kernel.run(ms(10))
-        assert [name for name, _ in consumed] == ["a", "b"]
-        assert consumed[0][1] == pytest.approx(1e-3)
-
-    def test_generator_module_pushes_workload(self):
-        sim = Simulator()
-        channel = ServiceChannel(sim.kernel, "svc")
-        workload = periodic_workload(task_count=5, cycles=1000, idle=ms(1))
-        generator = ServiceRequestGenerator(sim.kernel, "generator", workload, channel)
-        sim.add_module(generator)
-        sim.kernel.run(ms(20))
-        assert generator.issued == 5
-        assert channel.pushed_count == 5
-        assert channel.is_closed

@@ -6,6 +6,7 @@ from repro.dpm import DpmSetup
 from repro.errors import ConfigurationError
 from repro.power import (
     EnergyAccount,
+    EnergyCategory,
     PowerState,
     PowerStateMachine,
     default_characterization,
@@ -15,8 +16,6 @@ from repro.sim import Simulator, ms, sec, us
 from repro.soc import (
     FunctionalIP,
     IpSpec,
-    ServiceChannel,
-    ServiceRequestGenerator,
     SocConfig,
     Task,
     build_soc,
@@ -42,7 +41,7 @@ class ImmediateGrantStub:
         self.completions.append((task.name, next_idle_hint))
 
 
-def build_ip(workload=None, channel=None):
+def build_ip(workload):
     sim = Simulator()
     characterization = default_characterization()
     account = EnergyAccount("ip0")
@@ -61,7 +60,6 @@ def build_ip(workload=None, channel=None):
         psm=psm,
         energy_account=account,
         workload=workload,
-        service_channel=channel,
     )
     sim.add_module(ip)
     stub = ImmediateGrantStub(sim.kernel)
@@ -71,24 +69,15 @@ def build_ip(workload=None, channel=None):
 
 class TestFunctionalIP:
     def test_requires_exactly_one_task_source(self):
+        # The workload is the IP's one task source; it cannot be left out.
         sim = Simulator()
         characterization = default_characterization()
         account = EnergyAccount("ip0")
         psm = PowerStateMachine(
             sim.kernel, "psm", characterization, default_transition_table(), account
         )
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TypeError, match="workload"):
             FunctionalIP(sim.kernel, "ip0", characterization, psm, account)
-        with pytest.raises(ConfigurationError):
-            FunctionalIP(
-                sim.kernel,
-                "ip1",
-                characterization,
-                psm,
-                account,
-                workload=periodic_workload(1),
-                service_channel=ServiceChannel(sim.kernel),
-            )
 
     def test_bus_words_without_bus_rejected(self):
         sim = Simulator()
@@ -120,7 +109,7 @@ class TestFunctionalIP:
         for record in ip.executions:
             assert record.power_state is PowerState.ON1
             assert record.delay_overhead == pytest.approx(0.0, abs=1e-9)
-        assert ip.total_task_energy_j == pytest.approx(
+        assert ip.energy_account.breakdown.get(EnergyCategory.ACTIVE, 0.0) == pytest.approx(
             4 * ip.reference_energy_j(workload[0].task), rel=1e-9
         )
 
@@ -154,33 +143,6 @@ class TestFunctionalIP:
         sim, ip, stub, _ = build_ip(workload=periodic_workload(1))
         with pytest.raises(ConfigurationError):
             ip.connect_lem(stub)
-
-    def test_channel_driven_ip(self):
-        sim = Simulator()
-        characterization = default_characterization()
-        account = EnergyAccount("ip0")
-        psm = PowerStateMachine(
-            sim.kernel, "psm", characterization, default_transition_table(), account
-        )
-        sim.add_module(psm)
-        channel = ServiceChannel(sim.kernel, "svc")
-        ip = FunctionalIP(
-            sim.kernel,
-            "ip0",
-            characterization,
-            psm,
-            account,
-            service_channel=channel,
-        )
-        sim.add_module(ip)
-        ip.connect_lem(ImmediateGrantStub(sim.kernel))
-        generator = ServiceRequestGenerator(
-            sim.kernel, "gen", periodic_workload(task_count=3, cycles=50_000, idle=ms(1)), channel
-        )
-        sim.add_module(generator)
-        sim.kernel.run(sec(1))
-        assert ip.done
-        assert ip.tasks_executed == 3
 
 
 class TestSocBuilder:
