@@ -13,10 +13,9 @@ from repro.analysis.metrics import (
     energy_saving,
     temperature_reduction,
 )
-from repro.analysis.report import PAPER_TABLE2, format_table, render_comparison, render_table2
+from repro.analysis.report import PAPER_TABLE2, format_table, render_comparison
 from repro.analysis.trace_analysis import (
     StateResidency,
-    energy_breakdown,
     psm_residency,
     transition_summary,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "StateResidency",
     "average_delay_overhead",
     "compare_runs",
-    "energy_breakdown",
     "energy_saving",
     "format_table",
     "markdown_per_ip",
@@ -36,7 +34,6 @@ __all__ = [
     "markdown_table2",
     "psm_residency",
     "render_comparison",
-    "render_table2",
     "temperature_reduction",
     "transition_summary",
 ]

@@ -14,7 +14,6 @@ from repro.analysis.metrics import ScenarioMetrics
 
 __all__ = [
     "format_table",
-    "render_table2",
     "render_comparison",
     "PAPER_KCYCLES_PER_S",
     "PAPER_TABLE2",
@@ -60,21 +59,6 @@ def format_table(
     for row in cells:
         lines.append(" | ".join(value.ljust(widths[i]) for i, value in enumerate(row)))
     return "\n".join(lines)
-
-
-def render_table2(results: Sequence[ScenarioMetrics], title: str = "Table 2 (reproduced)") -> str:
-    """Render the reproduced Table 2 rows."""
-    headers = ["Scenario", "Energy saving (%)", "Temperature reduction (%)", "Avg delay overhead (%)"]
-    rows = [
-        [
-            result.scenario,
-            f"{result.energy_saving_pct:.0f}",
-            f"{result.temperature_reduction_pct:.0f}",
-            f"{result.average_delay_overhead_pct:.0f}",
-        ]
-        for result in results
-    ]
-    return format_table(headers, rows, title=title)
 
 
 def render_comparison(

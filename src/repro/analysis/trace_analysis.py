@@ -3,7 +3,7 @@
 These helpers turn the residency and transition statistics kept by each
 :class:`~repro.power.psm.PowerStateMachine` (and, optionally, the traced
 state signals) into the summaries used by reports and tests: state residency
-percentages, transition counts and the per-IP energy breakdown by category.
+percentages and transition counts.
 """
 
 from __future__ import annotations
@@ -11,13 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
-from repro.errors import ExperimentError
-from repro.power.energy import EnergyAccount
 from repro.power.psm import PowerStateMachine
 from repro.power.states import PowerState
 from repro.sim.simtime import SimTime, ZERO_TIME
 
-__all__ = ["StateResidency", "psm_residency", "transition_summary", "energy_breakdown"]
+__all__ = ["StateResidency", "psm_residency", "transition_summary"]
 
 
 @dataclass
@@ -65,10 +63,3 @@ def transition_summary(psms: Sequence[PowerStateMachine]) -> Dict[str, int]:
         for key, count in psm.transition_counts.items():
             summary[key] = summary.get(key, 0) + count
     return summary
-
-
-def energy_breakdown(accounts: Sequence[EnergyAccount]) -> Dict[str, Dict[str, float]]:
-    """Per-owner, per-category energy in joules."""
-    if not accounts:
-        raise ExperimentError("at least one energy account is required")
-    return {account.owner: account.breakdown for account in accounts}

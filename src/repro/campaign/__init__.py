@@ -29,8 +29,6 @@ from repro.campaign.aggregate import (
 )
 from repro.campaign.executor import (
     CampaignSummary,
-    execute_baseline,
-    execute_job,
     preflight_campaign,
     run_campaign,
 )
@@ -58,8 +56,6 @@ __all__ = [
     "build_setup",
     "campaign_status",
     "canonical_json",
-    "execute_baseline",
-    "execute_job",
     "job_hash",
     "normalize_scenario",
     "normalize_setup",

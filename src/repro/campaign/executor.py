@@ -7,11 +7,11 @@ The executor is deliberately simple and robust:
 * the unit of work is a *cell*: the pending jobs that share one
   ``baseline_key``.  One task (:func:`execute_cell`) runs the cell's
   baseline when the store has none, then the cell's jobs with those
-  figures, so a cell costs one pickle round trip and its worker compiles
-  the scenario once.  Where whole cells would leave workers idle (fewer
-  cells than workers, or a ragged last round), the executor keeps the
-  two-pass schedule instead: every missing baseline as its own task, then
-  one task per job;
+  figures, so a cell costs one pickle round trip and its worker resolves
+  and compiles the scenario once.  Where whole cells would leave workers
+  idle (fewer cells than workers, or a ragged last round), the executor
+  keeps the two-pass schedule instead: every missing baseline as its own
+  task, then one task per job;
 * the workers (:func:`execute_baseline`, :func:`execute_job`) never raise —
   failures and per-job timeouts are captured as ``error`` / ``timeout``
   records so one broken grid cell cannot take down a thousand-job campaign;
@@ -44,15 +44,14 @@ from typing import (
 from repro.campaign.spec import CampaignSpec, JobSpec, build_scenario, build_setup
 from repro.campaign.store import ResultStore
 from repro.errors import CampaignError
+from repro.platform.spec import PlatformSpec
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only; the pool is imported lazily
     import multiprocessing.pool
 
 __all__ = [
     "CampaignSummary",
-    "execute_baseline",
     "execute_cell",
-    "execute_job",
     "preflight_campaign",
     "run_campaign",
 ]
@@ -136,16 +135,31 @@ def _worker_pool(processes: int) -> "multiprocessing.pool.Pool":
     return multiprocessing.Pool(processes=processes, initializer=_ignore_sigint)
 
 
-def execute_baseline(job_dict: Mapping[str, Any], timeout_s: Optional[float] = None) -> Dict[str, Any]:
+def _resolve(job: JobSpec) -> Union[PlatformSpec, Exception]:
+    """The job's scenario spec, or the exception that resolving it raised.
+
+    Each run of the job's cell re-raises that exception inside its own
+    error capture, so the failure lands in every record of the cell as any
+    run failure does.
+    """
+    try:
+        return build_scenario(job.scenario, seed=job.seed)
+    except Exception as error:  # noqa: BLE001 - each run records the failure itself
+        return error
+
+
+def execute_baseline(
+    job: JobSpec, scenario: Union[PlatformSpec, Exception], timeout_s: Optional[float]
+) -> Dict[str, Any]:
     """Run one shared baseline and return its record (never raises).
 
-    The record carries ``baseline_key``, ``status`` and (on success) the
-    plain :class:`~repro.experiments.runner.BaselineFigures` dictionary that
+    ``scenario`` is the job's resolved scenario (see :func:`_resolve`).  The
+    record carries ``baseline_key``, ``status`` and (on success) the plain
+    :class:`~repro.experiments.runner.BaselineFigures` dictionary that
     :func:`execute_job` consumes instead of re-simulating the baseline.
     """
     from repro.experiments.runner import run_baseline
 
-    job = JobSpec.from_dict(job_dict)
     record: Dict[str, Any] = {
         "baseline_key": job.baseline_key,
         "scenario": job.scenario["name"],
@@ -156,7 +170,8 @@ def execute_baseline(job_dict: Mapping[str, Any], timeout_s: Optional[float] = N
     }
     wall_start = time.perf_counter()  # repro-lint: allow[DET-WALLCLOCK]
     try:
-        scenario = build_scenario(job.scenario, seed=job.seed)
+        if isinstance(scenario, Exception):
+            raise scenario
         figures = _run_with_timeout(
             lambda: run_baseline(
                 scenario, build_setup(job.baseline), accuracy=job.accuracy
@@ -176,14 +191,16 @@ def execute_baseline(job_dict: Mapping[str, Any], timeout_s: Optional[float] = N
 
 
 def execute_job(
-    job_dict: Mapping[str, Any],
-    timeout_s: Optional[float] = None,
-    baseline_figures: Optional[Mapping[str, Any]] = None,
-    trace: Optional[Mapping[str, Any]] = None,
+    job: JobSpec,
+    scenario: Union[PlatformSpec, Exception],
+    timeout_s: Optional[float],
+    baseline_figures: Optional[Mapping[str, Any]],
+    trace: Optional[Mapping[str, Any]],
 ) -> Dict[str, Any]:
     """Run one campaign job and return its result record (never raises).
 
-    The record always carries ``job_id``, ``job``, ``status`` and ``label``;
+    ``scenario`` is the job's resolved scenario (see :func:`_resolve`).  The
+    record always carries ``job_id``, ``job``, ``status`` and ``label``;
     successful jobs add ``metrics`` and ``per_ip``, failed jobs add ``error``.
     ``baseline_figures`` (a stored shared-baseline dictionary) skips the
     baseline simulation; runs are deterministic, so the result is identical.
@@ -195,7 +212,6 @@ def execute_job(
     """
     from repro.experiments.runner import BaselineFigures, run_comparison
 
-    job = JobSpec.from_dict(job_dict)
     record: Dict[str, Any] = {
         "job_id": job.job_id,
         "job": job.to_dict(),
@@ -220,7 +236,8 @@ def execute_job(
         trace_request = TraceRequest(format=trace["format"], path=trace["path"])
     wall_start = time.perf_counter()  # repro-lint: allow[DET-WALLCLOCK]
     try:
-        scenario = build_scenario(job.scenario, seed=job.seed)
+        if isinstance(scenario, Exception):
+            raise scenario
         metrics = _run_with_timeout(
             lambda: run_comparison(
                 scenario,
@@ -272,7 +289,6 @@ def preflight_campaign(spec: CampaignSpec) -> List[str]:
     """
     from repro.lint import Severity, lint_spec
     from repro.platform.serialize import spec_hash
-    from repro.platform.spec import PlatformSpec
 
     lines: List[str] = []
     seen: set = set()
@@ -362,15 +378,20 @@ def execute_cell(
     recompute their own) replace ``baseline_figures``.  ``jobs`` pairs each
     job dictionary with its trace request (see :func:`execute_job`).
     Returns the baseline record (``None`` when no baseline ran) and the job
-    records in order.
+    records in order.  The cell's runs share one scenario and seed, so the
+    scenario spec is resolved once, outside every record's ``wall_clock_s``.
     """
     baseline, jobs, timeout_s, baseline_figures = cell
+    specs = [JobSpec.from_dict(job) for job, _ in jobs]
+    first = JobSpec.from_dict(baseline) if baseline is not None else specs[0]
+    scenario = _resolve(first)
     record: Optional[Dict[str, Any]] = None
     if baseline is not None:
-        record = execute_baseline(baseline, timeout_s)
+        record = execute_baseline(first, scenario, timeout_s)
         baseline_figures = record.get("figures")
     return record, [
-        execute_job(job, timeout_s, baseline_figures, trace) for job, trace in jobs
+        execute_job(job, scenario, timeout_s, baseline_figures, trace)
+        for job, (_, trace) in zip(specs, jobs)
     ]
 
 

@@ -4,14 +4,10 @@ from repro.experiments.differential import (
     ALL_ORACLES,
     DifferentialResult,
     OracleVerdict,
-    run_differential,
-)
-from repro.experiments.lint_crosscheck import (
-    CrosscheckResult,
-    crosscheck_paper_platforms,
-    crosscheck_scenario,
     decision_contexts,
     decision_log_contexts,
+    replay_decisions,
+    run_differential,
 )
 from repro.experiments.runner import (
     BaselineFigures,
@@ -25,23 +21,20 @@ from repro.experiments.table2 import (
     reproduce_table2,
     simulation_speed,
     simulation_speed_report,
-    table2_report,
 )
 
 __all__ = [
     "ALL_ORACLES",
     "BaselineFigures",
-    "CrosscheckResult",
     "DifferentialResult",
     "OracleVerdict",
     "RunArtifacts",
     "condition_sweep",
-    "crosscheck_paper_platforms",
-    "crosscheck_scenario",
     "decision_contexts",
     "decision_log_contexts",
     "policy_ablation",
     "predictor_ablation",
+    "replay_decisions",
     "reproduce_table2",
     "run_baseline",
     "run_comparison",
@@ -49,5 +42,4 @@ __all__ = [
     "run_scenario",
     "simulation_speed",
     "simulation_speed_report",
-    "table2_report",
 ]

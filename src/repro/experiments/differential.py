@@ -59,16 +59,26 @@ so a crash is reported by every oracle that needs the run.
 
 from __future__ import annotations
 
+import json
+from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+from repro.battery.status import BatteryLevel
 from repro.dpm.controller import DpmSetup
+from repro.dpm.lem import LemDecision
+from repro.dpm.levels import RuleContext
+from repro.dpm.rules import RuleTable
 from repro.errors import ExperimentError, ReproError
 from repro.experiments.runner import RunArtifacts, run_scenario
 from repro.platform.serialize import spec_hash
 from repro.platform.spec import PlatformSpec
 from repro.power.states import PowerState
 from repro.sim.simtime import SimTime
+from repro.soc.bus import BusLevel
+from repro.soc.task import TaskExecution, TaskPriority
+from repro.thermal.level import TemperatureLevel
 
 __all__ = [
     "ALL_ORACLES",
@@ -77,6 +87,9 @@ __all__ = [
     "OracleVerdict",
     "POLICY_SAVING_SLACK",
     "TEMPERATURE_RTOL",
+    "decision_contexts",
+    "decision_log_contexts",
+    "replay_decisions",
     "run_differential",
 ]
 
@@ -178,7 +191,7 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / scale
 
 
-def _execution_key(execution) -> tuple:
+def _execution_key(execution: TaskExecution) -> tuple:
     return (execution.ip_name, execution.task.name)
 
 
@@ -279,9 +292,67 @@ def _spec_with_bus_timing(spec: PlatformSpec, timing: str) -> PlatformSpec:
 
 
 # ----------------------------------------------------------------------
+# Decision contexts
+# ----------------------------------------------------------------------
+def decision_contexts(trace_path: "Path | str") -> List[RuleContext]:
+    """Rebuild the :class:`RuleContext` of every ``lem.decision`` event in a
+    JSONL trace (in event order)."""
+    contexts: List[RuleContext] = []
+    with Path(trace_path).open(encoding="utf-8") as stream:
+        for line in stream:
+            line = line.strip()
+            if not line:
+                continue
+            event = json.loads(line)
+            if event.get("kind") != "lem.decision":
+                continue
+            try:
+                contexts.append(RuleContext(
+                    priority=TaskPriority(event["priority"]),
+                    battery=BatteryLevel(event["battery"]),
+                    temperature=TemperatureLevel(event["temperature"]),
+                    other_ip_energy_j=float(event.get("other_ip_energy_j", 0.0)),
+                    bus=BusLevel(event.get("bus", "low")),
+                ))
+            except (KeyError, ValueError) as error:
+                raise ExperimentError(
+                    f"{trace_path}: malformed lem.decision event: {error}"
+                ) from error
+    return contexts
+
+
+def decision_log_contexts(decisions: Sequence[LemDecision]) -> List[RuleContext]:
+    """The :class:`RuleContext` of every entry of a LEM decision log, in log
+    order.
+
+    An exact run's :attr:`~repro.soc.soc.SoC.decision_log` holds the same
+    contexts, in the same order, as the ``lem.decision`` events of the run
+    traced (:func:`decision_contexts` is the reference), without the trace.
+    """
+    return [
+        RuleContext(
+            priority=decision.priority,
+            battery=BatteryLevel(decision.battery),
+            temperature=TemperatureLevel(decision.temperature),
+            other_ip_energy_j=decision.other_ip_energy_j,
+            bus=BusLevel(decision.bus),
+        )
+        for decision in decisions
+    ]
+
+
+def replay_decisions(table: RuleTable, contexts: Sequence[RuleContext]) -> Dict[int, int]:
+    """Which rule wins each recorded decision, as index -> count."""
+    indices = map(table.first_match_index, contexts)
+    return Counter(index for index in indices if index is not None)
+
+
+# ----------------------------------------------------------------------
 # Oracles
 # ----------------------------------------------------------------------
-def _oracle_exact_vs_fast(spec: PlatformSpec, base: RunArtifacts, backend) -> OracleVerdict:
+def _oracle_exact_vs_fast(
+    spec: PlatformSpec, base: RunArtifacts, backend: Optional[str]
+) -> OracleVerdict:
     # setup=None honours the spec's own policy (defaulting to the paper DPM),
     # so generated PolicyDefs are exercised by the accuracy contract too.
     fast = run_scenario(spec, None, accuracy="fast", trace=False, backend=backend)
@@ -318,7 +389,7 @@ def _oracle_backend_parity(spec: PlatformSpec, base: RunArtifacts) -> OracleVerd
 
 
 def _oracle_bus_timing(
-    spec: PlatformSpec, backend, shared: Dict[str, RunArtifacts]
+    spec: PlatformSpec, backend: Optional[str], shared: Dict[str, RunArtifacts]
 ) -> OracleVerdict:
     if spec.bus is None or not spec.bus.enabled:
         return OracleVerdict("bus_timing", "skip", "platform has no bus")
@@ -397,7 +468,7 @@ def _oracle_bus_timing(
 
 
 def _oracle_policy(
-    spec: PlatformSpec, backend, shared: Dict[str, RunArtifacts]
+    spec: PlatformSpec, backend: Optional[str], shared: Dict[str, RunArtifacts]
 ) -> OracleVerdict:
     runs: Dict[str, RunArtifacts] = {}
     for name, make_setup in _POLICY_SETUPS.items():
@@ -524,10 +595,9 @@ def _oracle_structural(spec: PlatformSpec, base: RunArtifacts) -> OracleVerdict:
 
 
 def _oracle_lint_reach(
-    spec: PlatformSpec, base: Optional[RunArtifacts], backend
+    spec: PlatformSpec, base: Optional[RunArtifacts], backend: Optional[str]
 ) -> OracleVerdict:
     """Static lint (with the trajectory envelope) vs the base run's decisions."""
-    from repro.experiments.lint_crosscheck import decision_log_contexts, replay_decisions
     from repro.lint import lint_spec, spec_rule_table
 
     # Lint findings on a *generated* spec are advisory (the generator is

@@ -18,7 +18,7 @@ from __future__ import annotations
 import time as _wallclock
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional
 
 from repro.analysis.metrics import ScenarioMetrics, compare_runs
 from repro.dpm.controller import DpmSetup
@@ -31,6 +31,9 @@ from repro.sim.accuracy import AccuracyMode
 from repro.sim.simtime import SimTime, ms
 from repro.soc.soc import SoC, build_soc
 from repro.soc.task import TaskExecution
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only; repro.obs is imported lazily
+    from repro.obs.session import TraceRequest
 
 __all__ = [
     "BaselineFigures",
@@ -71,7 +74,7 @@ class BaselineFigures:
         }
 
     @staticmethod
-    def from_dict(value) -> "BaselineFigures":
+    def from_dict(value: Mapping[str, Any]) -> "BaselineFigures":
         """Rebuild from :meth:`as_dict` output."""
         return BaselineFigures(
             scenario=str(value["scenario"]),
@@ -168,7 +171,7 @@ class RunArtifacts:
         return summary
 
 
-def _as_scenario(scenario) -> PlatformSpec:
+def _as_scenario(scenario: "PlatformSpec | str") -> PlatformSpec:
     """The validated spec of ``scenario``: a spec, or a registered name."""
     if isinstance(scenario, PlatformSpec):
         return scenario.validate()
@@ -187,7 +190,9 @@ def _as_scenario(scenario) -> PlatformSpec:
     )
 
 
-def _resolve_trace_request(spec: PlatformSpec, trace):
+def _resolve_trace_request(
+    spec: PlatformSpec, trace: "TraceRequest | bool | None"
+) -> "Optional[TraceRequest]":
     """Turn run_scenario's ``trace`` argument into a TraceRequest or None.
 
     ``None`` defers to the ``trace:`` section of ``spec``; ``False``
@@ -216,7 +221,7 @@ def run_scenario(
     scenario: "PlatformSpec | str",
     setup: Optional[DpmSetup] = None,
     accuracy: "AccuracyMode | str | None" = None,
-    trace=None,
+    trace: "TraceRequest | bool | None" = None,
     backend: Optional[str] = None,
 ) -> RunArtifacts:
     """Build and simulate ``scenario`` once under ``setup``.
@@ -238,7 +243,7 @@ def _run(
     spec: PlatformSpec,
     setup: Optional[DpmSetup],
     mode: AccuracyMode,
-    trace,
+    trace: "TraceRequest | bool | None",
     backend: Optional[str],
 ) -> RunArtifacts:
     """:func:`run_scenario` of an already validated ``spec``."""
@@ -323,7 +328,7 @@ def run_comparison(
     baseline: Optional[DpmSetup] = None,
     accuracy: "AccuracyMode | str | None" = None,
     baseline_figures: Optional[BaselineFigures] = None,
-    trace=None,
+    trace: "TraceRequest | bool | None" = None,
     backend: Optional[str] = None,
 ) -> ScenarioMetrics:
     """Run ``scenario`` with the DPM and with the baseline; return Table-2 metrics.

@@ -3,8 +3,8 @@
 :func:`reproduce_table2` runs every scenario (A1–A4, B, C) with the paper's
 DPM and with the always-on baseline, returning one
 :class:`~repro.analysis.metrics.ScenarioMetrics` per row.
-:func:`table2_report` renders the side-by-side comparison with the numbers
-printed in the paper, and :func:`simulation_speed_report` reproduces the
+:func:`~repro.analysis.report.render_comparison` renders them next to the
+numbers printed in the paper, and :func:`simulation_speed_report` reproduces the
 "35 Kcycle/s (sim. A) and 7.5 Kcycle/s (B and C)" throughput figure for this
 implementation.  Every Kcycle/s figure is
 :meth:`~repro.experiments.runner.RunArtifacts.kilocycles_per_second`, which
@@ -17,12 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.metrics import ScenarioMetrics
-from repro.analysis.report import (
-    PAPER_KCYCLES_PER_S,
-    format_table,
-    render_comparison,
-    render_table2,
-)
+from repro.analysis.report import PAPER_KCYCLES_PER_S, format_table
 from repro.dpm.controller import DpmSetup
 from repro.experiments.runner import run_comparison, run_scenario
 from repro.platform.registry import paper_platforms
@@ -30,7 +25,6 @@ from repro.platform.spec import PlatformSpec
 
 __all__ = [
     "reproduce_table2",
-    "table2_report",
     "simulation_speed",
     "simulation_speed_report",
 ]
@@ -48,18 +42,6 @@ def reproduce_table2(
         run_comparison(scenario, dpm=dpm, baseline=baseline, accuracy=accuracy)
         for scenario in scenarios
     ]
-
-
-def table2_report(
-    results: Optional[Sequence[ScenarioMetrics]] = None,
-    include_paper: bool = True,
-) -> str:
-    """Human-readable Table-2 report (optionally next to the paper's values)."""
-    if results is None:
-        results = reproduce_table2()
-    if include_paper:
-        return render_comparison(results)
-    return render_table2(results)
 
 
 def simulation_speed(

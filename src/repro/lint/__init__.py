@@ -12,9 +12,9 @@ Three layers:
   spec's battery/thermal/bus dynamics over the workload horizon, yielding
   the reachable ``(priority, battery, temperature, bus)`` context envelope
   with entry-time bounds.  The rules/psm/policy analyzers consume it for
-  trajectory-aware findings, and the dynamic cross-check
-  (:mod:`repro.experiments.lint_crosscheck`) proves its soundness against
-  traced runs.
+  trajectory-aware findings, and the ``lint_reach`` differential oracle
+  (:func:`repro.experiments.run_differential`) proves its soundness
+  against the decision log of real runs.
 * **Determinism self-check** (:func:`~repro.lint.selfcheck.selfcheck`):
   an AST lint over ``src/repro`` guarding the bit-identity contracts —
   no wall clocks, no global RNG, no float time math in the kernel.

@@ -11,8 +11,8 @@ over the workload horizon, and quantising them into the set of reachable
 ``(priority, battery, temperature, bus)`` rule contexts with entry-time
 bounds.
 
-Soundness (an over-approximation of anything a traced run can observe — the
-dynamic cross-check in :mod:`repro.experiments.lint_crosscheck` enforces
+Soundness (an over-approximation of any decision context a run can present —
+the ``lint_reach`` oracle of :mod:`repro.experiments.differential` enforces
 exactly this) rests on a few worst-case arguments, kept deliberately
 coarse:
 

@@ -9,7 +9,7 @@ This layer makes the *platform itself* a first-class, serializable object:
   name the offending path;
 * :mod:`repro.platform.serialize` — lossless JSON/TOML round-trip;
 * :mod:`repro.platform.build` — the per-section builders of the runnable
-  objects (:func:`build_ip_spec`, :func:`build_soc_config`,
+  objects (:func:`~repro.platform.build.compile_ip`, :func:`build_soc_config`,
   :func:`platform_setup`) that :func:`repro.experiments.run_scenario` uses;
 * :mod:`repro.platform.builder` — the fluent :class:`PlatformBuilder`;
 * :mod:`repro.platform.registry` — named platforms; the six paper rows are
@@ -25,7 +25,6 @@ the runners accept, and a new scenario is a file::
 
 from repro.platform.build import (
     build_dpm_setup,
-    build_ip_spec,
     build_soc_config,
     build_workload,
     platform_setup,
@@ -101,7 +100,6 @@ __all__ = [
     "WorkloadDef",
     "build_dpm_setup",
     "diff_specs",
-    "build_ip_spec",
     "build_soc_config",
     "build_workload",
     "has_platform",

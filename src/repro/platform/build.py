@@ -80,7 +80,6 @@ __all__ = [
     "build_battery_config",
     "build_characterization",
     "build_dpm_setup",
-    "build_ip_spec",
     "build_soc_config",
     "build_thermal_config",
     "build_transitions",
@@ -610,11 +609,6 @@ def compile_ip(ipdef: IpDef) -> CompiledIp:
 
 def _item_count(compiled: CompiledIp) -> int:
     return len(compiled.workload.items) if compiled.workload is not None else 0
-
-
-def build_ip_spec(ipdef: IpDef) -> IpSpec:
-    """One :class:`IpSpec` from its definition, sharing nothing with any run."""
-    return _compile_ip(ipdef, _build_power_model(ipdef)).ip_spec(ipdef)
 
 
 # ----------------------------------------------------------------------

@@ -8,12 +8,10 @@ from repro.analysis import (
     ScenarioMetrics,
     average_delay_overhead,
     compare_runs,
-    energy_breakdown,
     energy_saving,
     format_table,
     psm_residency,
     render_comparison,
-    render_table2,
     temperature_reduction,
     transition_summary,
 )
@@ -143,14 +141,6 @@ class TestTraceAnalysis:
         assert summary["ON1->ON3"] == 1
         assert summary["ON3->ON1"] == 1
 
-    def test_energy_breakdown(self):
-        account = EnergyAccount("ip0")
-        account.add_energy(1.0, "active")
-        breakdown = energy_breakdown([account])
-        assert breakdown["ip0"]["active"] == pytest.approx(1.0)
-        with pytest.raises(ExperimentError):
-            energy_breakdown([])
-
 
 class TestReportRendering:
     def make_metrics(self, name="A1"):
@@ -171,11 +161,6 @@ class TestReportRendering:
     def test_format_table_validates_rows(self):
         with pytest.raises(ValueError):
             format_table(["a"], [["1", "2"]])
-
-    def test_render_table2(self):
-        text = render_table2([self.make_metrics("A1"), self.make_metrics("B")])
-        assert "A1" in text and "B" in text
-        assert "Energy saving" in text
 
     def test_render_comparison_includes_paper_values(self):
         text = render_comparison([self.make_metrics("A1")])

@@ -9,7 +9,6 @@ from repro.campaign import (
     ResultStore,
     aggregate_records,
     campaign_status,
-    execute_job,
     record_metrics,
     render_campaign_report,
     run_campaign,
@@ -32,10 +31,15 @@ def small_spec(**extra):
     return CampaignSpec.from_dict(data)
 
 
+def run_alone(job, baseline_figures=None):
+    """The record of one job run as a one-job cell task with no baseline."""
+    return executor.execute_cell((None, [(job.to_dict(), None)], None, baseline_figures))[1][0]
+
+
 class TestExecuteJob:
     def test_ok_record(self):
         job = small_spec().jobs()[0]
-        record = execute_job(job.to_dict())
+        record = run_alone(job)
         assert record["status"] == "ok"
         assert record["job_id"] == job.job_id
         assert record["metrics"]["tasks_executed"] == 6
@@ -46,7 +50,7 @@ class TestExecuteJob:
         # 1 ms of simulated time is not enough to drain the workload, which
         # the runner reports as an ExperimentError.
         spec = small_spec(overrides=[{"max_time_ms": 1}])
-        record = execute_job(spec.jobs()[0].to_dict())
+        record = run_alone(spec.jobs()[0])
         assert record["status"] == "error"
         assert record["error"]["type"] == "ExperimentError"
         assert "traceback" in record["error"]
@@ -60,14 +64,14 @@ class TestExecuteJob:
             raise AttributeError("simulated internal bug")
 
         monkeypatch.setattr(runner, "run_comparison", boom)
-        record = execute_job(small_spec().jobs()[0].to_dict())
+        record = run_alone(small_spec().jobs()[0])
         assert record["status"] == "error"
         assert record["error"]["type"] == "AttributeError"
 
     def test_determinism_across_invocations(self):
-        job = small_spec().jobs()[0].to_dict()
-        first = execute_job(job)
-        second = execute_job(job)
+        job = small_spec().jobs()[0]
+        first = run_alone(job)
+        second = run_alone(job)
         assert first["metrics"]["energy_saving_pct"] == \
             second["metrics"]["energy_saving_pct"]
         assert first["metrics"]["dpm_energy_j"] == second["metrics"]["dpm_energy_j"]
@@ -275,7 +279,7 @@ class TestSharedBaselines:
         summary = run_campaign(spec, tmp_path / "camp", workers=1)
         store = ResultStore(tmp_path / "camp")
         for job in spec.jobs():
-            standalone = execute_job(job.to_dict())
+            standalone = run_alone(job)
             stored = store.get(job.job_id)
             assert _stable_metrics(standalone) == _stable_metrics(stored)
 
@@ -345,6 +349,58 @@ class TestCellTasks:
             return view
 
         assert [stable(r) for r in pooled.records] == [stable(r) for r in serial.records]
+
+    def counted_resolves(self, monkeypatch):
+        calls = []
+        build = executor.build_scenario
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(executor, "build_scenario", counted)
+        return calls
+
+    def test_a_cell_resolves_its_scenario_once(self, monkeypatch):
+        jobs = small_spec(setups=["paper", "greedy-sleep"], seeds=[1]).jobs()
+        assert len({job.baseline_key for job in jobs}) == 1
+        calls = self.counted_resolves(monkeypatch)
+        cell = (jobs[0].to_dict(), [(job.to_dict(), None) for job in jobs], None, None)
+        baseline, records = executor.execute_cell(cell)
+        assert len(calls) == 1
+        # The same records as resolving once per run, apart from host timings.
+        calls.clear()
+        one_by_one, _ = executor.execute_cell((jobs[0].to_dict(), [], None, None))
+        alone = [run_alone(job, one_by_one["figures"]) for job in jobs]
+        assert len(calls) == 3
+
+        def stable(record):
+            view = {k: v for k, v in record.items() if k != "wall_clock_s"}
+            if "metrics" in view:
+                view["metrics"] = _stable_metrics(record)
+            return view
+
+        assert stable(baseline) == stable(one_by_one)
+        assert [stable(r) for r in records] == [stable(r) for r in alone]
+        assert all(r["status"] == "ok" for r in records)
+
+    def test_a_scenario_that_does_not_resolve_fails_every_run_of_its_cell(self, monkeypatch):
+        jobs = small_spec(setups=["paper", "greedy-sleep"], seeds=[1]).jobs()
+        calls = []
+
+        def broken(*args, **_kwargs):
+            calls.append(args)
+            raise CampaignError("scenario does not resolve")
+
+        monkeypatch.setattr(executor, "build_scenario", broken)
+        cell = (jobs[0].to_dict(), [(job.to_dict(), None) for job in jobs], None, None)
+        baseline, records = executor.execute_cell(cell)
+        assert len(calls) == 1
+        assert baseline["status"] == "error"
+        assert baseline["error"] == {"type": "CampaignError", "message": "scenario does not resolve"}
+        assert [r["status"] for r in records] == ["error", "error"]
+        assert all(r["error"]["message"] == "scenario does not resolve" for r in records)
+        assert all("CampaignError" in r["error"]["traceback"] for r in records)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_timed_out_baseline_of_a_split_cell(self, tmp_path, workers):

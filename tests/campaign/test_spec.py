@@ -14,7 +14,8 @@ from repro.campaign import (
     normalize_setup,
 )
 from repro.errors import CampaignError
-from repro.platform import build_ip_spec, platform_by_name
+from repro.platform import platform_by_name
+from repro.platform.build import compile_ip
 
 
 class TestNormalizeScenario:
@@ -98,8 +99,8 @@ class TestBuildScenario:
         default = build_scenario(description)
         reseeded = build_scenario(description, seed=99)
         assert reseeded.ips[0].workload.seed == 99
-        assert build_ip_spec(default.ips[0]).workload.as_dicts() != \
-            build_ip_spec(reseeded.ips[0]).workload.as_dicts()
+        assert compile_ip(default.ips[0]).ip_spec(default.ips[0]).workload.as_dicts() != \
+            compile_ip(reseeded.ips[0]).ip_spec(reseeded.ips[0]).workload.as_dicts()
 
     def test_seed_reseeds_each_platform_ip_by_index(self):
         spec = platform_by_name("phone-bursty")  # a bursty and a periodic IP
@@ -118,7 +119,7 @@ class TestBuildScenario:
              "temperature": "high", "task_count": 6, "max_time_ms": 500}
         )
         assert built.name == "mine"
-        assert len(build_ip_spec(built.ips[0]).workload) == 6
+        assert len(compile_ip(built.ips[0]).ip_spec(built.ips[0]).workload) == 6
         assert built.max_time_ms == 500.0
 
 

@@ -14,7 +14,8 @@ import pytest
 
 from repro.dpm import DpmSetup
 from repro.experiments import run_comparison
-from repro.platform import build_ip_spec, build_soc_config, platform_by_name
+from repro.platform import build_soc_config, platform_by_name
+from repro.platform.build import compile_ip
 from repro.sim import Clock, Simulator, ms
 from repro.sim.native import available as _native_available
 from repro.soc.soc import build_soc
@@ -57,7 +58,7 @@ def _run_on_own_simulator(spec):
     """Build ``spec`` on a fresh Simulator (whose modules the tests inspect) and run it."""
     config = build_soc_config(spec)
     simulator = Simulator(name=config.name)
-    soc = build_soc([build_ip_spec(ipdef) for ipdef in spec.ips], config,
+    soc = build_soc([compile_ip(ipdef).ip_spec(ipdef) for ipdef in spec.ips], config,
                     DpmSetup.paper(), simulator=simulator)
     soc.run_until_done(max_time=ms(spec.max_time_ms))
     return soc

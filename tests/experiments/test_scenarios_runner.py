@@ -9,16 +9,16 @@ from repro.dpm import DpmSetup
 from repro.errors import ExperimentError, PlatformError, WorkloadError
 from repro.experiments import run_baseline, run_comparison, run_scenario
 from repro.experiments.runner import _as_scenario
-from repro.experiments.table2 import simulation_speed_report, table2_report
+from repro.analysis.report import render_comparison
+from repro.experiments.table2 import simulation_speed_report
 from repro.platform import (
     PlatformSpec,
-    build_ip_spec,
     build_soc_config,
     multi_ip_platform,
     paper_platforms,
     single_ip_platform,
 )
-from repro.platform.build import battery_condition, thermal_condition
+from repro.platform.build import battery_condition, compile_ip, thermal_condition
 from repro.sim.native import available as native_available
 from repro.soc.workload import scenario_a_workload
 from repro.thermal import TemperatureLevel
@@ -81,7 +81,7 @@ class TestScenarioCatalogue:
 
     def test_multi_ip_scenario_structure(self):
         platform = multi_ip_platform("Y", "low", "low", high_activity_ips=(1, 2))
-        specs = [build_ip_spec(ipdef) for ipdef in platform.ips]
+        specs = [compile_ip(ipdef).ip_spec(ipdef) for ipdef in platform.ips]
         assert len(specs) == 4
         assert [spec.static_priority for spec in specs] == [1, 2, 3, 4]
         assert build_soc_config(platform).use_gem
@@ -92,7 +92,7 @@ class TestScenarioCatalogue:
 
     def test_scenario_factories_produce_fresh_objects(self):
         platform = single_ip_platform("X", "full", "low")
-        assert build_ip_spec(platform.ips[0]) is not build_ip_spec(platform.ips[0])
+        assert compile_ip(platform.ips[0]).ip_spec(platform.ips[0]) is not compile_ip(platform.ips[0]).ip_spec(platform.ips[0])
         assert build_soc_config(platform) is not build_soc_config(platform)
 
 
@@ -167,7 +167,7 @@ class TestRunner:
 
     def test_reports_render(self, small_scenario):
         metrics = run_comparison(small_scenario)
-        text = table2_report([metrics])
+        text = render_comparison([metrics])
         assert "small" in text
         speed_text = simulation_speed_report({"small": 123.4})
         assert "123.4" in speed_text

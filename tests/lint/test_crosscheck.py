@@ -1,28 +1,39 @@
-"""Dynamic cross-validation: static unreachability vs the traced event stream.
+"""Dynamic cross-validation: static reachability claims vs real runs.
 
-Two directions: (a) across the paper's six scenarios, the statically-dead
-Table 1 row never wins a decision; (b) an injected shadowed rule is caught
-by lint *and* fires zero times at runtime — a true positive end to end.
+The ``lint_reach`` differential oracle is the one check that proves lint's
+claims about a rule table against the run itself: every decision context
+of the run's LEM decision log lies inside the reachable envelope, and no
+statically shadowed or trajectory-dead rule wins a decision.  Across the
+paper's six scenarios the statically-dead Table 1 row never wins; an
+injected shadowed rule is caught by lint *and* fires zero times at runtime
+— a true positive end to end; a platform without a rule table still gets
+the envelope check; a dead rule that wins a decision fails the run; and
+a platform resolved by its registered name is judged against its own
+table.  The decision log it reads is pinned against
+the ``lem.decision`` events of a traced run.
 """
 
 import pytest
 
-from repro.dpm.rules import paper_rule_table
+from repro.dpm.rules import RuleTable, paper_rule_table
+from repro.errors import ExperimentError
 from repro.experiments import (
-    crosscheck_paper_platforms,
-    crosscheck_scenario,
     decision_contexts,
     decision_log_contexts,
+    replay_decisions,
+    run_differential,
     run_scenario,
 )
-from repro.experiments.lint_crosscheck import PAPER_SCENARIO_NAMES
-from repro.errors import ExperimentError
-from repro.lint import Severity, lint_spec
+from repro.experiments import differential
+from repro.lint import Severity, build_model, lint_spec, spec_rule_table
+from repro.lint.reach import ReachResult, compute_reach
 from repro.platform import (
+    PAPER_PLATFORM_NAMES,
     IpDef,
     PlatformSpec,
     PolicyDef,
     WorkloadDef,
+    platform_by_name,
     platform_names,
     register_platform,
     unregister_platform,
@@ -30,34 +41,66 @@ from repro.platform import (
 from repro.obs.session import TraceRequest
 
 
+def lint_reach(spec, monkeypatch):
+    """The ``lint_reach`` verdict on ``spec`` and the run the oracle judged."""
+    runs = []
+
+    def recorded(*args, **kwargs):
+        runs.append(run_scenario(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(differential, "run_scenario", recorded)
+    result = run_differential(spec, oracles=["lint_reach"])
+    assert len(runs) == 1
+    return result.verdict("lint_reach"), runs[0]
+
+
+def rule_wins(spec, run):
+    """Rule index -> decisions it won in ``run``, under the spec's table."""
+    contexts = decision_log_contexts(run.soc.decision_log)
+    return replay_decisions(spec_rule_table(spec), contexts), len(contexts)
+
+
 class TestPaperScenarios:
-    @pytest.mark.parametrize("name", PAPER_SCENARIO_NAMES)
-    def test_statically_dead_rules_never_fire(self, name, tmp_path):
-        result = crosscheck_scenario(name, trace_dir=tmp_path)
-        assert result.ok, result.violations
-        assert result.decision_count > 0
+    @pytest.mark.parametrize("name", PAPER_PLATFORM_NAMES)
+    def test_statically_dead_rules_never_fire(self, name, monkeypatch):
+        spec = platform_by_name(name)
+        verdict, run = lint_reach(spec, monkeypatch)
+        assert verdict.status == "pass", verdict.detail
+        wins, decisions = rule_wins(spec, run)
+        assert decisions > 0
+        assert verdict.detail == f"{decisions} decision(s) contained"
+        # Every decision was replayed against the table the run used.
+        assert sum(wins.values()) == decisions
         # Table 1's row 6 (index 5) is the statically-dead rule under test.
-        assert 5 in result.unreachable
-        assert result.fire_counts.get(5, 0) == 0
-        # Every decision was replayed against the same table the run used.
-        assert sum(result.fire_counts.values()) == result.decision_count
-        # The trajectory envelope ran and contained every decision; the
-        # narrow paper platforms always leave some Table 1 rows dead.
-        assert result.reach_checked
-        assert result.trajectory_dead
-        for index in result.trajectory_dead:
-            assert result.fire_counts.get(index, 0) == 0
+        table = spec_rule_table(spec)
+        assert 5 in table.unreachable_rules()
+        assert wins.get(5, 0) == 0
+        # The narrow paper platforms always leave some Table 1 rows dead,
+        # and none of them wins a decision.
+        live = compute_reach(build_model(spec)).live_rule_indices(table)
+        dead = [index for index in range(len(table.rules)) if index not in live]
+        assert dead
+        assert not [index for index in dead if wins.get(index)]
 
-    def test_reach_can_be_disabled(self, tmp_path):
-        result = crosscheck_scenario("A1", trace_dir=tmp_path, reach=False)
-        assert result.ok
-        assert not result.reach_checked
-        assert result.trajectory_dead == ()
 
-    def test_sweep_helper_covers_all_six(self, tmp_path):
-        results = crosscheck_paper_platforms(names=("A1",), trace_dir=tmp_path)
-        assert [result.scenario for result in results] == ["A1"]
-        assert "ok" in results[0].describe()
+class TestDeadRuleWins:
+    """A rule that lint calls dead and that wins a decision fails the run."""
+
+    def test_a_winning_statically_shadowed_rule_fails(self, monkeypatch):
+        monkeypatch.setattr(RuleTable, "unreachable_rules",
+                            lambda self: list(range(len(self.rules))))
+        verdict, _ = lint_reach(platform_by_name("A1"), monkeypatch)
+        assert verdict.status == "fail"
+        assert "statically shadowed rule" in verdict.detail
+        assert "trajectory-dead rule" not in verdict.detail
+
+    def test_a_winning_trajectory_dead_rule_fails(self, monkeypatch):
+        monkeypatch.setattr(ReachResult, "live_rule_indices", lambda self, table: frozenset())
+        verdict, _ = lint_reach(platform_by_name("A1"), monkeypatch)
+        assert verdict.status == "fail"
+        assert "trajectory-dead rule" in verdict.detail
+        assert "statically shadowed rule" not in verdict.detail
 
 
 def injected_shadowed_spec() -> PlatformSpec:
@@ -88,7 +131,7 @@ def injected_shadowed_spec() -> PlatformSpec:
 
 
 class TestInjectedShadowedRule:
-    def test_caught_statically_and_dynamically(self, tmp_path):
+    def test_caught_statically_and_dynamically(self, monkeypatch):
         spec = injected_shadowed_spec()
         injected = len(spec.policy.rules) - 1
 
@@ -99,12 +142,42 @@ class TestInjectedShadowedRule:
                     and f"rules[{injected}]" in f.path]
         assert shadowed and shadowed[0].severity is Severity.ERROR
 
-        # Dynamically: a traced run never lets the injected rule win.
-        result = crosscheck_scenario(spec, trace_dir=tmp_path)
-        assert injected in result.unreachable
-        assert result.fire_counts.get(injected, 0) == 0
-        assert result.ok
-        assert result.table_name == "injected-rules"
+        # Dynamically: the run never lets the injected rule win, and the
+        # oracle judged it against the spec's own table.
+        verdict, run = lint_reach(spec, monkeypatch)
+        assert verdict.status == "pass", verdict.detail
+        table = spec_rule_table(spec)
+        assert table.name == "injected-rules"
+        assert injected in table.unreachable_rules()
+        wins, decisions = rule_wins(spec, run)
+        assert decisions > 0
+        assert wins.get(injected, 0) == 0
+
+
+class TestEnvelopeAlone:
+    """A platform without a rule table still gets the containment check."""
+
+    def greedy_spec(self):
+        return PlatformSpec(
+            name="a1-greedy",
+            ips=[IpDef(name="cpu", workload=WorkloadDef(kind="scenario_a"))],
+            policy=PolicyDef(name="greedy-sleep"),
+        )
+
+    def test_greedy_sleep_passes_on_containment(self, monkeypatch):
+        spec = self.greedy_spec()
+        assert spec_rule_table(spec) is None
+        verdict, run = lint_reach(spec, monkeypatch)
+        assert verdict.status == "pass", verdict.detail
+        decisions = len(run.soc.decision_log)
+        assert decisions > 0
+        assert verdict.detail == f"{decisions} decision(s) contained"
+
+    def test_an_escaping_context_fails_without_a_table(self, monkeypatch):
+        monkeypatch.setattr(ReachResult, "is_reachable", lambda self, context: False)
+        verdict, _ = lint_reach(self.greedy_spec(), monkeypatch)
+        assert verdict.status == "fail"
+        assert "escapes the reachable envelope" in verdict.detail
 
 
 @pytest.fixture
@@ -123,25 +196,31 @@ def registered():
 
 
 class TestNameResolution:
-    """A registered name cross-checks against the table its spec runs under."""
+    """A registered platform is judged against the table its spec runs under."""
 
-    def test_non_rule_based_platform_by_name_is_rejected(self, registered, tmp_path):
-        name = registered(PlatformSpec(
-            name="a1-greedy",
-            ips=[IpDef(name="cpu", workload=WorkloadDef(kind="scenario_a"))],
-            policy=PolicyDef(name="greedy-sleep"),
-        ))
-        with pytest.raises(ExperimentError, match="non-rule-based"):
-            crosscheck_scenario(name, trace_dir=tmp_path)
+    def test_non_rule_based_platform_by_name_gets_the_envelope_check(
+        self, registered, monkeypatch
+    ):
+        name = registered(TestEnvelopeAlone().greedy_spec())
+        spec = platform_by_name(name)
+        assert spec_rule_table(spec) is None
+        verdict, run = lint_reach(spec, monkeypatch)
+        assert verdict.status == "pass", verdict.detail
+        assert verdict.detail == f"{len(run.soc.decision_log)} decision(s) contained"
 
-    def test_custom_rules_platform_by_name_uses_its_own_table(self, registered, tmp_path):
+    def test_custom_rules_platform_by_name_uses_its_own_table(self, registered, monkeypatch):
         spec = injected_shadowed_spec()
         spec.name = "injected-by-name"
-        result = crosscheck_scenario(registered(spec), trace_dir=tmp_path)
-        assert result.table_name == "injected-by-name-rules"
+        resolved = platform_by_name(registered(spec))
+        table = spec_rule_table(resolved)
+        assert table.name == "injected-by-name-rules"
         injected = len(spec.policy.rules) - 1
-        assert injected in result.unreachable
-        assert result.ok
+        assert injected in table.unreachable_rules()
+        verdict, run = lint_reach(resolved, monkeypatch)
+        assert verdict.status == "pass", verdict.detail
+        wins, decisions = rule_wins(resolved, run)
+        assert decisions > 0
+        assert wins.get(injected, 0) == 0
 
 
 class TestDecisionContexts:

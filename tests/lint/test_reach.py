@@ -1,7 +1,8 @@
 """The trajectory-reachability engine: envelopes, pins and edge cases.
 
-The soundness direction (envelope contains every traced decision) lives in
-``tests/lint/test_crosscheck.py`` and the fuzz oracle; these tests pin the
+The soundness direction (envelope contains every decision a run logs) is
+the ``lint_reach`` differential oracle, exercised in
+``tests/lint/test_crosscheck.py`` and by the fuzzer; these tests pin the
 *precision* side — the envelope is tight enough to kill trajectory-dead
 rules on the paper platforms — plus the interval edge cases of the issue.
 """

@@ -13,7 +13,7 @@ import pytest
 
 from repro.lint import lint_spec
 from repro.platform import build as platform_build
-from repro.platform.build import build_ip_spec, compile_ip
+from repro.platform.build import compile_ip
 from repro.platform.registry import platform_by_name, platform_names
 from repro.power.states import PowerState
 from test_lint_golden import golden_specs
@@ -39,7 +39,7 @@ def test_a_second_reach_sweep_builds_nothing(monkeypatch):
 
 def recomputed(ipdef):
     """The facts of a freshly built workload, walked the long way."""
-    fresh = build_ip_spec(ipdef)
+    fresh = platform_build._compile_ip(ipdef, platform_build._build_power_model(ipdef)).ip_spec(ipdef)
     tasks = list(fresh.workload.items)
     char = fresh.characterization
     return {

@@ -12,14 +12,13 @@ from repro.platform import (
     TransitionDef,
     WorkloadDef,
     build_dpm_setup,
-    build_ip_spec,
     build_workload,
     multi_ip_platform,
     paper_platforms,
     platform_setup,
     single_ip_platform,
 )
-from repro.platform.build import build_characterization, build_transitions
+from repro.platform.build import build_characterization, build_transitions, compile_ip
 from repro.power.states import PowerState
 from repro.sim.simtime import us
 from repro.soc.task import TaskPriority
@@ -76,7 +75,7 @@ class TestWorkloadBuild:
             IpDef(name="b", workload=workload),
         ])
         seeded = build_scenario({"kind": "platform", "spec": spec.to_dict()}, seed=7)
-        first, second = (build_ip_spec(ipdef) for ipdef in seeded.ips)
+        first, second = (compile_ip(ipdef).ip_spec(ipdef) for ipdef in seeded.ips)
         assert first.workload.as_dicts() != second.workload.as_dicts()
 
 

@@ -21,7 +21,7 @@ from repro.experiments import run_comparison, run_differential, run_scenario, ru
 from repro.lint import lint_spec
 from repro.platform import IpDef, PlatformSpec, PsmDef, WorkloadDef
 from repro.platform import build as platform_build
-from repro.platform.build import COMPILED_IP_LIMIT, COMPILED_ITEM_LIMIT, build_ip_spec, compile_ip
+from repro.platform.build import COMPILED_IP_LIMIT, COMPILED_ITEM_LIMIT, compile_ip
 from repro.platform.registry import platform_by_name, platform_names
 from repro.power.states import SLEEP_STATES, PowerState
 from repro.sim.accuracy import AccuracyMode
@@ -198,17 +198,6 @@ def test_a_model_lives_only_while_a_compiled_ip_holds_it(cold_memo):
     platform_build._COMPILED.clear()
     gc.collect()
     assert model() is None
-
-
-def test_build_ip_spec_shares_nothing_with_the_memo(cold_memo):
-    ipdef = platform_by_name("A1").ips[0]
-    compiled = compile_ip(ipdef)
-    fresh = build_ip_spec(ipdef)
-    assert fresh.workload is not compiled.workload
-    assert fresh.characterization is not compiled.characterization
-    assert fresh.transitions is not compiled.transitions
-    assert fresh.breakeven is not compiled.breakeven
-    assert fresh.workload.as_dicts() == compiled.workload.as_dicts()
 
 
 def test_failed_workload_is_raised_by_runs_and_reported_by_lint(cold_memo):

@@ -22,10 +22,10 @@ from repro.platform import (
     PsmDef,
     TransitionDef,
     WorkloadDef,
-    build_ip_spec,
     load_platform,
     save_platform,
 )
+from repro.platform.build import compile_ip
 
 EXAMPLE_SPEC = os.path.join(
     os.path.dirname(__file__), "..", "..", "examples", "specs", "custom_platform.json"
@@ -70,7 +70,7 @@ class TestRunnersAcceptSpecs:
         assert any(ip.psm is not None and ip.psm.transitions for ip in spec.ips)
         metrics = run_comparison(spec)
         assert metrics.tasks_executed == sum(
-            len(build_ip_spec(ipdef).workload) for ipdef in spec.ips
+            len(compile_ip(ipdef).ip_spec(ipdef).workload) for ipdef in spec.ips
         )
         assert metrics.energy_saving_pct > 0.0
 
@@ -102,8 +102,8 @@ class TestCampaignIntegration:
         description = normalize_scenario({"kind": "platform", "spec": spec.to_dict()})
         default = build_scenario(description)
         reseeded = build_scenario(description, seed=77)
-        assert build_ip_spec(default.ips[0]).workload.as_dicts() != \
-            build_ip_spec(reseeded.ips[0]).workload.as_dicts()
+        assert compile_ip(default.ips[0]).ip_spec(default.ips[0]).workload.as_dicts() != \
+            compile_ip(reseeded.ips[0]).ip_spec(reseeded.ips[0]).workload.as_dicts()
 
     def test_campaign_grid_over_a_platform_file_with_caching(self, tmp_path):
         spec_path = tmp_path / "tiny.json"

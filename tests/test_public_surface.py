@@ -2,10 +2,11 @@
 
 Every function, class and method defined under ``src/`` must be referenced
 somewhere else: by other code under ``src/``, by ``perfbench/`` or
-``examples/``, by the CI workflows or the README.  The package ``__all__``
-lists count as references (their entries are string constants), so the
-exported API is surface by construction.  The tests are not a reference:
-a def that only tests reach is dead code.
+``examples/``, by the CI workflows or the README.  Exporting a name is not a
+reference: an ``__all__`` entry and the import that re-exports it count for
+nothing, so an exported def that nothing calls is named in the README or
+deleted.  The tests are not a reference either: a def that only tests reach
+is dead code.
 
 The few defs that are called without their name being written anywhere are
 listed in ``ALLOWLIST`` with the reason; that list and the sources above are
@@ -40,25 +41,40 @@ ALLOWLIST = {
 }
 
 
+def _exports(tree: ast.AST) -> set:
+    """The ids of the string constants a module lists in its ``__all__``."""
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(target, ast.Name) and target.id == "__all__" for target in targets):
+                exported.update(id(constant) for constant in ast.walk(node.value))
+    return exported
+
+
 def _python_references(tree: ast.AST) -> set:
-    """Names a module uses: loads, attributes, imports, keywords and
-    identifier-shaped string constants (``__all__`` entries, ``getattr``)."""
+    """Names a module uses: loads, attributes, keywords, identifier-shaped
+    string constants (``getattr``, wrapped attributes) and the names it
+    imports under an alias it uses.
+
+    Neither an ``__all__`` entry nor an import counts by itself: a name a
+    package only re-exports is used by nothing."""
     names = set()
+    aliased = {}
+    exported = _exports(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.name.rsplit(".", 1)[-1])
-            if node.asname:
-                names.add(node.asname)
+        elif isinstance(node, ast.alias) and node.asname:
+            aliased[node.asname] = node.name.rsplit(".", 1)[-1]
         elif isinstance(node, ast.keyword) and node.arg:
             names.add(node.arg)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if _IDENTIFIER.fullmatch(node.value):
+            if _IDENTIFIER.fullmatch(node.value) and id(node) not in exported:
                 names.add(node.value)
-    return names
+    return names | {name for alias, name in aliased.items() if alias in names}
 
 
 def _definitions():
